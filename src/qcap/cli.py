@@ -14,12 +14,15 @@ output is deterministic for a fixed spec.  Numeric cells are emitted at
 full precision; rounding is the plot consumer's job.
 
 Exit codes: 0 success, 1 a solver failed on some row (rows still emitted,
-marked by the status column), 2 input error.
+marked by the status column), 2 input error.  A row that raised is marked
+``error``; its exception type and message go to stderr through the
+``qcap.cli`` logger, with the row key as written in the CSV.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -38,6 +41,8 @@ FAMILIES = ("ad", "depol", "nr")
 BOUNDS = ("f", "g", "g_tilde", "g_hat", "q_gamma", "q_theta")
 
 _ONESHOT = {"f": bound_f, "g": bound_g, "g_tilde": bound_g_tilde}
+
+_log = logging.getLogger("qcap.cli")
 
 
 @dataclass
@@ -74,6 +79,10 @@ def _status(*results: BoundResult) -> str:
     return "optimal"
 
 
+def _row_failed(key: str, exc: Exception) -> None:
+    _log.error("row %s failed: %s: %s", key, type(exc).__name__, exc)
+
+
 def _fig1_task(args):
     r, eps, feas_tol, gap_tol = args
     try:
@@ -82,7 +91,8 @@ def _fig1_task(args):
         g = bound_g(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
         gt = bound_g_tilde(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
         return (r, f.log_value, g.log_value, gt.log_value, _status(f, g, gt))
-    except Exception:
+    except Exception as exc:
+        _row_failed(f"fig1_ad r={_fmt(r)}", exc)
         nan = float("nan")
         return (r, nan, nan, nan, "error")
 
@@ -93,7 +103,8 @@ def _fig2_task(args):
         f = lp_f(n, p, eps)
         gh = lp_g_hat_iterate(n, p, eps, rounds)[-1]
         return (n, f.log_value, gh.log_value, _status(f, gh))
-    except Exception:
+    except Exception as exc:
+        _row_failed(f"fig2_depol n={n}", exc)
         nan = float("nan")
         return (n, nan, nan, "error")
 
@@ -105,7 +116,8 @@ def _fig3_task(args):
         qg = q_gamma(ch, feas_tol=feas_tol, gap_tol=gap_tol)
         qt = q_theta(ch, feas_tol=feas_tol, gap_tol=gap_tol)
         return (r, qg.log_value, qt.log_value, _status(qg, qt))
-    except Exception:
+    except Exception as exc:
+        _row_failed(f"fig3_nr r={_fmt(r)}", exc)
         nan = float("nan")
         return (r, nan, nan, "error")
 
@@ -128,7 +140,8 @@ def _custom_task(args):
         ch = {"ad": amplitude_damping, "depol": depolarizing, "nr": channel_nr}[family](r)
         results = [_eval_bound(ch, b, eps, rounds, feas_tol, gap_tol) for b in bounds]
         return (r, *(res.log_value for res in results), _status(*results))
-    except Exception:
+    except Exception as exc:
+        _row_failed(f"custom {family} r={_fmt(r)}", exc)
         nan = float("nan")
         return (r, *([nan] * len(bounds)), "error")
 

@@ -15,7 +15,7 @@ assembly and every scalar row keeps its complex-domain value exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np

@@ -18,7 +18,8 @@ the embedding's image, which no row and no objective term can see and which
 roundoff would otherwise let grow until the scaling breaks down.
 
 Only dense linear algebra is used; problem sizes here stay in the
-hundreds-of-rows, side <= 64 regime for which this is the right trade.
+hundreds-of-rows, side <= 64 regime for which this is the right trade, and
+for which one BLAS thread is faster than several.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
+from ._blas import one_blas_thread
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
 
 OPTIMAL = "optimal"
@@ -270,7 +272,15 @@ def solve(
     numerical breakdown (a failed factorization, a non-finite iterate or a
     stalled step) also ends the iteration with ``max_iter`` and the best
     iterate; no numerical exception escapes.
+
+    The solve runs on one OpenBLAS thread, assembly included; each loaded
+    OpenBLAS gets its previous thread count back on return.
     """
+    with one_blas_thread():
+        return _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose)
+
+
+def _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose) -> ConicSolution:
     data = _assemble(prog)
     psd, a_nn, c_nn, a_f, c_f, b = data.psd, data.a_nn, data.c_nn, data.a_f, data.c_f, data.b
     m = b.size

@@ -145,7 +145,10 @@ def lp_g(n: int, p: float, eps: float, d: int = 2) -> BoundResult:
     optimum; the certificate carries the optimal component vector m.
     """
     eps = check_eps(eps)
-    lp = DepolLp.build(n, p, d)
+    return _lp_g(DepolLp.build(n, p, d), eps)
+
+
+def _lp_g(lp: DepolLp, eps: float) -> BoundResult:
     return _run("lp_g", *_g_rows(lp, eps, None))
 
 
@@ -188,7 +191,10 @@ def lp_g_hat(n: int, p: float, eps: float, m_hat: float, d: int = 2) -> BoundRes
     if m_hat <= 0.0:
         raise ValueError(f"m_hat must be positive, got {m_hat}")
     eps = check_eps(eps)
-    lp = DepolLp.build(n, p, d)
+    return _lp_g_hat(DepolLp.build(n, p, d), eps, m_hat)
+
+
+def _lp_g_hat(lp: DepolLp, eps: float, m_hat: float) -> BoundResult:
     return _run("lp_g_hat", *_g_rows(lp, eps, m_hat))
 
 
@@ -204,13 +210,15 @@ def lp_g_hat_iterate(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    seed = lp_g(n, p, eps, d)
+    eps = check_eps(eps)
+    lp = DepolLp.build(n, p, d)  # shared by every round
+    seed = _lp_g(lp, eps)
     if seed.status != "optimal":
         raise SolverError(f"seed program ended with {seed.status}", seed.status)
     m_hat = seed.value
     out: list[BoundResult] = []
     for rnd in range(1, rounds + 1):
-        res = lp_g_hat(n, p, eps, m_hat, d)
+        res = _lp_g_hat(lp, eps, m_hat)
         if res.status != "optimal":
             raise SolverError(
                 f"round {rnd} program ended with {res.status}", res.status

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from qcap.channels import depolarizing, identity_channel, save_channel
+import qcap.cli as cli
 from qcap.cli import _fmt, main, run_custom, run_fig1, run_fig2, run_fig3
 from qcap.depolarizing_lp import lp_f, lp_g_hat_iterate
 from qcap.oneshot import bound_g
@@ -163,3 +165,29 @@ def test_cli_subprocess_deterministic(tmp_path):
     assert first.stdout.startswith("n,neg_log_f,neg_log_g_hat,status\n")
     assert first.stdout.endswith("\n")
     assert len(first.stdout.splitlines()) == 6
+
+
+def test_failed_row_reports_exception_on_stderr(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "q_theta", broken)
+    # logging left unconfigured, as in a shell run: the record reaches stderr
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    out = tmp_path / "rows.csv"
+    assert main(["--experiment", "fig3_nr", "--steps", "2", "--jobs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "row fig3_nr r=0 failed: RuntimeError: boom" in err
+    assert "row fig3_nr r=0.5 failed: RuntimeError: boom" in err
+    assert out.read_text() == "r,q_gamma,q_theta,status\n0,nan,nan,error\n0.5,nan,nan,error\n"
+
+
+def test_failed_row_reports_exception_from_pool_workers():
+    cmd = [sys.executable, "-m", "qcap.cli", "--experiment", "custom", "--family", "ad",
+           "--bound", "g", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--eps", "1.5",
+           "--jobs", "2"]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == "r,g,status\n0.10000000000000001,nan,error\n0.20000000000000001,nan,error\n"
+    for r in ("0.10000000000000001", "0.20000000000000001"):
+        assert f"row custom ad r={r} failed: ValueError: " in run.stderr

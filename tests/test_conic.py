@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qcap.conic._blas as blas_mod
 import qcap.conic.solver as solver_mod
 from qcap.conic import (
     MAX_ITER,
@@ -276,6 +280,99 @@ def test_breakdown_returns_status_instead_of_raising(monkeypatch, target, health
     # the best iterate seen so far comes back with its residuals
     assert sol.blocks["X"].shape == (3, 3)
     assert np.isfinite(sol.primal_value) and np.isfinite(sol.primal_residual)
+
+
+@pytest.fixture
+def blas_at_two():
+    """Each loaded OpenBLAS at 2 threads (so a restore is visible), then put back."""
+    pools = blas_mod.blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    before = _thread_counts(pools)
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), n in zip(pools, before):
+        put(n)
+
+
+def _thread_counts(pools):
+    return [get() for get, _ in pools]
+
+
+def test_solve_runs_on_one_blas_thread(monkeypatch, blas_at_two):
+    outside = _thread_counts(blas_at_two)
+    inside = []
+    real = solver_mod._nt_scaling
+
+    def spy(*args):
+        inside.append(_thread_counts(blas_at_two))
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_nt_scaling", spy)
+    sol = solve(_box_program())
+    assert sol.status == "optimal"
+    assert inside and all(counts == [1] * len(blas_at_two) for counts in inside)
+    assert _thread_counts(blas_at_two) == outside
+
+
+def test_breakdown_restores_blas_threads(monkeypatch, blas_at_two):
+    outside = _thread_counts(blas_at_two)
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(solver_mod, "_nt_scaling", failing)
+    assert solve(_box_program()).status == MAX_ITER
+    assert _thread_counts(blas_at_two) == outside
+    # an exception escaping the body restores the counts as well
+    monkeypatch.setattr(solver_mod, "_assemble", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(_box_program())
+    assert _thread_counts(blas_at_two) == outside
+
+
+def test_concurrent_solves_restore_blas_threads(blas_at_two):
+    outside = _thread_counts(blas_at_two)
+    wrong = []
+
+    def worker():
+        for _ in range(200):
+            with blas_mod.one_blas_thread():
+                if _thread_counts(blas_at_two) != [1] * len(blas_at_two):
+                    wrong.append(None)
+        solve(_box_program())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert _thread_counts(blas_at_two) == outside
+
+
+def test_blas_limit_is_a_no_op_without_openblas(monkeypatch, tmp_path):
+    real = blas_mod.blas_pools()  # the pools really loaded, to read their counts
+    maps = tmp_path / "maps"
+    maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 /usr/bin/python3\n")
+    monkeypatch.setattr(blas_mod, "_MAPS", str(maps))
+    assert blas_mod._find_pools() == []
+    monkeypatch.setattr(blas_mod, "_MAPS", str(tmp_path / "absent"))
+    assert blas_mod._find_pools() == []
+
+    monkeypatch.setattr(blas_mod, "_pools", [])
+    before = _thread_counts(real)
+    with blas_mod.one_blas_thread():
+        assert _thread_counts(real) == before
+    assert solve(_box_program()).status == "optimal"
+    assert _thread_counts(real) == before
 
 
 def test_non_finite_data_returns_status():

@@ -160,6 +160,23 @@ def test_iterate_sequence():
         lp_g_hat_iterate(2, 0.2, 0.01, rounds=0)
 
 
+def test_iterate_builds_the_table_once(monkeypatch):
+    import qcap.depolarizing_lp as dlp
+
+    calls = []
+    real = dlp.x_coeffs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dlp, "x_coeffs", counting)
+    seq = lp_g_hat_iterate(6, 0.2, 0.01, rounds=5)
+    assert len(calls) == 1
+    # each round matches the public per-call entry points
+    assert seq[-1].value == lp_g_hat(6, 0.2, 0.01, m_hat=seq[-2].value).value
+
+
 def test_value_non_increasing_in_eps():
     for fn in (lp_f, lp_g):
         tight = fn(4, 0.15, 0.004).value
