@@ -36,20 +36,6 @@ class GammaCertificate:
     mu: float | None = None
 
 
-def _result(name: str, sol, t0: float, certificate=None) -> BoundResult:
-    value = float("nan") if sol.primal_value is None else float(sol.primal_value)
-    log_value = math.log2(value) if value > 0.0 and math.isfinite(value) else float("nan")
-    return BoundResult(
-        name=name,
-        value=value,
-        log_value=log_value,
-        status=sol.status,
-        gap=float("nan") if sol.gap is None else float(sol.gap),
-        wall_time=time.perf_counter() - t0,
-        certificate=certificate,
-    )
-
-
 def q_gamma(
     ch: Channel,
     form: str = "primal",
@@ -91,7 +77,9 @@ def q_gamma(
                 R=sol.blocks["R"],
                 rho=sol.blocks["rho"],
             )
-        return _result("q_gamma", sol, t0, cert)
+        return BoundResult.from_optimum(
+            "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert
+        )
 
     prog = ConicProgram("min")
     prog.herm_block("V", d)
@@ -123,7 +111,9 @@ def q_gamma(
             Y=sol.blocks["Y"],
             mu=float(sol.blocks["mu"][0]),
         )
-    return _result("q_gamma", sol, t0, cert)
+    return BoundResult.from_optimum(
+        "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert
+    )
 
 
 def e_w(
@@ -269,7 +259,9 @@ def q_theta(
         bot[d:, d:] = bmat
         prog.add_constraint({"G": bot, "rho1": -tr_b}, "==", 0.0)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return _result("q_theta", sol, t0)
+    return BoundResult.from_optimum(
+        "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1
+    )
 
 
 def strong_converse_error(n_uses: int, rate: float, q_value: float) -> float:

@@ -9,9 +9,11 @@ bound on the qutrit-to-qubit family; ``custom`` evaluates a chosen bound
 list over a parameter grid of a named channel family.  Single evaluations
 on serialized channels emit one JSON result.
 
-Sweep rows are dispatched to a process pool and written in grid order, so
-output is deterministic for a fixed spec.  Numeric cells are emitted at
-full precision; rounding is the plot consumer's job.
+Each experiment is data for one sweep runner: a grid of keys, a channel
+builder and a bound list.  Rows are computed serially or on a process pool
+and written in grid order, so output is deterministic for a fixed spec.
+Numeric cells are emitted at full precision; rounding is the plot
+consumer's job.
 
 Exit codes: 0 success, 1 a solver failed on some row (rows still emitted,
 marked by the status column), 2 input error.  A row that raised is marked
@@ -21,12 +23,14 @@ marked by the status column), 2 input error.  A row that raised is marked
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -36,34 +40,33 @@ from .depolarizing_lp import lp_f, lp_g_hat_iterate
 from .oneshot import bound_f, bound_g, bound_g_tilde, g_hat_iterate
 from .results import BoundResult
 
-EXPERIMENTS = ("fig1_ad", "fig2_depol", "fig3_nr", "custom")
-FAMILIES = ("ad", "depol", "nr")
+_FAMILIES = {"ad": amplitude_damping, "depol": depolarizing, "nr": channel_nr}
+FAMILIES = tuple(_FAMILIES)
 BOUNDS = ("f", "g", "g_tilde", "g_hat", "q_gamma", "q_theta")
-
-_ONESHOT = {"f": bound_f, "g": bound_g, "g_tilde": bound_g_tilde}
 
 _log = logging.getLogger("qcap.cli")
 
 
 @dataclass
 class SweepSpec:
-    """Resolved run description; flag > config-file > default per field."""
+    """Resolved run description; flag > config file > the runner's default.
+
+    Each field is also the ``dest`` of the flag that sets it."""
 
     experiment: str = "fig1_ad"
     r_min: float | None = None
     r_max: float | None = None
     steps: int | None = None
-    n_max: int = 30
-    p: float = 0.2
+    n_max: int | None = None
+    p: float | None = None
     eps: float | None = None
-    rounds: int = 5
+    rounds: int | None = None
     family: str | None = None
     bounds: list[str] | None = None
     out: str | None = None
     jobs: int | None = None
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    seed: int | None = None
+    feas_tol: float | None = None
+    gap_tol: float | None = None
 
 
 def _fmt(x) -> str:
@@ -79,81 +82,68 @@ def _status(*results: BoundResult) -> str:
     return "optimal"
 
 
-def _row_failed(key: str, exc: Exception) -> None:
-    _log.error("row %s failed: %s: %s", key, type(exc).__name__, exc)
+def _eval_bound(ch, name, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> BoundResult:
+    """One named bound on a channel, or on ``(n, p)``: n uses of the qubit
+    depolarizing channel, through the LP reductions.
 
-
-def _fig1_task(args):
-    r, eps, feas_tol, gap_tol = args
-    try:
-        ch = tensor(amplitude_damping(r), amplitude_damping(r))
-        f = bound_f(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
-        g = bound_g(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
-        gt = bound_g_tilde(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
-        return (r, f.log_value, g.log_value, gt.log_value, _status(f, g, gt))
-    except Exception as exc:
-        _row_failed(f"fig1_ad r={_fmt(r)}", exc)
-        nan = float("nan")
-        return (r, nan, nan, nan, "error")
-
-
-def _fig2_task(args):
-    n, p, eps, rounds = args
-    try:
-        f = lp_f(n, p, eps)
-        gh = lp_g_hat_iterate(n, p, eps, rounds)[-1]
-        return (n, f.log_value, gh.log_value, _status(f, gh))
-    except Exception as exc:
-        _row_failed(f"fig2_depol n={n}", exc)
-        nan = float("nan")
-        return (n, nan, nan, "error")
-
-
-def _fig3_task(args):
-    r, feas_tol, gap_tol = args
-    try:
-        ch = channel_nr(r)
-        qg = q_gamma(ch, feas_tol=feas_tol, gap_tol=gap_tol)
-        qt = q_theta(ch, feas_tol=feas_tol, gap_tol=gap_tol)
-        return (r, qg.log_value, qt.log_value, _status(qg, qt))
-    except Exception as exc:
-        _row_failed(f"fig3_nr r={_fmt(r)}", exc)
-        nan = float("nan")
-        return (r, nan, nan, "error")
-
-
-def _eval_bound(ch: Channel, name: str, eps, rounds, feas_tol, gap_tol) -> BoundResult:
-    if name in _ONESHOT:
-        return _ONESHOT[name](ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
-    if name == "g_hat":
-        return g_hat_iterate(ch, eps, rounds, feas_tol=feas_tol, gap_tol=gap_tol)[-1]
-    if name == "q_gamma":
-        return q_gamma(ch, feas_tol=feas_tol, gap_tol=gap_tol)
-    if name == "q_theta":
-        return q_theta(ch, feas_tol=feas_tol, gap_tol=gap_tol)
+    The bound functions are looked up in this module at call time, so a
+    patched name is the one that runs.
+    """
+    tol = {"feas_tol": feas_tol, "gap_tol": gap_tol}
+    if isinstance(ch, tuple):
+        if name == "f":
+            return lp_f(*ch, eps)
+        if name == "g_hat":
+            return lp_g_hat_iterate(*ch, eps, rounds)[-1]
+    elif name == "f":
+        return bound_f(ch, eps, **tol)
+    elif name == "g":
+        return bound_g(ch, eps, **tol)
+    elif name == "g_tilde":
+        return bound_g_tilde(ch, eps, **tol)
+    elif name == "g_hat":
+        return g_hat_iterate(ch, eps, rounds, **tol)[-1]
+    elif name == "q_gamma":
+        return q_gamma(ch, **tol)
+    elif name == "q_theta":
+        return q_theta(ch, **tol)
     raise ValueError(f"unknown bound {name!r}")
 
 
-def _custom_task(args):
-    family, r, bounds, eps, rounds, feas_tol, gap_tol = args
+def _ad_pair(r: float) -> Channel:
+    return tensor(amplitude_damping(r), amplitude_damping(r))
+
+
+def _depol_uses(p: float, n: int) -> tuple[int, float]:
+    return n, p
+
+
+def _row(task) -> tuple:
+    """One sweep row: (key, the log-domain value of each bound, status)."""
+    label, key, build, bounds, opts = task
     try:
-        ch = {"ad": amplitude_damping, "depol": depolarizing, "nr": channel_nr}[family](r)
-        results = [_eval_bound(ch, b, eps, rounds, feas_tol, gap_tol) for b in bounds]
-        return (r, *(res.log_value for res in results), _status(*results))
+        ch = build(key)
+        results = [_eval_bound(ch, name, **opts) for name in bounds]
+        return (key, *(res.log_value for res in results), _status(*results))
     except Exception as exc:
-        _row_failed(f"custom {family} r={_fmt(r)}", exc)
-        nan = float("nan")
-        return (r, *([nan] * len(bounds)), "error")
+        _log.error("row %s=%s failed: %s: %s", label, _fmt(key), type(exc).__name__, exc)
+        return (key, *([float("nan")] * len(bounds)), "error")
 
 
-def _pool_map(task, items, jobs):
+def _sweep(label: str, keys, build, bounds, jobs: int | None, **opts) -> list[tuple]:
+    """Evaluate ``bounds`` on ``build(key)`` for each key, one row per key in
+    key order, serially or on a process pool of ``jobs`` workers.
+
+    ``label`` names the row key in failure logs, e.g. ``"fig2_depol n"``;
+    ``build`` must pickle, and ``opts`` go to every bound.
+    """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [task(it) for it in items]
-    workers = min(jobs or os.cpu_count() or 1, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, items))
+    tasks = [(label, key, build, tuple(bounds), opts) for key in keys]
+    if jobs == 1 or len(tasks) <= 1:
+        return [_row(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs or os.cpu_count() or 1, len(tasks))) as pool:
+        return list(pool.map(_row, tasks))
 
 
 def run_fig1(
@@ -171,8 +161,9 @@ def run_fig1(
         raise ValueError(f"need 0 <= r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    grid = np.linspace(r_min, r_max, steps)
-    return _pool_map(_fig1_task, [(float(r), eps, feas_tol, gap_tol) for r in grid], jobs)
+    grid = np.linspace(r_min, r_max, steps).tolist()
+    opts = {"eps": eps, "feas_tol": feas_tol, "gap_tol": gap_tol}
+    return _sweep("fig1_ad r", grid, _ad_pair, ("f", "g", "g_tilde"), jobs, **opts)
 
 
 def run_fig2(
@@ -186,7 +177,8 @@ def run_fig2(
     n = 1..n_max uses of the qubit depolarizing channel, via the LPs."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return _pool_map(_fig2_task, [(n, p, eps, rounds) for n in range(1, n_max + 1)], jobs)
+    keys, build = range(1, n_max + 1), partial(_depol_uses, p)
+    return _sweep("fig2_depol n", keys, build, ("f", "g_hat"), jobs, eps=eps, rounds=rounds)
 
 
 def run_fig3(
@@ -199,8 +191,9 @@ def run_fig3(
     qutrit-to-qubit family over r in [0, 0.5]."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    grid = np.linspace(0.0, 0.5, steps)
-    return _pool_map(_fig3_task, [(float(r), feas_tol, gap_tol) for r in grid], jobs)
+    grid = np.linspace(0.0, 0.5, steps).tolist()
+    opts = {"feas_tol": feas_tol, "gap_tol": gap_tol}
+    return _sweep("fig3_nr r", grid, channel_nr, ("q_gamma", "q_theta"), jobs, **opts)
 
 
 def run_custom(
@@ -226,22 +219,28 @@ def run_custom(
         raise ValueError("at least one bound is required")
     if steps < 1 or not (r_min <= r_max):
         raise ValueError(f"bad grid [{r_min}, {r_max}] x {steps}")
-    grid = np.linspace(r_min, r_max, steps) if steps > 1 else np.array([r_min])
-    items = [(family, float(r), tuple(bounds), eps, rounds, feas_tol, gap_tol) for r in grid]
-    return _pool_map(_custom_task, items, jobs)
+    grid = np.linspace(r_min, r_max, steps).tolist()
+    opts = {"eps": eps, "rounds": rounds, "feas_tol": feas_tol, "gap_tol": gap_tol}
+    return _sweep(f"custom {family} r", grid, _FAMILIES[family], bounds, jobs, **opts)
 
 
-_HEADERS = {
-    "fig1_ad": ("r", "neg_log_f", "neg_log_g", "neg_log_g_tilde", "status"),
-    "fig2_depol": ("n", "neg_log_f", "neg_log_g_hat", "status"),
-    "fig3_nr": ("r", "q_gamma", "q_theta", "status"),
+# Each experiment as main runs it: the name of its run_* function (looked up
+# at call time, so a patched runner is the one that runs), that function's
+# parameters, which are all SweepSpec fields, and the CSV columns before
+# "status" (a custom sweep has "r" and its bound names).
+_EXPERIMENTS = {
+    name: (fn.__name__, tuple(inspect.signature(fn).parameters), columns)
+    for name, fn, columns in (
+        ("fig1_ad", run_fig1, ("r", "neg_log_f", "neg_log_g", "neg_log_g_tilde")),
+        ("fig2_depol", run_fig2, ("n", "neg_log_f", "neg_log_g_hat")),
+        ("fig3_nr", run_fig3, ("r", "q_gamma", "q_theta")),
+        ("custom", run_custom, None),
+    )
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -257,7 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     par.add_argument("--experiment", choices=EXPERIMENTS, help="named sweep to run")
     par.add_argument("--channel", metavar="FILE", help="channel JSON; evaluates --bound instead of a sweep")
-    par.add_argument("--bound", action="append", choices=BOUNDS, help="bound name (repeatable for custom sweeps)")
+    par.add_argument(
+        "--bound", dest="bounds", action="append", choices=BOUNDS,
+        help="bound name (repeatable for custom sweeps)",
+    )
     par.add_argument("--config", metavar="FILE", help="JSON file with sweep-spec fields; flags override it")
     par.add_argument("--eps", type=float, help="error tolerance for one-shot bounds")
     par.add_argument("--p", type=float, help="depolarizing probability (fig2_depol)")
@@ -271,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument("--jobs", type=int, help="worker processes (default: logical cores)")
     par.add_argument("--feas-tol", type=float, help="solver feasibility tolerance")
     par.add_argument("--gap-tol", type=float, help="solver gap tolerance")
-    par.add_argument("--seed", type=int, help="recorded for reproducibility bookkeeping")
     return par
 
 
@@ -293,33 +294,21 @@ def _resolve_spec(args: argparse.Namespace) -> SweepSpec:
             raise ValueError(f"unknown config fields {unknown}")
         for key, val in raw.items():
             setattr(spec, key, val)
-    overrides = {
-        "experiment": args.experiment,
-        "r_min": args.r_min,
-        "r_max": args.r_max,
-        "steps": args.steps,
-        "n_max": args.n_max,
-        "p": args.p,
-        "eps": args.eps,
-        "rounds": args.rounds,
-        "family": args.family,
-        "bounds": args.bound,
-        "out": args.out,
-        "jobs": args.jobs,
-        "feas_tol": args.feas_tol,
-        "gap_tol": args.gap_tol,
-        "seed": args.seed,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(spec, key, val)
+    for key in _FIELDS:
+        if getattr(args, key) is not None:
+            setattr(spec, key, getattr(args, key))
     if spec.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {spec.experiment!r}")
+    if spec.experiment == "custom":
+        if spec.family is None or not spec.bounds:
+            raise ValueError("custom sweeps need --family and at least one --bound")
+        if spec.r_min is None or spec.r_max is None or spec.steps is None:
+            raise ValueError("custom sweeps need --r-min, --r-max, and --steps")
     return spec
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    if not args.bound or len(args.bound) != 1:
+    if not args.bounds or len(args.bounds) != 1:
         print("error: --channel needs exactly one --bound", file=sys.stderr)
         return 2
     try:
@@ -327,24 +316,17 @@ def _run_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    eps = 0.01 if args.eps is None else args.eps
-    rounds = 5 if args.rounds is None else args.rounds
-    feas_tol = 1e-8 if args.feas_tol is None else args.feas_tol
-    gap_tol = 1e-8 if args.gap_tol is None else args.gap_tol
+    names = ("eps", "rounds", "feas_tol", "gap_tol")
+    opts = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     try:
-        res = _eval_bound(ch, args.bound[0], eps, rounds, feas_tol, gap_tol)
+        res = _eval_bound(ch, args.bounds[0], **opts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(res.to_json_dict(), indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(res.to_json_dict(), indent=2) + "\n", args.out)
     return 0 if res.status == "optimal" else 1
 
 
@@ -357,56 +339,15 @@ def main(argv=None) -> int:
         return 2
     try:
         spec = _resolve_spec(args)
-        if spec.experiment == "fig1_ad":
-            rows = run_fig1(
-                r_min=0.05 if spec.r_min is None else spec.r_min,
-                r_max=0.1 if spec.r_max is None else spec.r_max,
-                steps=11 if spec.steps is None else spec.steps,
-                eps=0.01 if spec.eps is None else spec.eps,
-                jobs=spec.jobs,
-                feas_tol=spec.feas_tol,
-                gap_tol=spec.gap_tol,
-            )
-            header = _HEADERS["fig1_ad"]
-        elif spec.experiment == "fig2_depol":
-            rows = run_fig2(
-                n_max=spec.n_max,
-                p=spec.p,
-                eps=0.004 if spec.eps is None else spec.eps,
-                rounds=spec.rounds,
-                jobs=spec.jobs,
-            )
-            header = _HEADERS["fig2_depol"]
-        elif spec.experiment == "fig3_nr":
-            rows = run_fig3(
-                steps=26 if spec.steps is None else spec.steps,
-                jobs=spec.jobs,
-                feas_tol=spec.feas_tol,
-                gap_tol=spec.gap_tol,
-            )
-            header = _HEADERS["fig3_nr"]
-        else:
-            if spec.family is None or not spec.bounds:
-                raise ValueError("custom sweeps need --family and at least one --bound")
-            if spec.r_min is None or spec.r_max is None or spec.steps is None:
-                raise ValueError("custom sweeps need --r-min, --r-max, and --steps")
-            rows = run_custom(
-                family=spec.family,
-                bounds=list(spec.bounds),
-                r_min=spec.r_min,
-                r_max=spec.r_max,
-                steps=spec.steps,
-                eps=0.01 if spec.eps is None else spec.eps,
-                rounds=spec.rounds,
-                jobs=spec.jobs,
-                feas_tol=spec.feas_tol,
-                gap_tol=spec.gap_tol,
-            )
-            header = ("r", *spec.bounds, "status")
+        runner, names, columns = _EXPERIMENTS[spec.experiment]
+        kwargs = {k: getattr(spec, k) for k in names if getattr(spec, k) is not None}
+        rows = globals()[runner](**kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_csv(header, rows, spec.out)
+    header = (*(columns or ("r", *spec.bounds)), "status")
+    lines = [",".join(header), *(",".join(_fmt(cell) for cell in row) for row in rows)]
+    _write("\n".join(lines) + "\n", spec.out)
     return 0 if all(row[-1] == "optimal" for row in rows) else 1
 
 

@@ -1,5 +1,5 @@
 """Conic-program construction and the interior-point solver."""
-from .program import ConicProgram, derealify, realify
+from .program import ConicProgram
 from .solver import (
     INFEASIBLE,
     MAX_ITER,
@@ -14,8 +14,6 @@ __all__ = [
     "ConicProgram",
     "ConicSolution",
     "SolverError",
-    "realify",
-    "derealify",
     "solve",
     "OPTIMAL",
     "INFEASIBLE",

@@ -9,8 +9,9 @@ rows expanded over an orthonormal Hermitian basis; this module only deals in
 scalar rows.
 
 The solver keeps Hermitian blocks complex.  It runs the iteration of the
-real symmetric embedding :func:`realify`, which doubles eigenvalue
-multiplicities and doubles traces, so coefficient matrices are halved during
+real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of each block, which
+doubles eigenvalue multiplicities and pairs two blocks by 2 Re tr(AB), twice
+their complex trace pairing; so coefficient matrices are halved during
 assembly and every scalar row keeps its complex-domain value exactly.
 """
 from __future__ import annotations
@@ -41,41 +42,6 @@ class Row:
     terms: dict[str, np.ndarray]
     relation: str
     rhs: float
-
-
-def realify(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of Hermitian H.
-
-    Eigenvalues of H appear with doubled multiplicity, so positive
-    semidefiniteness is preserved in both directions.  Traces double:
-    tr(realify(A) @ realify(B)) == 2 * tr(A @ B) for Hermitian A, B.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = float(np.max(np.abs(h), initial=0.0))
-    if hermiticity_defect(h) > 1e-12 * max(scale, 1e-300):
-        raise ValueError("realify requires a Hermitian matrix")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def derealify(x: np.ndarray) -> np.ndarray:
-    """Project a real symmetric 2s x 2s matrix back to s x s complex Hermitian.
-
-    Averages the matrix with its rotation by J = [[0, -I], [I, 0]]; for an
-    exact embedding this inverts :func:`realify`, and it maps any PSD matrix
-    to a PSD Hermitian matrix.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n % 2:
-        raise ValueError("realified matrix must have even side")
-    s = n // 2
-    re = 0.5 * (x[:s, :s] + x[s:, s:])
-    im = 0.5 * (x[s:, :s] - x[:s, s:])
-    h = re + 1j * im
-    return 0.5 * (h + h.conj().T)
 
 
 class ConicProgram:

@@ -9,13 +9,14 @@ scaling is computed on the complex block.  Search directions come from a
 Mehrotra predictor-corrector step, reduced to one factorization of the Schur
 complement bordered by the free columns.
 
-The iteration is the one of the real symmetric embedding of each block
-(see :func:`~qcap.conic.program.realify`): inner products are
-``<A, B> = 2 Re tr(A B)``, coefficient matrices are halved, and a side-s
-block contributes 2s to the barrier parameter.  Working on the complex
-matrices instead of their 2s x 2s embeddings removes the component outside
-the embedding's image, which no row and no objective term can see and which
-roundoff would otherwise let grow until the scaling breaks down.
+The iteration is the one of the real symmetric embedding
+[[Re H, -Im H], [Im H, Re H]] of each block.  The embedding pairs two blocks
+by ``<A, B> = 2 Re tr(A B)``, twice their complex trace pairing, so
+coefficient matrices are halved, and a side-s block contributes 2s to the
+barrier parameter.  Working on the complex matrices instead of their
+2s x 2s embeddings removes the component outside the embedding's image,
+which no row and no objective term can see and which roundoff would
+otherwise let grow until the scaling breaks down.
 
 Only dense linear algebra is used; problem sizes here stay in the
 hundreds-of-rows, side <= 64 regime for which this is the right trade, and
@@ -23,6 +24,7 @@ for which one BLAS thread is faster than several.
 """
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from dataclasses import dataclass
@@ -45,6 +47,9 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, status: str):
         super().__init__(message)
         self.status = status
+
+
+_log = logging.getLogger("qcap.conic")
 
 _STEP_BACKOFF = 0.99
 _STALL_ALPHA = 1e-9
@@ -260,8 +265,6 @@ def solve(
     feas_tol: float = 1e-8,
     gap_tol: float = 1e-8,
     max_iter: int = 200,
-    use_corrector: bool = True,
-    verbose: bool = False,
 ) -> ConicSolution:
     """Solve a :class:`ConicProgram` to the requested tolerances.
 
@@ -274,13 +277,15 @@ def solve(
     iterate; no numerical exception escapes.
 
     The solve runs on one OpenBLAS thread, assembly included; each loaded
-    OpenBLAS gets its previous thread count back on return.
+    OpenBLAS gets its previous thread count back on return.  With the
+    ``qcap.conic`` logger at DEBUG, each iteration logs one progress record.
     """
     with one_blas_thread():
-        return _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose)
+        return _solve(prog, feas_tol, gap_tol, max_iter)
 
 
-def _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose) -> ConicSolution:
+def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
+    debug = _log.isEnabledFor(logging.DEBUG)
     data = _assemble(prog)
     psd, a_nn, c_nn, a_f, c_f, b = data.psd, data.a_nn, data.c_nn, data.a_f, data.c_f, data.b
     m = b.size
@@ -400,10 +405,10 @@ def _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose) -> ConicSo
         pobj = cx / tau
         dobj = by / tau
 
-        if verbose:
-            print(
-                f"  it {it:3d}  mu={mu:9.3e}  pres={pres:9.3e}  dres={dres:9.3e}  "
-                f"gap={abs(pobj - dobj):9.3e}  tau={tau:8.3e}  kap={kap:8.3e}"
+        if debug:
+            _log.debug(
+                "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
+                it, mu, pres, dres, abs(pobj - dobj), tau, kap,
             )
 
         if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
@@ -601,31 +606,28 @@ def _solve(prog, feas_tol, gap_tol, max_iter, use_corrector, verbose) -> ConicSo
             if not aff.ok:
                 return None
 
-            if use_corrector:
-                a_aff = min(1.0, max_step(aff))
-                compl_aff = sum(
-                    _inner(X[j] + a_aff * aff.dX[j], Sm[j] + a_aff * aff.dS[j])
-                    for j in range(len(psd))
-                )
-                if have_nn:
-                    compl_aff += float((xn + a_aff * aff.dxn) @ (sn + a_aff * aff.dsn))
-                mu_aff = (compl_aff + (tau + a_aff * aff.dtau) * (kap + a_aff * aff.dkap)) / (nu + 1)
-                sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+            a_aff = min(1.0, max_step(aff))
+            compl_aff = sum(
+                _inner(X[j] + a_aff * aff.dX[j], Sm[j] + a_aff * aff.dS[j])
+                for j in range(len(psd))
+            )
+            if have_nn:
+                compl_aff += float((xn + a_aff * aff.dxn) @ (sn + a_aff * aff.dsn))
+            mu_aff = (compl_aff + (tau + a_aff * aff.dtau) * (kap + a_aff * aff.dkap)) / (nu + 1)
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-                rx = []
-                for j, cone in enumerate(psd):
-                    r, rinv, lam, _, _, _ = scal[j]
-                    dxt = rinv @ aff.dX[j] @ rinv.conj().T
-                    dst = r.conj().T @ aff.dS[j] @ r
-                    corr = 0.5 * (dxt @ dst + dst @ dxt)
-                    d = sigma * mu * np.eye(cone.side) - np.diag(lam**2) - corr
-                    rx.append(_herm(r @ (2.0 * d / (lam[:, None] + lam[None, :])) @ r.conj().T))
-                rxn = (sigma * mu - xn * sn - aff.dxn * aff.dsn) / sn if have_nn else np.zeros(0)
-                dtau_rhs = sigma * mu - tau * kap - aff.dtau * aff.dkap
-                step = direction(rx, rxn, dtau_rhs)
-                if not step.ok:
-                    step = aff
-            else:
+            rx = []
+            for j, cone in enumerate(psd):
+                r, rinv, lam, _, _, _ = scal[j]
+                dxt = rinv @ aff.dX[j] @ rinv.conj().T
+                dst = r.conj().T @ aff.dS[j] @ r
+                corr = 0.5 * (dxt @ dst + dst @ dxt)
+                d = sigma * mu * np.eye(cone.side) - np.diag(lam**2) - corr
+                rx.append(_herm(r @ (2.0 * d / (lam[:, None] + lam[None, :])) @ r.conj().T))
+            rxn = (sigma * mu - xn * sn - aff.dxn * aff.dsn) / sn if have_nn else np.zeros(0)
+            dtau_rhs = sigma * mu - tau * kap - aff.dtau * aff.dkap
+            step = direction(rx, rxn, dtau_rhs)
+            if not step.ok:
                 step = aff
 
             alpha = min(1.0, _STEP_BACKOFF * max_step(step))

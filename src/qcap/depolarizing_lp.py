@@ -100,17 +100,15 @@ class DepolLp:
 def _run(name: str, c, a_ub, b_ub, bounds, certificate) -> BoundResult:
     t0 = time.perf_counter()
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    status = _LP_STATUS.get(res.status, "max_iter")
-    value = float(res.fun) if res.status == 0 else float("nan")
-    log_value = -math.log2(value) if value > 0.0 and math.isfinite(value) else float("nan")
-    return BoundResult(
-        name=name,
-        value=value,
-        log_value=log_value,
-        status=status,
-        gap=0.0 if res.status == 0 else float("nan"),
-        wall_time=time.perf_counter() - t0,
-        certificate=certificate(res.x) if res.status == 0 else None,
+    ok = res.status == 0
+    return BoundResult.from_optimum(
+        name,
+        res.fun if ok else None,
+        _LP_STATUS.get(res.status, "max_iter"),
+        0.0 if ok else None,
+        t0,
+        log_sign=-1,
+        certificate=certificate(res.x) if ok else None,
     )
 
 

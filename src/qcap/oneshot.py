@@ -173,20 +173,6 @@ def oneshot_capacity(
     return math.log2(best)
 
 
-def _finish(name: str, sol, t0: float, cert: OneShotCertificate | None) -> BoundResult:
-    value = float("nan") if sol.primal_value is None else float(sol.primal_value)
-    log_value = -math.log2(value) if value > 0.0 and math.isfinite(value) else float("nan")
-    return BoundResult(
-        name=name,
-        value=value,
-        log_value=log_value,
-        status=sol.status,
-        gap=float("nan") if sol.gap is None else float(sol.gap),
-        wall_time=time.perf_counter() - t0,
-        certificate=cert,
-    )
-
-
 def _certificate(sol, with_theta: bool, with_t: bool) -> OneShotCertificate | None:
     if not sol.blocks:
         return None
@@ -233,10 +219,25 @@ def bound_f(
         prog.add_constraint({"Zf": bmat, "W": bmat, "Theta": bt, "S": -tr_b}, "==", 0.0)
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return _finish("f", sol, t0, _certificate(sol, with_theta=True, with_t=False))
+    cert = _certificate(sol, with_theta=True, with_t=False)
+    return BoundResult.from_optimum(
+        "f", sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert
+    )
 
 
-def _g_common(ch: Channel, eps: float, with_t: bool, m_hat: float | None) -> ConicProgram:
+def _g_bound(
+    name: str,
+    ch: Channel,
+    eps: float,
+    with_t: bool,
+    m_hat: float | None,
+    feas_tol: float,
+    gap_tol: float,
+) -> BoundResult:
+    """Solve the g-family program: W^TB boxed by +-S (x) I, plus the marginal
+    rows tr_A W = t I_B when ``with_t``, plus t >= m_hat**2 when ``m_hat`` is
+    given."""
+    t0 = time.perf_counter()
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
@@ -258,16 +259,17 @@ def _g_common(ch: Channel, eps: float, with_t: bool, m_hat: float | None) -> Con
         _add_marginal_rows(prog, dims, None)
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
-    return prog
+    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
+    cert = _certificate(sol, with_theta=False, with_t=with_t)
+    return BoundResult.from_optimum(
+        name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert
+    )
 
 
 def bound_g(ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8) -> BoundResult:
     """Converse bound boxing W^TB by +-S (x) I; tighter than ``f``."""
     eps = check_eps(eps)
-    t0 = time.perf_counter()
-    prog = _g_common(ch, eps, with_t=False, m_hat=None)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return _finish("g", sol, t0, _certificate(sol, with_theta=False, with_t=False))
+    return _g_bound("g", ch, eps, False, None, feas_tol, gap_tol)
 
 
 def bound_g_tilde(
@@ -275,10 +277,7 @@ def bound_g_tilde(
 ) -> BoundResult:
     """``g`` plus the no-signalling marginal relaxation tr_A W = t I_B."""
     eps = check_eps(eps)
-    t0 = time.perf_counter()
-    prog = _g_common(ch, eps, with_t=True, m_hat=None)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return _finish("g_tilde", sol, t0, _certificate(sol, with_theta=False, with_t=True))
+    return _g_bound("g_tilde", ch, eps, True, None, feas_tol, gap_tol)
 
 
 def bound_g_hat(
@@ -296,10 +295,7 @@ def bound_g_hat(
     eps = check_eps(eps)
     if m_hat <= 0.0:
         raise ValueError(f"m_hat must be positive, got {m_hat}")
-    t0 = time.perf_counter()
-    prog = _g_common(ch, eps, with_t=True, m_hat=m_hat)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return _finish("g_hat", sol, t0, _certificate(sol, with_theta=False, with_t=True))
+    return _g_bound("g_hat", ch, eps, True, m_hat, feas_tol, gap_tol)
 
 
 def g_hat_iterate(

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -23,6 +24,28 @@ class BoundResult:
     gap: float
     wall_time: float
     certificate: Any = None
+
+    @classmethod
+    def from_optimum(
+        cls, name: str, value, status: str, gap, t0: float, *, log_sign: int, certificate=None
+    ) -> BoundResult:
+        """The result of a program that started at ``time.perf_counter() == t0``.
+
+        ``log_sign`` is -1 for the one-shot and LP bounds and +1 for rates.
+        A missing value or gap reads NaN, and so does ``log_value`` unless
+        the value is positive and finite.
+        """
+        value = float("nan") if value is None else float(value)
+        ok = value > 0.0 and math.isfinite(value)
+        return cls(
+            name=name,
+            value=value,
+            log_value=log_sign * math.log2(value) if ok else float("nan"),
+            status=status,
+            gap=float("nan") if gap is None else float(gap),
+            wall_time=time.perf_counter() - t0,
+            certificate=certificate,
+        )
 
     def to_json_dict(self) -> dict:
         def _num(v: float) -> float | None:

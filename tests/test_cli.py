@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -58,6 +59,10 @@ def test_fig3_rows():
         assert qg <= qt + 1e-6
     with pytest.raises(ValueError):
         run_fig3(steps=1)
+
+
+def test_fig3_is_a_fixed_custom_sweep():
+    assert run_fig3(steps=3, jobs=1) == run_custom("nr", ["q_gamma", "q_theta"], 0.0, 0.5, 3, jobs=1)
 
 
 def test_custom_single_point():
@@ -144,6 +149,10 @@ def test_main_config_rejections(tmp_path, capsys):
     bad.write_text(json.dumps({"experiment": "fig2_depol", "bogus": 1}))
     assert main(["--config", str(bad)]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({"experiment": "fig2_depol", "seed": 1}))
+    assert main(["--config", str(seeded)]) == 2
+    assert "unknown config fields ['seed']" in capsys.readouterr().err
     notdict = tmp_path / "list.json"
     notdict.write_text("[1, 2]")
     assert main(["--config", str(notdict)]) == 2
@@ -154,6 +163,27 @@ def test_main_config_rejections(tmp_path, capsys):
 def test_main_custom_needs_grid(capsys):
     assert main(["--experiment", "custom", "--family", "ad", "--bound", "g"]) == 2
     assert "r-min" in capsys.readouterr().err
+
+
+def test_flags_and_runner_parameters_are_spec_fields():
+    spec_fields = {f.name for f in dataclasses.fields(cli.SweepSpec)}
+    assert spec_fields <= set(vars(cli._build_parser().parse_args([])))
+    for _, params, _ in cli._EXPERIMENTS.values():
+        assert set(params) <= spec_fields
+
+
+def test_main_passes_only_the_runner_fields(monkeypatch, capsys):
+    seen = {}
+
+    def fake_fig3(**kwargs):
+        seen.update(kwargs)
+        return [(0.0, 1.0, 1.0, "optimal")]
+
+    monkeypatch.setattr(cli, "run_fig3", fake_fig3)
+    # --r-min and --eps do not apply to fig3_nr and are ignored
+    assert main(["--experiment", "fig3_nr", "--r-min", "0.2", "--eps", "0.3", "--steps", "5"]) == 0
+    assert seen == {"steps": 5}
+    assert capsys.readouterr().out == "r,q_gamma,q_theta,status\n0,1,1,optimal\n"
 
 
 def test_cli_subprocess_deterministic(tmp_path):
@@ -180,6 +210,22 @@ def test_failed_row_reports_exception_on_stderr(monkeypatch, tmp_path, capsys):
     assert "row fig3_nr r=0 failed: RuntimeError: boom" in err
     assert "row fig3_nr r=0.5 failed: RuntimeError: boom" in err
     assert out.read_text() == "r,q_gamma,q_theta,status\n0,nan,nan,error\n0.5,nan,nan,error\n"
+
+
+def test_failed_custom_row_uses_the_patched_bound(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "bound_g", broken)
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    out = tmp_path / "rows.csv"
+    argv = ["--experiment", "custom", "--family", "depol", "--bound", "g",
+            "--r-min", "0.1", "--r-max", "0.2", "--steps", "2", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    for r in ("0.10000000000000001", "0.20000000000000001"):
+        assert f"row custom depol r={r} failed: RuntimeError: boom" in err
+    assert out.read_text() == "r,g,status\n0.10000000000000001,nan,error\n0.20000000000000001,nan,error\n"
 
 
 def test_failed_row_reports_exception_from_pool_workers():

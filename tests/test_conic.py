@@ -1,3 +1,4 @@
+import logging
 import sys
 import threading
 
@@ -7,14 +8,7 @@ from scipy.optimize import linprog
 
 import qcap.conic._blas as blas_mod
 import qcap.conic.solver as solver_mod
-from qcap.conic import (
-    MAX_ITER,
-    ConicProgram,
-    SolverError,
-    derealify,
-    realify,
-    solve,
-)
+from qcap.conic import MAX_ITER, ConicProgram, SolverError, solve
 
 RNG = np.random.default_rng(42)
 
@@ -22,31 +16,6 @@ RNG = np.random.default_rng(42)
 def random_herm(d, rng=RNG):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (g + g.conj().T)
-
-
-def test_realify_doubles_spectrum():
-    sigma_y = np.array([[0, -1j], [1j, 0]])
-    r = realify(sigma_y)
-    assert r.shape == (4, 4)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(r)), [-1, -1, 1, 1])
-
-
-def test_realify_trace_pairing():
-    a, b = random_herm(3), random_herm(3)
-    lhs = np.trace(realify(a) @ realify(b))
-    assert abs(lhs - 2 * np.trace(a @ b).real) < 1e-12
-
-
-def test_derealify_inverts_realify():
-    a = random_herm(4)
-    assert np.allclose(derealify(realify(a)), a, atol=1e-14)
-
-
-def test_derealify_projects_asymmetric_noise():
-    a = random_herm(3)
-    noisy = realify(a) + 1e-9 * RNG.normal(size=(6, 6))
-    noisy = 0.5 * (noisy + noisy.T)
-    assert np.allclose(derealify(noisy), a, atol=1e-8)
 
 
 def test_program_rejects_non_hermitian_coefficient():
@@ -236,6 +205,17 @@ def test_solution_carries_metadata():
     assert sol.primal_residual < 1e-7
     assert sol.dual_residual < 1e-7
     assert sol.y.shape == (1,)
+
+
+def test_debug_log_has_one_record_per_iteration(caplog):
+    with caplog.at_level(logging.INFO, logger="qcap.conic"):
+        solve(_box_program())
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="qcap.conic"):
+        sol = solve(_box_program())
+    assert sol.status == "optimal"
+    assert [r.name for r in caplog.records] == ["qcap.conic"] * sol.iterations
+    assert caplog.records[0].getMessage().startswith("it   1  mu=")
 
 
 def test_dump_mentions_blocks_and_rows():
