@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, solve
-from .matops import HermMat, _ptrace_array, _ptranspose_array, hermitian_basis
+from .matops import HermMat, bipartite_maps
 from .results import BoundResult
 
 SUPPORT_RTOL = 1e-10
@@ -54,21 +54,17 @@ def q_gamma(
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
+    lift, pt, _, tr_b = bipartite_maps(dims)
     t0 = time.perf_counter()
 
     if form == "primal":
         prog = ConicProgram("max")
         prog.herm_block("R", d)
         prog.herm_block("rho", ch.d_in)
-        prog.herm_block("Zp", d)
-        prog.herm_block("Zm", d)
         prog.set_objective({"R": j.mat.data})
         prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-        for bmat in hermitian_basis(d):
-            bt = _ptranspose_array(bmat, dims, 1)
-            tr_b = _ptrace_array(bmat, dims, 1)
-            prog.add_constraint({"Zp": bmat, "R": bt, "rho": -tr_b}, "==", 0.0)
-            prog.add_constraint({"Zm": bmat, "R": -bt, "rho": -tr_b}, "==", 0.0)
+        prog.add_operator_constraint({"R": pt, "rho": lambda r: -lift(r)}, "<=", 0)
+        prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0)
         sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
         cert = None
         if sol.blocks:
@@ -81,27 +77,14 @@ def q_gamma(
             "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert
         )
 
+    eye_a = np.eye(ch.d_in)
     prog = ConicProgram("min")
     prog.herm_block("V", d)
     prog.herm_block("Y", d)
-    prog.herm_block("Z1", d)
-    prog.herm_block("Z2", ch.d_in)
     prog.free_block("mu", 1)
     prog.set_objective({"mu": [1.0]})
-    # Z1 = (V - Y)^TB - J
-    for bmat in hermitian_basis(d):
-        bt = _ptranspose_array(bmat, dims, 1)
-        rhs = float(np.real(np.trace(bmat @ j.mat.data)))
-        prog.add_constraint({"Z1": bmat, "V": -bt, "Y": bt}, "==", -rhs)
-    # Z2 = mu I_A - tr_B(V + Y)
-    eye_b = np.eye(ch.d_out)
-    for dmat in hermitian_basis(ch.d_in):
-        lift = np.kron(dmat, eye_b)
-        prog.add_constraint(
-            {"Z2": dmat, "V": lift, "Y": lift, "mu": [-float(np.real(np.trace(dmat)))]},
-            "==",
-            0.0,
-        )
+    prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data)
+    prog.add_operator_constraint({"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     cert = None
     if sol.blocks:
@@ -135,31 +118,25 @@ def e_w(
     lo = float(np.linalg.eigvalsh(rho.data)[0])
     if lo < -1e-8:
         raise ValueError(f"state is not positive semidefinite (min eig {lo:g})")
-    dims = rho.dims
+    pt = bipartite_maps(rho.dims)[1]
     d = rho.side
 
     if form == "primal":
         prog = ConicProgram("max")
         prog.herm_block("R", d)
-        prog.herm_block("Zp", d)
-        prog.herm_block("Zm", d)
         prog.set_objective({"R": rho.data})
-        for bmat in hermitian_basis(d):
-            bt = _ptranspose_array(bmat, dims, 1)
-            tr_b = float(np.real(np.trace(bmat)))
-            prog.add_constraint({"Zp": bmat, "R": bt}, "==", tr_b)
-            prog.add_constraint({"Zm": bmat, "R": -bt}, "==", tr_b)
+        prog.add_operator_constraint({"R": pt}, "<=", np.eye(d))
+        prog.add_operator_constraint({"R": pt}, ">=", -np.eye(d))
     else:
         prog = ConicProgram("min")
         prog.herm_block("Z", d)  # X = rho + Z
         prog.herm_block("P", d)
         prog.herm_block("Q", d)
         prog.set_objective({"P": np.eye(d), "Q": np.eye(d)})
-        rho_t = _ptranspose_array(rho.data, dims, 1)
-        for bmat in hermitian_basis(d):
-            bt = _ptranspose_array(bmat, dims, 1)
-            rhs = -float(np.real(np.trace(bmat @ rho_t)))
-            prog.add_constraint({"Z": bt, "P": -bmat, "Q": bmat}, "==", rhs)
+        # P - Q = X^TB
+        prog.add_operator_constraint(
+            {"Z": pt, "P": lambda p: -p, "Q": lambda q: q}, "==", -pt(rho.data)
+        )
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     if sol.status != "optimal":
@@ -235,7 +212,8 @@ def q_theta(
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
-    jt = _ptranspose_array(j.mat.data, dims, 1)
+    lift, pt, _, _ = bipartite_maps(dims)
+    jt = pt(j.mat.data)
     t0 = time.perf_counter()
 
     big = 2 * d
@@ -250,14 +228,9 @@ def q_theta(
     prog.set_objective({"G": cost})
     prog.add_constraint({"rho0": np.eye(ch.d_in)}, "==", 1.0)
     prog.add_constraint({"rho1": np.eye(ch.d_in)}, "==", 1.0)
-    for bmat in hermitian_basis(d):
-        tr_b = _ptrace_array(bmat, dims, 1)
-        top = np.zeros((big, big), dtype=np.complex128)
-        top[:d, :d] = bmat
-        prog.add_constraint({"G": top, "rho0": -tr_b}, "==", 0.0)
-        bot = np.zeros((big, big), dtype=np.complex128)
-        bot[d:, d:] = bmat
-        prog.add_constraint({"G": bot, "rho1": -tr_b}, "==", 0.0)
+    # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
+    prog.add_operator_constraint({"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0)
+    prog.add_operator_constraint({"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     return BoundResult.from_optimum(
         "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1

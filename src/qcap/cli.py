@@ -31,6 +31,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -277,6 +278,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _FIELDS = {f.name for f in fields(SweepSpec)}
+_HINTS = get_type_hints(SweepSpec)
+
+
+def _config_value(key: str, val):
+    """``val`` if it has the type of SweepSpec field ``key``; a JSON integer
+    passes for a float."""
+    kinds = get_args(_HINTS[key]) or (_HINTS[key],)
+    want = kinds[0]
+    if get_origin(want) is list:
+        ok = isinstance(val, list) and all(isinstance(v, get_args(want)[0]) for v in val)
+    else:
+        ok = isinstance(val, (int, float) if want is float else want) and not isinstance(val, bool)
+    if not ok and not (val is None and type(None) in kinds):
+        hint = SweepSpec.__annotations__[key]
+        raise ValueError(f"config field {key!r} must be {hint}, got {val!r}")
+    return val
 
 
 def _resolve_spec(args: argparse.Namespace) -> SweepSpec:
@@ -293,7 +310,7 @@ def _resolve_spec(args: argparse.Namespace) -> SweepSpec:
         if unknown:
             raise ValueError(f"unknown config fields {unknown}")
         for key, val in raw.items():
-            setattr(spec, key, val)
+            setattr(spec, key, _config_value(key, val))
     for key in _FIELDS:
         if getattr(args, key) is not None:
             setattr(spec, key, getattr(args, key))

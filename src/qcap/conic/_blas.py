@@ -1,4 +1,4 @@
-"""One OpenBLAS thread for the length of a solve.
+"""One OpenBLAS thread for each solve and each operator-constraint expansion.
 
 The solver's dense work runs on PSD blocks of side at most 64 and Schur
 complements of under a thousand rows, where OpenBLAS threads cost more in

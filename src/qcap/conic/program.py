@@ -3,10 +3,11 @@
 A program is a list of named variable blocks (complex Hermitian PSD,
 nonnegative vector, free vector), scalar linear constraint rows whose
 coefficients are Hermitian matrices or real vectors per block, and a linear
-objective with a minimize/maximize sense.  Operator (in)equalities are
-expressed by the callers as explicit PSD slack blocks tied down with scalar
-rows expanded over an orthonormal Hermitian basis; this module only deals in
-scalar rows.
+objective with a minimize/maximize sense.  An operator (in)equality is
+stated with one ``add_operator_constraint`` call, as the forward linear map
+of each block; the program expands it into scalar rows <L^dag(B), X> over an
+orthonormal Hermitian basis B, plus a PSD slack block for an inequality, so
+the solver still reads only scalar rows.
 
 The solver keeps Hermitian blocks complex.  It runs the iteration of the
 real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of each block, which
@@ -17,17 +18,21 @@ assembly and every scalar row keeps its complex-domain value exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from ..matops import hermiticity_defect
+from ..matops import hermitian_basis, hermiticity_defect
+from ._blas import one_blas_thread
 
 HERM_PSD = "hermitian_psd"
 NONNEG = "nonneg"
 FREE = "free"
 
 RELATIONS = ("==", "<=", ">=")
+
+# names of operator-inequality slack blocks start with this; user blocks' may not
+SLACK_PREFIX = "slack#"
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,9 @@ class ConicProgram:
 
     # -- block declaration -------------------------------------------------
 
-    def _add_block(self, name: str, kind: str, size: int) -> str:
+    def _add_block(self, name: str, kind: str, size: int, slack: bool = False) -> str:
+        if name.startswith(SLACK_PREFIX) and not slack:
+            raise ValueError(f"block names starting with {SLACK_PREFIX!r} are reserved")
         if name in self._by_name:
             raise ValueError(f"block {name!r} already declared")
         if size < 1:
@@ -92,8 +99,7 @@ class ConicProgram:
                 raise ValueError(
                     f"coefficient for {name!r} must be {blk.size}x{blk.size}, got {c.shape}"
                 )
-            scale = float(np.max(np.abs(c), initial=0.0))
-            if hermiticity_defect(c) > 1e-12 * max(scale, 1e-300):
+            if hermiticity_defect(c) > _herm_tol(c):
                 raise ValueError(f"coefficient for Hermitian block {name!r} is not Hermitian")
             return c
         c = np.atleast_1d(np.asarray(coeff, dtype=np.float64)).reshape(-1)
@@ -115,20 +121,68 @@ class ConicProgram:
         row = Row({n: self._coerce_coeff(n, c) for n, c in terms.items()}, relation, float(rhs))
         self.rows.append(row)
 
-    # -- debugging ---------------------------------------------------------
+    def add_operator_constraint(
+        self, terms: Mapping[str, Callable], relation: str, rhs=0
+    ) -> str | None:
+        """Append the operator (in)equality: sum of terms[name](block) <relation> rhs.
 
-    def dump(self) -> str:
-        """Human-readable listing: blocks, objective, one constraint per line."""
-        out = [f"sense {self.sense}"]
-        for blk in self.blocks:
-            out.append(f"block {blk.name} {blk.kind} {blk.size}")
-        obj = ", ".join(
-            f"{n}(fro={np.linalg.norm(c):.6g})" for n, c in sorted(self.objective.items())
-        )
-        out.append(f"objective: {obj if obj else '0'}")
-        for i, row in enumerate(self.rows):
-            terms = ", ".join(
-                f"{n}(fro={np.linalg.norm(c):.6g})" for n, c in sorted(row.terms.items())
-            )
-            out.append(f"row {i}: {terms} {row.relation} {row.rhs:.12g}")
-        return "\n".join(out)
+        Each term is the forward linear map of a block into side x side
+        matrices, e.g. ``lambda w: -w`` or ``lambda rho: np.kron(rho, eye)``.
+        A Hermitian block's map is called on each matrix unit, so it must be
+        complex-linear and Hermitian-preserving; a vector block's map is called
+        on each unit vector and must return Hermitian matrices.  ``rhs`` is a
+        Hermitian side x side matrix, or 0.  Appends side**2 rows in
+        basis order.  ``"<="`` and ``">="`` also declare a PSD slack block,
+        Z = rhs - sum or Z = sum - rhs, and return its name.
+        """
+        if relation not in RELATIONS:
+            raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
+        images = {name: self._images(name, fn) for name, fn in terms.items()}
+        sides = sorted({img.shape[-1] for img in images.values()})
+        if len(sides) != 1:
+            raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
+        side = sides[0]
+        basis = hermitian_basis(side).reshape(side * side, side * side)
+        r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
+        if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
+            raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
+        sign = -1.0 if relation == ">=" else 1.0
+        # row i of a term is L^dag(B_i): <L(e_ab), B_i> at (a, b), or <L(e_j), B_i> at j.
+        # On one BLAS thread, as in the solve: a second one would only spin.
+        coeffs = {}
+        with one_blas_thread():
+            b = sign * (basis.conj() @ r.reshape(-1)).real
+            for name, img in images.items():
+                blk = self._by_name[name]
+                c = sign * (basis @ img.reshape(len(img), -1).conj().T)
+                coeffs[name] = c.reshape(-1, blk.size, blk.size) if blk.kind == HERM_PSD else c.real
+        slack = None
+        if relation != "==":
+            slack = self._add_block(f"{SLACK_PREFIX}{len(self.blocks)}", HERM_PSD, side, True)
+            coeffs[slack] = basis.reshape(-1, side, side)
+        for i in range(side * side):
+            self.rows.append(Row({name: c[i] for name, c in coeffs.items()}, "==", float(b[i])))
+        return slack
+
+    def _images(self, name: str, fn: Callable) -> np.ndarray:
+        """fn on each unit of block ``name`` (e_ab at a * size + b), stacked
+        and checked square and Hermitian-preserving."""
+        blk = self._by_name.get(name)
+        if blk is None:
+            raise ValueError(f"unknown block {name!r}")
+        n, herm = blk.size, blk.kind == HERM_PSD
+        units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n) if herm else np.eye(n)
+        images = [np.asarray(fn(u), dtype=np.complex128) for u in units]
+        shape = images[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(im.shape != shape for im in images):
+            raise ValueError(f"the map of block {name!r} must return square matrices of one side")
+        img = np.array(images)
+        # L(e_ba) must be L(e_ab)^dag, and L(e_j) Hermitian
+        partner = np.arange(n * n).reshape(n, n).T.ravel() if herm else np.arange(n)
+        if np.max(np.abs(img - img[partner].conj().transpose(0, 2, 1))) > _herm_tol(img):
+            raise ValueError(f"the map of block {name!r} is not Hermitian-preserving")
+        return img
+
+
+def _herm_tol(mat: np.ndarray) -> float:
+    return 1e-12 * max(float(np.max(np.abs(mat), initial=0.0)), 1e-300)

@@ -10,7 +10,7 @@ All operations are pure functions; inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,11 +84,6 @@ def _check_factor(m: HermMat, factor: int) -> int:
     return factor
 
 
-def kron(a: HermMat, b: HermMat) -> HermMat:
-    """Tensor product; the factor list is the concatenation of the inputs'."""
-    return HermMat(np.kron(a.data, b.data), a.dims + b.dims, a.hermitian and b.hermitian)
-
-
 def _ptrace_array(mat: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:
     n = len(dims)
     t = mat.reshape(tuple(dims) * 2)
@@ -141,35 +136,34 @@ def trace_norm(m: HermMat) -> float:
     return float(np.linalg.svd(m.data, compute_uv=False).sum())
 
 
-def eig_hermitian(m: HermMat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
+def hermitian_basis(side: int) -> np.ndarray:
+    """An orthonormal basis of the side x side Hermitian matrices, stacked as a
+    (side**2, side, side) array.
 
-    Raises ``ValueError`` if the input is not flagged Hermitian.
+    Frobenius-orthonormal: diagonal units, then for each i < j in row-major
+    order the symmetric and the antisymmetric combination of (i, j) and
+    (j, i), scaled by 1/sqrt(2).
     """
-    if not m.hermitian:
-        raise ValueError("eig_hermitian requires a Hermitian-flagged matrix")
-    w, v = np.linalg.eigh(m.data)
-    return w, v
-
-
-def hermitian_basis(side: int) -> Iterator[np.ndarray]:
-    """Yield an orthonormal basis of the side x side Hermitian matrices.
-
-    Frobenius-orthonormal: diagonal units, then symmetric and antisymmetric
-    off-diagonal combinations scaled by 1/sqrt(2).  ``side**2`` elements.
-    """
-    for i in range(side):
-        e = np.zeros((side, side), dtype=np.complex128)
-        e[i, i] = 1.0
-        yield e
+    basis = np.zeros((side * side, side, side), dtype=np.complex128)
+    diag = np.arange(side)
+    basis[diag, diag, diag] = 1.0
+    i, j = np.triu_indices(side, 1)
+    k = side + 2 * np.arange(i.size)
     rt2 = 1.0 / np.sqrt(2.0)
-    for i in range(side):
-        for j in range(i + 1, side):
-            e = np.zeros((side, side), dtype=np.complex128)
-            e[i, j] = rt2
-            e[j, i] = rt2
-            yield e
-            e = np.zeros((side, side), dtype=np.complex128)
-            e[i, j] = -1j * rt2
-            e[j, i] = 1j * rt2
-            yield e
+    basis[k, i, j] = basis[k, j, i] = rt2
+    basis[k + 1, i, j] = -1j * rt2
+    basis[k + 1, j, i] = 1j * rt2
+    return basis
+
+
+def bipartite_maps(dims: Sequence[int]):
+    """The linear maps X -> X (x) I_B, W -> W^TB, W -> tr_A W and W -> tr_B W
+    on plain arrays over A (x) B with factor dims ``dims``, as operator
+    constraints state them."""
+    eye_b = np.eye(dims[1])
+    return (
+        lambda x: np.kron(x, eye_b),
+        lambda w: _ptranspose_array(w, dims, 1),
+        lambda w: _ptrace_array(w, dims, 0),
+        lambda w: _ptrace_array(w, dims, 1),
+    )

@@ -8,8 +8,8 @@ that program: the bounds ``f``, ``g``, ``g_tilde`` and ``g_hat`` trade the
 code-size search for a single SDP whose optimum, in -log2 domain, upper
 bounds the one-shot capacity.
 
-Operator inequalities are compiled to explicit PSD slack blocks tied by
-scalar rows over an orthonormal Hermitian basis; see :mod:`qcap.conic`.
+Each operator (in)equality, such as W <= rho (x) I, is one call of
+``ConicProgram.add_operator_constraint`` on forward maps of the blocks.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, solve
-from .matops import _ptrace_array, _ptranspose_array, hermitian_basis
+from .matops import bipartite_maps
 from .results import BoundResult
 
 PPT = "ppt"
@@ -74,41 +74,6 @@ def _check_class(code_class: str) -> str:
     return code_class
 
 
-def _add_upper_slack(prog: ConicProgram, dims: tuple[int, int]) -> None:
-    """Tie Zub = rho (x) I - W over the bipartite basis (so W <= rho (x) I)."""
-    d = dims[0] * dims[1]
-    for bmat in hermitian_basis(d):
-        tr_b = _ptrace_array(bmat, dims, 1)
-        prog.add_constraint({"Zub": bmat, "W": bmat, "rho": -tr_b}, "==", 0.0)
-
-
-def _add_pt_box(prog: ConicProgram, dims: tuple[int, int], bound: str, scale: float) -> None:
-    """Constrain -scale * (bound (x) I) <= W^TB <= scale * (bound (x) I).
-
-    ``bound`` names a PSD block on the input factor; two slack blocks Zp, Zm
-    carry the operator inequalities.
-    """
-    d = dims[0] * dims[1]
-    for bmat in hermitian_basis(d):
-        bt = _ptranspose_array(bmat, dims, 1)
-        tr_b = scale * _ptrace_array(bmat, dims, 1)
-        prog.add_constraint({"Zp": bmat, "W": bt, bound: -tr_b}, "==", 0.0)
-        prog.add_constraint({"Zm": bmat, "W": -bt, bound: -tr_b}, "==", 0.0)
-
-
-def _add_marginal_rows(prog: ConicProgram, dims: tuple[int, int], rhs_scale: float | None) -> None:
-    """Rows pinning tr_A W: either to rhs_scale * I_B, or to t * I_B (t free)."""
-    d_a, d_b = dims
-    eye_a = np.eye(d_a)
-    for cmat in hermitian_basis(d_b):
-        coeff = np.kron(eye_a, cmat)
-        tr_c = float(np.real(np.trace(cmat)))
-        if rhs_scale is None:
-            prog.add_constraint({"W": coeff, "t": [-tr_c]}, "==", 0.0)
-        else:
-            prog.add_constraint({"W": coeff}, "==", rhs_scale * tr_c)
-
-
 def fidelity_sdp(
     ch: Channel,
     k: int,
@@ -125,21 +90,20 @@ def fidelity_sdp(
         raise ValueError(f"code size must be a positive integer, got {k}")
     _check_class(code_class)
     j = choi(ch)
-    dims = (ch.d_in, ch.d_out)
-    d = dims[0] * dims[1]
+    lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
+    scale = 1.0 / k
 
     prog = ConicProgram("max")
-    prog.herm_block("W", d)
+    prog.herm_block("W", ch.d_in * ch.d_out)
     prog.herm_block("rho", ch.d_in)
-    prog.herm_block("Zub", d)
-    prog.herm_block("Zp", d)
-    prog.herm_block("Zm", d)
     prog.set_objective({"W": j.mat.data})
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    _add_upper_slack(prog, dims)
-    _add_pt_box(prog, dims, "rho", 1.0 / k)
+    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
+    # -rho (x) I / k <= W^TB <= rho (x) I / k
+    prog.add_operator_constraint({"W": pt, "rho": lambda r: -scale * lift(r)}, "<=", 0)
+    prog.add_operator_constraint({"W": pt, "rho": lambda r: scale * lift(r)}, ">=", 0)
     if code_class == NS_PPT:
-        _add_marginal_rows(prog, dims, 1.0 / k**2)
+        prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2)
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     if sol.status != "optimal":
@@ -197,8 +161,8 @@ def bound_f(
     """
     eps = check_eps(eps)
     j = choi(ch)
-    dims = (ch.d_in, ch.d_out)
-    d = dims[0] * dims[1]
+    lift, pt, _, _ = bipartite_maps((ch.d_in, ch.d_out))
+    d = ch.d_in * ch.d_out
     t0 = time.perf_counter()
 
     prog = ConicProgram("min")
@@ -206,17 +170,13 @@ def bound_f(
     prog.herm_block("rho", ch.d_in)
     prog.herm_block("S", ch.d_in)
     prog.herm_block("Theta", d)
-    prog.herm_block("Zub", d)
-    prog.herm_block("Zf", d)
     prog.set_objective({"S": np.eye(ch.d_in)})
     prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    _add_upper_slack(prog, dims)
-    # Zf = S (x) I - W - Theta^TB
-    for bmat in hermitian_basis(d):
-        bt = _ptranspose_array(bmat, dims, 1)
-        tr_b = _ptrace_array(bmat, dims, 1)
-        prog.add_constraint({"Zf": bmat, "W": bmat, "Theta": bt, "S": -tr_b}, "==", 0.0)
+    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
+    prog.add_operator_constraint(
+        {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0
+    )
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     cert = _certificate(sol, with_theta=True, with_t=False)
@@ -239,24 +199,22 @@ def _g_bound(
     given."""
     t0 = time.perf_counter()
     j = choi(ch)
-    dims = (ch.d_in, ch.d_out)
-    d = dims[0] * dims[1]
+    lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
     prog = ConicProgram("min")
-    prog.herm_block("W", d)
+    prog.herm_block("W", ch.d_in * ch.d_out)
     prog.herm_block("rho", ch.d_in)
     prog.herm_block("S", ch.d_in)
-    prog.herm_block("Zub", d)
-    prog.herm_block("Zp", d)
-    prog.herm_block("Zm", d)
     if with_t:
         prog.free_block("t", 1)
     prog.set_objective({"S": np.eye(ch.d_in)})
     prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    _add_upper_slack(prog, dims)
-    _add_pt_box(prog, dims, "S", 1.0)
+    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
+    prog.add_operator_constraint({"W": pt, "S": lambda s: -lift(s)}, "<=", 0)
+    prog.add_operator_constraint({"W": pt, "S": lift}, ">=", 0)
     if with_t:
-        _add_marginal_rows(prog, dims, None)
+        eye_b = np.eye(ch.d_out)
+        prog.add_operator_constraint({"W": tr_a, "t": lambda t: -t[0] * eye_b}, "==", 0)
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)

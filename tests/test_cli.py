@@ -153,6 +153,15 @@ def test_main_config_rejections(tmp_path, capsys):
     seeded.write_text(json.dumps({"experiment": "fig2_depol", "seed": 1}))
     assert main(["--config", str(seeded)]) == 2
     assert "unknown config fields ['seed']" in capsys.readouterr().err
+    for field, cfg in (
+        ("steps", {"experiment": "fig3_nr", "steps": "4"}),
+        ("bounds", {"experiment": "custom", "family": "nr", "bounds": "q_gamma",
+                    "r_min": 0.1, "r_max": 0.2, "steps": 2}),
+    ):
+        typed = tmp_path / f"{field}.json"
+        typed.write_text(json.dumps(cfg))
+        assert main(["--config", str(typed)]) == 2
+        assert f"config field {field!r} must be" in capsys.readouterr().err
     notdict = tmp_path / "list.json"
     notdict.write_text("[1, 2]")
     assert main(["--config", str(notdict)]) == 2

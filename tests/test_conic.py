@@ -7,8 +7,11 @@ import pytest
 from scipy.optimize import linprog
 
 import qcap.conic._blas as blas_mod
+import qcap.conic.program as program_mod
 import qcap.conic.solver as solver_mod
 from qcap.conic import MAX_ITER, ConicProgram, SolverError, solve
+from qcap.conic.program import HERM_PSD
+from qcap.matops import hermitian_basis
 
 RNG = np.random.default_rng(42)
 
@@ -218,15 +221,6 @@ def test_debug_log_has_one_record_per_iteration(caplog):
     assert caplog.records[0].getMessage().startswith("it   1  mu=")
 
 
-def test_dump_mentions_blocks_and_rows():
-    prog = ConicProgram("min")
-    prog.herm_block("X", 2)
-    prog.set_objective({"X": np.eye(2)})
-    prog.add_constraint({"X": np.eye(2)}, ">=", 1.0)
-    text = prog.dump()
-    assert "X" in text and ">=" in text
-
-
 def _box_program():
     # max <C, X> over density matrices plus a boxed LP part: several iterations
     c = random_herm(3, np.random.default_rng(5))
@@ -292,6 +286,26 @@ def test_solve_runs_on_one_blas_thread(monkeypatch, blas_at_two):
     monkeypatch.setattr(solver_mod, "_nt_scaling", spy)
     sol = solve(_box_program())
     assert sol.status == "optimal"
+    assert inside and all(counts == [1] * len(blas_at_two) for counts in inside)
+    assert _thread_counts(blas_at_two) == outside
+
+
+def test_operator_constraint_expands_on_one_blas_thread(monkeypatch, blas_at_two):
+    # the expansion products run outside any solve; a second BLAS thread
+    # would only spin there and double the CPU time of a program build
+    outside = _thread_counts(blas_at_two)
+    inside = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            inside.append(_thread_counts(blas_at_two))
+            return np.asarray(self) @ other
+
+    real = program_mod.hermitian_basis
+    monkeypatch.setattr(program_mod, "hermitian_basis", lambda side: real(side).view(Spy))
+    prog = ConicProgram("min")
+    prog.herm_block("X", 4)
+    prog.add_operator_constraint({"X": lambda x: x}, ">=", np.eye(4))
     assert inside and all(counts == [1] * len(blas_at_two) for counts in inside)
     assert _thread_counts(blas_at_two) == outside
 
@@ -369,3 +383,154 @@ def test_solver_error_carries_status():
     err = SolverError("boom", "infeasible")
     assert err.status == "infeasible"
     assert "boom" in str(err)
+
+
+# -- operator constraints ----------------------------------------------------
+
+DA, DB = 2, 3
+EYE6 = np.eye(DA * DB)
+
+
+def _parts(x):
+    return x.reshape(DA, DB, DA, DB)
+
+
+def _pt(x):
+    return _parts(x).transpose(0, 3, 2, 1).reshape(DA * DB, DA * DB)
+
+
+# a fixed complex unitary, so that the map X -> U X U^dag has complex images
+U6 = np.linalg.qr(random_herm(6, np.random.default_rng(7)) + 1j * np.eye(6))[0]
+
+
+def _embed(x):
+    out = np.zeros((2 * DA * DB, 2 * DA * DB), dtype=complex)
+    out[DA * DB :, DA * DB :] = x
+    return out
+
+
+# (block kind, block size, forward map, its adjoint written out by hand)
+OPERATOR_MAPS = {
+    "identity": ("herm", 6, lambda w: w, lambda b: b),
+    "partial_transpose": ("herm", 6, _pt, _pt),
+    "unitary_conjugation": (
+        "herm", 6, lambda w: U6 @ w @ U6.conj().T, lambda b: U6.conj().T @ b @ U6
+    ),
+    "x_kron_1": (
+        "herm", DA, lambda x: np.kron(x, np.eye(DB)),
+        lambda b: np.trace(_parts(b), axis1=1, axis2=3),
+    ),
+    "1_kron_x": (
+        "herm", DB, lambda x: np.kron(np.eye(DA), x),
+        lambda b: np.trace(_parts(b), axis1=0, axis2=2),
+    ),
+    "t_times_1": ("free", 1, lambda t: t[0] * EYE6, lambda b: [np.trace(b).real]),
+    "block_embedding": ("herm", 6, _embed, lambda b: b[DA * DB :, DA * DB :]),
+    "partial_trace": (
+        "herm", 6, lambda w: np.trace(_parts(w), axis1=1, axis2=3),
+        lambda b: np.kron(b, np.eye(DB)),
+    ),
+    "block_extraction": ("herm", 12, lambda g: g[6:, 6:], _embed),
+}
+
+
+def _operator_program(kind, size):
+    prog = ConicProgram("min")
+    (prog.herm_block if kind == "herm" else prog.free_block)("X", size)
+    return prog
+
+
+@pytest.mark.parametrize("name", list(OPERATOR_MAPS))
+def test_operator_rows_are_the_adjoint_expansion(name):
+    kind, size, forward, adjoint = OPERATOR_MAPS[name]
+    prog = _operator_program(kind, size)
+    assert prog.add_operator_constraint({"X": forward}, "==", 0) is None
+    side = np.shape(forward(np.eye(size)))[0]
+    basis = list(hermitian_basis(side))
+    assert len(prog.rows) == len(basis)
+    for row, bmat in zip(prog.rows, basis):
+        assert row.relation == "==" and row.rhs == 0.0
+        assert np.max(np.abs(row.terms["X"] - np.asarray(adjoint(bmat)))) <= 1e-15
+
+
+@pytest.mark.parametrize("relation, sign", [("==", 1.0), ("<=", 1.0), (">=", -1.0)])
+def test_operator_inequality_adds_one_slack_block(relation, sign):
+    rhs = random_herm(DA * DB)
+    prog = ConicProgram("min")
+    prog.herm_block("X", DA)
+    prog.herm_block("Y", DA * DB)
+    slack = prog.add_operator_constraint(
+        {"X": lambda x: np.kron(x, np.eye(DB)), "Y": _pt}, relation, rhs
+    )
+    added = [blk for blk in prog.blocks if blk.name not in ("X", "Y")]
+    if relation == "==":
+        assert slack is None and not added
+    else:
+        assert [(blk.name, blk.kind, blk.size) for blk in added] == [
+            (slack, HERM_PSD, DA * DB)
+        ]
+    # Z = rhs - sum for "<=", Z = sum - rhs for ">=": sign * sum + Z = sign * rhs
+    for row, bmat in zip(prog.rows, hermitian_basis(DA * DB)):
+        assert row.relation == "=="
+        assert np.array_equal(row.terms["Y"], sign * _pt(bmat))
+        assert abs(row.rhs - sign * np.trace(bmat @ rhs).real) <= 1e-15
+        if slack is not None:
+            assert np.array_equal(row.terms[slack], bmat)
+
+
+def test_slack_names_are_reserved():
+    prog = ConicProgram("min")
+    prog.herm_block("X", 2)
+    slack = prog.add_operator_constraint({"X": lambda x: x}, "<=", np.eye(2))
+    assert slack != prog.add_operator_constraint({"X": lambda x: x}, ">=", 0)
+    with pytest.raises(ValueError):
+        prog.herm_block(slack, 2)
+    with pytest.raises(ValueError):
+        prog.free_block("slack#99", 1)
+
+
+@pytest.mark.parametrize(
+    "kind, size, bad_map",
+    [
+        ("herm", 6, lambda w: w[:, :3]),  # not square
+        ("herm", 6, lambda w: np.trace(w)),  # not a matrix
+        ("free", 2, lambda t: np.diag(t)[:1]),  # not square
+        ("herm", 6, lambda w: 1j * w),  # not Hermitian-preserving
+        ("herm", 6, lambda w: w @ np.triu(np.ones((6, 6)))),
+        ("free", 1, lambda t: t[0] * np.triu(np.ones((3, 3)))),  # not Hermitian
+    ],
+)
+def test_operator_map_of_wrong_shape_or_not_hermitian_is_rejected(kind, size, bad_map):
+    prog = _operator_program(kind, size)
+    with pytest.raises(ValueError, match="map of block 'X'"):
+        prog.add_operator_constraint({"X": bad_map}, "==", 0)
+    assert not prog.rows
+
+
+def test_operator_constraint_rejects_bad_terms_and_rhs():
+    prog = ConicProgram("min")
+    prog.herm_block("X", 2)
+    prog.herm_block("Y", 3)
+    with pytest.raises(ValueError):  # the terms disagree on the side
+        prog.add_operator_constraint({"X": lambda x: x, "Y": lambda y: y}, "==", 0)
+    for rhs in (1.0, np.eye(3), np.array([[0, 1], [0, 0]])):
+        with pytest.raises(ValueError):
+            prog.add_operator_constraint({"X": lambda x: x}, "<=", rhs)
+    with pytest.raises(ValueError):
+        prog.add_operator_constraint({"Z": lambda x: x}, "==", 0)
+    with pytest.raises(ValueError):
+        prog.add_operator_constraint({"X": lambda x: x}, "=<", 0)
+    assert not prog.rows and [blk.name for blk in prog.blocks] == ["X", "Y"]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_largest_eigenvalue_through_an_operator_constraint(seed):
+    # lambda_max(A) = min t subject to t 1 - A >= 0
+    a = random_herm(4, np.random.default_rng(seed))
+    prog = ConicProgram("min")
+    prog.free_block("t", 1)
+    prog.set_objective({"t": [1.0]})
+    prog.add_operator_constraint({"t": lambda t: t[0] * np.eye(4)}, ">=", a)
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - np.linalg.eigvalsh(a)[-1]) < 1e-7

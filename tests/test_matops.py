@@ -3,11 +3,9 @@ import pytest
 
 from qcap.matops import (
     HermMat,
-    eig_hermitian,
     herm,
     hermitian_basis,
     hermiticity_defect,
-    kron,
     partial_trace,
     partial_transpose,
     permute_factors,
@@ -48,14 +46,6 @@ def test_hermmat_rejects_dims_mismatch():
 def test_hermmat_rejects_non_square():
     with pytest.raises(ValueError):
         herm(np.zeros((2, 3)))
-
-
-def test_kron_dims_and_values():
-    a = herm(random_herm(2), (2,))
-    b = herm(random_herm(3), (3,))
-    k = kron(a, b)
-    assert k.dims == (2, 3)
-    assert np.allclose(k.data, np.kron(a.data, b.data))
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2)])
@@ -119,13 +109,6 @@ def test_permute_factors_bad_order():
     m = herm(np.eye(4), (2, 2))
     with pytest.raises(ValueError):
         permute_factors(m, (0, 0))
-
-
-def test_eig_hermitian_ascending_and_reconstructs():
-    h = random_herm(4)
-    w, v = eig_hermitian(herm(h, (4,)))
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose((v * w) @ v.conj().T, h, atol=1e-12)
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])

@@ -1,0 +1,60 @@
+"""Each bound builder hands the solver a program of a fixed shape: its row
+count, the sides of its PSD blocks and its vector blocks.  The programs are
+built but not solved."""
+import pytest
+
+import qcap.asymptotic as asymptotic
+import qcap.oneshot as oneshot
+from qcap.channels import amplitude_damping, channel_nr, choi, tensor
+from qcap.conic.program import HERM_PSD
+
+AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
+NR = channel_nr(0.22)
+AD2_PSD = [4, 4, 16, 16, 16, 16]
+NR_PSD = [3, 6, 6, 6]
+
+CASES = {
+    "bound_f": (oneshot, lambda: oneshot.bound_f(AD2, 0.01), 514, AD2_PSD, []),
+    "bound_g": (oneshot, lambda: oneshot.bound_g(AD2, 0.01), 770, AD2_PSD, []),
+    "bound_g_tilde": (
+        oneshot, lambda: oneshot.bound_g_tilde(AD2, 0.01), 786, AD2_PSD, [("free", 1)]
+    ),
+    "fidelity_ppt": (
+        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2), 769, [4, 16, 16, 16, 16], []
+    ),
+    "fidelity_ns_ppt": (
+        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2, oneshot.NS_PPT), 785,
+        [4, 16, 16, 16, 16], [],
+    ),
+    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(NR), 73, NR_PSD, []),
+    "q_gamma_dual": (
+        asymptotic, lambda: asymptotic.q_gamma(NR, "dual"), 45, NR_PSD, [("free", 1)]
+    ),
+    "q_theta": (asymptotic, lambda: asymptotic.q_theta(NR), 74, [3, 3, 12], []),
+    "e_w_primal": (asymptotic, lambda: asymptotic.e_w(choi(NR).mat), 72, [6, 6, 6], []),
+    "e_w_dual": (
+        asymptotic, lambda: asymptotic.e_w(choi(NR).mat, "dual"), 36, [6, 6, 6], []
+    ),
+}
+
+
+class _Built(Exception):
+    """Raised in place of the solve, once the program is built."""
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_builder_program_shape(monkeypatch, name):
+    module, build, rows, psd_sides, vectors = CASES[name]
+    progs = []
+
+    def capture(prog, **kwargs):
+        progs.append(prog)
+        raise _Built
+
+    monkeypatch.setattr(module, "solve", capture)
+    with pytest.raises(_Built):
+        build()
+    (prog,) = progs
+    assert len(prog.rows) == rows
+    assert sorted(b.size for b in prog.blocks if b.kind == HERM_PSD) == psd_sides
+    assert sorted((b.kind, b.size) for b in prog.blocks if b.kind != HERM_PSD) == vectors

@@ -1,0 +1,223 @@
+"""Solve census: every conic solve of a fixed set of bound programs, and a
+comparison of two census runs.
+
+    PYTHONPATH=src python tools/census.py run OUT.json
+    python tools/census.py compare BEFORE.json AFTER.json
+
+``run`` solves, one after another in this process:
+
+- ``random``: 24 random channels (seeds 0..23; 2->2, 2->3 and 3->2 in turn)
+  with f, g and g_tilde at eps 0.01, 0.05 and 0.2, q_gamma in both forms,
+  q_theta, the code-fidelity SDP for k = 2 in both code classes, and e_w in
+  both forms on the channel's normalized Choi state;
+- ``product``: 8 products of two random qubit channels (seeds 1000 + 2i and
+  1001 + 2i) with f, g, g_tilde at eps 0.01, q_gamma in both forms and
+  q_theta;
+- ``nr``: channel_nr at r = 0, 0.02, ..., 0.48 (25 points, 0.22 and 0.38
+  among them) with q_gamma in both forms and q_theta;
+- ``fig1``: the Fig. 1 grid, f, g and g_tilde at eps 0.01 on two uses of
+  amplitude damping for r = 0.05, 0.055, ..., 0.1.
+
+Each solve is recorded with its status, iteration count, objective value,
+gap and final residuals, under a key naming the group, the channel, the
+bound and the solve's index within the bound call.  ``run`` prints per-bound
+status counts and iteration quartiles.  ``compare`` prints both summaries and
+checks the gate for a change to the solver or to a program builder: every
+solve optimal on both sides, no bound's median iteration count higher, and
+no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
+
+The census is not part of the test suite: a run takes about two minutes on
+two cores.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+from collections import defaultdict
+
+import numpy as np
+
+GATE_RTOL = 1e-7
+EPS_GRID = (0.01, 0.05, 0.2)
+RANDOM_DIMS = ((2, 2), (2, 3), (3, 2))
+
+
+def _cases():
+    """Yield (group, channel label, bound name, call) for every census entry;
+    each call is meant to run before the next entry is drawn."""
+    from qcap import asymptotic, oneshot
+    from qcap.channels import amplitude_damping, channel_nr, random_channel, tensor
+
+    def rates(ch):
+        yield "q_gamma_primal", lambda: asymptotic.q_gamma(ch)
+        yield "q_gamma_dual", lambda: asymptotic.q_gamma(ch, "dual")
+        yield "q_theta", lambda: asymptotic.q_theta(ch)
+
+    def one_shot(ch, eps):
+        yield "f", lambda: oneshot.bound_f(ch, eps)
+        yield "g", lambda: oneshot.bound_g(ch, eps)
+        yield "g_tilde", lambda: oneshot.bound_g_tilde(ch, eps)
+
+    for seed in range(24):
+        d_in, d_out = RANDOM_DIMS[seed % len(RANDOM_DIMS)]
+        ch = random_channel(d_in, d_out, seed=seed)
+        label = f"seed={seed} {d_in}x{d_out}"
+        for eps in EPS_GRID:
+            for bound, call in one_shot(ch, eps):
+                yield "random", f"{label} eps={eps}", bound, call
+        for bound, call in rates(ch):
+            yield "random", label, bound, call
+        for cls in (oneshot.PPT, oneshot.NS_PPT):
+            yield "random", label, f"fidelity_{cls}", lambda: oneshot.fidelity_sdp(ch, 2, cls)
+        state = asymptotic.purified_output(ch, np.eye(d_in) / d_in)
+        for form in ("primal", "dual"):
+            yield "random", label, f"e_w_{form}", lambda: asymptotic.e_w(state, form)
+    for i in range(8):
+        seeds = (1000 + 2 * i, 1001 + 2 * i)
+        ch = tensor(*(random_channel(2, 2, seed=s) for s in seeds))
+        label = f"seeds={seeds[0]},{seeds[1]}"
+        for bound, call in one_shot(ch, 0.01):
+            yield "product", label, bound, call
+        for bound, call in rates(ch):
+            yield "product", label, bound, call
+    for r in np.linspace(0.0, 0.48, 25).tolist():
+        for bound, call in rates(channel_nr(r)):
+            yield "nr", f"r={r:.2f}", bound, call
+    for r in np.linspace(0.05, 0.1, 11).tolist():
+        ch = tensor(amplitude_damping(r), amplitude_damping(r))
+        for bound, call in one_shot(ch, 0.01):
+            yield "fig1", f"r={r:.3f}", bound, call
+
+
+def run(out: str) -> None:
+    import qcap.asymptotic
+    import qcap.oneshot
+    from qcap.conic import SolverError
+
+    records = []
+    current = {}
+
+    def recording(real):
+        def solve(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            where = (current["group"], current["label"], current["bound"], str(current["solves"]))
+            current["solves"] += 1
+            records.append(
+                {
+                    "key": " | ".join(where),
+                    "group": current["group"],
+                    "bound": current["bound"],
+                    "status": sol.status,
+                    "iterations": sol.iterations,
+                    "value": sol.primal_value,
+                    "gap": sol.gap,
+                    "primal_residual": sol.primal_residual,
+                    "dual_residual": sol.dual_residual,
+                }
+            )
+            return sol
+
+        return solve
+
+    for module in (qcap.oneshot, qcap.asymptotic):
+        module.solve = recording(module.solve)
+    t0 = time.perf_counter()
+    for group, label, bound, call in _cases():
+        current.update(group=group, label=label, bound=bound, solves=0)
+        try:
+            call()
+        except SolverError:
+            pass  # the failing solve is recorded with its status
+    meta = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "wall_s": round(time.perf_counter() - t0, 1),
+    }
+    with open(out, "w") as fh:
+        json.dump({"meta": meta, "solves": records}, fh, indent=1)
+    print(f"{len(records)} solves in {meta['wall_s']} s -> {out}")
+    print(_summary(records))
+
+
+def _load(path: str) -> list[dict]:
+    with open(path) as fh:
+        return json.load(fh)["solves"]
+
+
+def _by_bound(records) -> dict[str, list[dict]]:
+    out = defaultdict(list)
+    for rec in records:
+        out[rec["bound"]].append(rec)
+    return dict(sorted(out.items()))
+
+
+def _summary(records) -> str:
+    head = f"{'bound':16s} {'solves':>6s}  {'status counts':31s} iterations min/q1/median/q3/max"
+    lines = [head]
+    for bound, recs in _by_bound(records).items():
+        counts = defaultdict(int)
+        for rec in recs:
+            counts[rec["status"]] += 1
+        status = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
+        q = np.percentile([rec["iterations"] for rec in recs], [0, 25, 50, 75, 100])
+        iters = "/".join(f"{v:g}" for v in q)
+        lines.append(f"{bound:16s} {len(recs):6d}  {status:31s} {iters}")
+    return "\n".join(lines)
+
+
+def _rel(a, b) -> float:
+    if a is None or b is None:
+        return float("inf")
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def compare(before_path: str, after_path: str) -> int:
+    before, after = _load(before_path), _load(after_path)
+    print(f"== {before_path}\n{_summary(before)}\n\n== {after_path}\n{_summary(after)}\n")
+    failures = []
+    old = {rec["key"]: rec for rec in before}
+    new = {rec["key"]: rec for rec in after}
+    if old.keys() != new.keys():
+        failures.append(
+            f"solve keys differ: {len(old.keys() - new.keys())} only before, "
+            f"{len(new.keys() - old.keys())} only after"
+        )
+    bad = [rec["key"] for rec in before + after if rec["status"] != "optimal"]
+    if bad:
+        failures.append(f"{len(bad)} solves not optimal, e.g. {bad[0]}")
+    print(f"{'bound':16s} median iterations   max relative value change")
+    for bound, recs in _by_bound(after).items():
+        pairs = [(old[rec["key"]], rec) for rec in recs if rec["key"] in old]
+        if not pairs:
+            continue
+        med_old = float(np.median([o["iterations"] for o, _ in pairs]))
+        med_new = float(np.median([n["iterations"] for _, n in pairs]))
+        worst = max(_rel(o["value"], n["value"]) for o, n in pairs)
+        print(f"{bound:16s} {f'{med_old:g} -> {med_new:g}':20s} {worst:.2e}")
+        if med_new > med_old:
+            failures.append(f"{bound}: median iterations rose from {med_old:g} to {med_new:g}")
+        if worst > GATE_RTOL:
+            failures.append(f"{bound}: a value moved by {worst:.2e} relative")
+    print("\ngate: " + ("pass" if not failures else "FAIL\n  " + "\n  ".join(failures)))
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    par = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = par.add_subparsers(dest="command", required=True)
+    sub.add_parser("run", help="run the census").add_argument("out", help="JSON output file")
+    cmp = sub.add_parser("compare", help="compare two census runs and check the gate")
+    cmp.add_argument("before")
+    cmp.add_argument("after")
+    args = par.parse_args(argv)
+    if args.command == "run":
+        run(args.out)
+        return 0
+    return compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
