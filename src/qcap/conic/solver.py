@@ -18,19 +18,35 @@ barrier parameter.  Working on the complex matrices instead of their
 which no row and no objective term can see and which roundoff would
 otherwise let grow until the scaling breaks down.
 
-Only dense linear algebra is used; problem sizes here stay in the
-hundreds-of-rows, side <= 64 regime for which this is the right trade, and
-for which one BLAS thread is faster than several.
+Each PSD block's constraint coefficients are stored once, at assembly, with
+the rows whose coefficient on the block is zero left out.  A small block
+(rows x side**2 under ``_SPARSE_MIN``) keeps its coefficients as a dense stack
+and enters the Schur complement through the batched products W C_i W and one
+matrix product against the stack.  A large block stores them as a real sparse
+matrix A_c of orthonormal Hermitian-basis coordinates (``hermitian_basis``
+order), whose rows have about one nonzero each in the programs here.  Each
+iteration it forms K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the
+basis' structure (every basis element has at most two nonzero entries; the
+index pairs are cached per side), in the spirit of Fujisawa, Kojima and
+Nakata, Math. Prog. 79 (1997).  All large blocks then enter the Schur
+complement through one sparse product, A [A_c K_c]'.  The choice is made per
+block from its size alone.
+
+The equilibrated, shifted Schur block is factored by Cholesky, and the free
+columns are eliminated through the reduced system F' M^-1 F; should Cholesky
+fail, that iteration falls back to LU of the bordered matrix.  Everything
+runs on one BLAS thread, which is faster than several at these sizes.
 """
 from __future__ import annotations
 
 import logging
-import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy import sparse
+from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve, solve_triangular
 
 from ._blas import one_blas_thread
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
@@ -54,6 +70,9 @@ _log = logging.getLogger("qcap.conic")
 _STEP_BACKOFF = 0.99
 _STALL_ALPHA = 1e-9
 _SCHUR_SHIFT = 1e-14
+# a PSD block with rows * side**2 at least this takes the sparse Schur path
+_SPARSE_MIN = 65_536
+_RT2 = np.sqrt(2.0)
 
 
 @dataclass
@@ -75,16 +94,20 @@ class ConicSolution:
 class _PsdCone:
     name: str
     side: int
-    rows: np.ndarray
-    coefs: np.ndarray  # (r, side, side) complex Hermitian, already halved
-    flat: np.ndarray  # (r, 2*side*side) real and imaginary parts, for inner products
     cobj: np.ndarray  # (side, side) complex Hermitian, already halved
-    all_rows: bool
+    # dense path: the rows with a nonzero coefficient, and those coefficients
+    rows: np.ndarray | None = None
+    coefs: np.ndarray | None = None  # (r, side, side) complex Hermitian, already halved
+    flat: np.ndarray | None = None  # (r, 2*side*side) real and imaginary parts
+    all_rows: bool = False
+    # sparse path: (m, side**2) Hermitian-basis coordinates of every row's coefficient
+    a: sparse.csr_array | None = None
 
 
 @dataclass
 class _Assembled:
     psd: list[_PsdCone]
+    a_sparse: sparse.csr_array | None  # the sparse cones' ``a``, side by side
     a_nn: np.ndarray  # (m, p) nonnegative columns, slacks included
     c_nn: np.ndarray
     a_f: np.ndarray  # (m, f) free columns
@@ -133,7 +156,7 @@ def _assemble(prog: ConicProgram) -> _Assembled:
         for name, coeff in row.terms.items():
             kind = prog._by_name[name].kind
             if kind == HERM_PSD:
-                psd_rows[name].append((i, 0.5 * coeff))
+                psd_rows[name].append((i, coeff))
             elif kind == NONNEG:
                 o = nn_offset[name]
                 a_nn[i, o : o + coeff.size] = coeff
@@ -168,24 +191,90 @@ def _assemble(prog: ConicProgram) -> _Assembled:
         entries = psd_rows[blk.name]
         rows = np.array([i for i, _ in entries], dtype=np.intp)
         coefs = (
-            np.stack([c for _, c in entries])
+            0.5 * np.stack([c for _, c in entries])
             if entries
             else np.zeros((0, side, side), dtype=np.complex128)
         )
-        cobj = psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128))
-        psd.append(
-            _PsdCone(
-                name=blk.name,
-                side=side,
-                rows=rows,
-                coefs=coefs,
-                flat=_split(coefs.reshape(len(entries), side * side)),
-                cobj=cobj,
-                all_rows=len(entries) == m,
-            )
+        keep = coefs.reshape(len(entries), -1).any(axis=1)
+        rows, coefs = rows[keep], coefs[keep]
+        cone = _PsdCone(
+            name=blk.name,
+            side=side,
+            cobj=psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128)),
         )
+        if rows.size * side * side >= _SPARSE_MIN:
+            coords = _coords(coefs)
+            r, k = np.nonzero(coords)
+            cone.a = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
+        else:
+            cone.rows, cone.coefs, cone.all_rows = rows, coefs, rows.size == m
+            cone.flat = _split(coefs.reshape(rows.size, side * side))
+        psd.append(cone)
+    large = [cone.a for cone in psd if cone.a is not None]
+    a_sparse = sparse.hstack(large, format="csr") if large else None
 
-    return _Assembled(psd, a_nn, c_nn, a_f, c_f, b, nonneg_spans, free_spans, sign)
+    return _Assembled(psd, a_sparse, a_nn, c_nn, a_f, c_f, b, nonneg_spans, free_spans, sign)
+
+
+@lru_cache(maxsize=None)
+def _pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the off-diagonal Hermitian basis elements, in
+    order; read-only, as every caller shares them."""
+    i, j = np.triu_indices(side, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _coords(mats: np.ndarray) -> np.ndarray:
+    """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
+    ``hermitian_basis`` order: the diagonal, then for each pair i < j the
+    symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
+    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
+    s = mats.shape[-1]
+    i, j = _pairs(s)
+    up, low = mats[..., i, j], mats[..., j, i]
+    out = np.empty(mats.shape[:-2] + (s * s,))
+    out[..., :s] = np.diagonal(mats, axis1=-2, axis2=-1).real
+    out[..., s::2] = (up.real + low.real) / _RT2
+    out[..., s + 1 :: 2] = (low.imag - up.imag) / _RT2
+    return out
+
+
+def _from_coords(x: np.ndarray, s: int) -> np.ndarray:
+    """The Hermitian s x s matrix sum_b x_b B_b: the inverse of ``_coords``."""
+    i, j = _pairs(s)
+    out = np.empty((s, s), dtype=np.complex128)
+    d = np.arange(s)
+    out[d, d] = x[:s]
+    sym, anti = x[s::2] / _RT2, x[s + 1 :: 2] / _RT2
+    out[i, j] = sym - 1j * anti
+    out[j, i] = sym + 1j * anti
+    return out
+
+
+def _basis_kernel(w: np.ndarray) -> np.ndarray:
+    """K = [2 Re tr(W B_b W B_g)] over the ``hermitian_basis`` of W's side.
+
+    With tr(W e_ij W e_kl) = W_jk W_li, each entry is a sum of at most four
+    such products; for pairs b = (i, j), g = (k, l) it takes the two products
+    u1 = W_jk W_li and u2 = W_jl W_ki.
+    """
+    s = w.shape[0]
+    i, j = _pairs(s)
+    k = np.empty((s * s, s * s))
+    k[:s, :s] = 2.0 * (w.real**2 + w.imag**2)
+    z = 2.0 * _RT2 * (w[:, i] * w[:, j].conj())  # diagonal l against pair (i, j)
+    k[:s, s::2] = z.real
+    k[:s, s + 1 :: 2] = z.imag
+    k[s:, :s] = k[:s, s:].T
+    rows_j, cols_i = w[j], w[:, i]
+    u1 = rows_j[:, i] * cols_i[j].T
+    u2 = rows_j[:, j] * cols_i[i].T
+    k[s::2, s::2] = 2.0 * (u1.real + u2.real)
+    k[s::2, s + 1 :: 2] = 2.0 * (u1.imag - u2.imag)
+    k[s + 1 :: 2, s::2] = 2.0 * (u1.imag + u2.imag)
+    k[s + 1 :: 2, s + 1 :: 2] = 2.0 * (u2.real - u1.real)
+    return k
 
 
 def _split(z: np.ndarray) -> np.ndarray:
@@ -234,8 +323,8 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 def _psd_max_step(l_chol: np.ndarray, delta: np.ndarray) -> float:
     """Largest t with X + t*delta PSD, where l_chol is a Cholesky factor of X."""
-    t1 = solve_triangular(l_chol, delta, lower=True)
-    t2 = solve_triangular(l_chol, t1.conj().T, lower=True)
+    t1 = solve_triangular(l_chol, delta, lower=True, check_finite=False)
+    t2 = solve_triangular(l_chol, t1.conj().T, lower=True, check_finite=False)
     lmin = float(np.linalg.eigvalsh(_herm(t2))[0])
     if lmin >= -1e-300:
         return np.inf
@@ -247,6 +336,105 @@ def _vec_max_step(x: np.ndarray, dx: np.ndarray) -> float:
     if not np.any(neg):
         return np.inf
     return float(np.min(-x[neg] / dx[neg]))
+
+
+def _schur(data: _Assembled, ws: list[np.ndarray], w2n: np.ndarray) -> np.ndarray:
+    """The symmetric Schur complement M = A W A' of the cone columns, where
+    ``ws`` holds each PSD block's scaling W and ``w2n`` the nonnegative one."""
+    m = data.b.size
+    if data.a_sparse is not None:
+        # [A_c K_c]' stacked row-major, the layout the sparse product reads
+        gt = np.empty(data.a_sparse.shape[::-1])
+        off = 0
+        for cone, w in zip(data.psd, ws):
+            if cone.a is not None:
+                gt[off : off + w.size] = (cone.a @ _basis_kernel(w)).T
+                off += w.size
+        M = data.a_sparse @ gt
+    else:
+        M = np.zeros((m, m))
+    for cone, w in zip(data.psd, ws):
+        if cone.coefs is None or not cone.rows.size:
+            continue
+        waw = np.matmul(np.matmul(w, cone.coefs), w)
+        contrib = 2.0 * (_split(waw.reshape(cone.rows.size, -1)) @ cone.flat.T)
+        if cone.all_rows:
+            M += contrib
+        else:
+            M[np.ix_(cone.rows, cone.rows)] += contrib
+    if data.a_nn.shape[1]:
+        M += (data.a_nn * w2n[None, :]) @ data.a_nn.T
+    return 0.5 * (M + M.T)
+
+
+def _schur_solver(gmat: np.ndarray, m: int):
+    """A solve with the bordered Schur matrix [[M, F], [F', 0]] (M is its
+    leading m x m block), or None when it cannot be factored.
+
+    The matrix is first equilibrated symmetrically by its diagonal (rows whose
+    coefficients live where W is small would otherwise sit orders of magnitude
+    below the rest), and M is shifted by a tiny multiple of the identity: on
+    degenerate programs M becomes numerically singular near the optimum, and
+    an unshifted factor returns garbage along its near-null directions.  Each
+    solve takes one refinement step against the unshifted matrix, which
+    restores full accuracy everywhere else.
+    """
+    diag = np.abs(np.diagonal(gmat)).copy()
+    diag[diag == 0.0] = 1.0
+    eq = 1.0 / np.sqrt(diag)
+    gscaled = gmat * eq[:, None] * eq[None, :]
+    gscaled[np.arange(m), np.arange(m)] += _SCHUR_SHIFT
+    with warnings.catch_warnings():
+        # a collapsed scaling underflows the factorization; treat it as a stall
+        # instead of letting the zero-pivot warning and downstream NaNs escape
+        warnings.simplefilter("ignore")
+        solve_scaled = _cholesky_solver(gscaled, m) or _lu_solver(gscaled)
+    if solve_scaled is None:
+        return None
+
+    def gsolve(rhs: np.ndarray) -> np.ndarray:
+        sol = eq * solve_scaled(eq * rhs)
+        sol += eq * solve_scaled(eq * (rhs - gmat @ sol))
+        return sol
+
+    return gsolve
+
+
+def _cholesky_solver(g: np.ndarray, m: int):
+    """Solve with [[M, F], [F', 0]] from a Cholesky factor of M and, when F has
+    columns, one of the reduced matrix F' M^-1 F; None if either is not
+    positive definite."""
+    fcols = g[:m, m:]
+    try:
+        up = cholesky(g[:m, :m], check_finite=False)  # upper: M = U'U
+        if not np.all(np.isfinite(np.diagonal(up))):
+            return None
+        if fcols.shape[1]:
+            z = cho_solve((up, False), fcols, check_finite=False)
+            up_f = cholesky(fcols.T @ z, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+    def solve_scaled(rhs: np.ndarray) -> np.ndarray:
+        t = cho_solve((up, False), rhs[:m], check_finite=False)
+        if not fcols.shape[1]:
+            return t
+        q = cho_solve((up_f, False), fcols.T @ t - rhs[m:], check_finite=False)
+        return np.concatenate([t - z @ q, q])
+
+    return solve_scaled
+
+
+def _lu_solver(g: np.ndarray):
+    """Solve with g from its LU factors; None if the factorization fails."""
+    try:
+        glu = lu_factor(g, check_finite=False)
+    except Exception:
+        return None
+    udiag = np.abs(np.diagonal(glu[0]))
+    if not np.all(np.isfinite(udiag)) or float(udiag.min()) == 0.0:
+        return None
+    return lambda rhs: lu_solve(glu, rhs, check_finite=False)
 
 
 class _Direction:
@@ -318,7 +506,9 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
     def apply_cones(mats, vn) -> np.ndarray:
         out = np.zeros(m)
         for j, cone in enumerate(psd):
-            if cone.rows.size:
+            if cone.a is not None:
+                out += 2.0 * (cone.a @ _coords(mats[j]))
+            elif cone.rows.size:
                 vals = 2.0 * (cone.flat @ _split(mats[j].ravel()))
                 if cone.all_rows:
                     out += vals
@@ -337,7 +527,9 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
     def apply_at(vec) -> list[np.ndarray]:
         outs = []
         for cone in psd:
-            if cone.rows.size:
+            if cone.a is not None:
+                outs.append(_from_coords(cone.a.T @ vec, cone.side))
+            elif cone.rows.size:
                 yv = vec if cone.all_rows else vec[cone.rows]
                 half = cone.side * cone.side
                 v = yv @ cone.flat  # real arithmetic on the split coefficients
@@ -460,54 +652,12 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             w2n = xn / sn if have_nn else np.zeros(0)
 
             # Schur complement M = A W A' over cone columns, bordered by free columns
-            gmat = np.zeros((m + f, m + f))
-            M = gmat[:m, :m]
-            for j, cone in enumerate(psd):
-                if not cone.rows.size:
-                    continue
-                w = scal[j][3]
-                waw = np.matmul(np.matmul(w, cone.coefs), w)
-                contrib = 2.0 * (_split(waw.reshape(cone.rows.size, -1)) @ cone.flat.T)
-                if cone.all_rows:
-                    M += contrib
-                else:
-                    M[np.ix_(cone.rows, cone.rows)] += contrib
-            if have_nn:
-                M += (a_nn * w2n[None, :]) @ a_nn.T
-            gmat[:m, :m] = 0.5 * (M + M.T)
+            gmat = _schur(data, [sc[3] for sc in scal], w2n)
             if have_f:
-                gmat[:m, m:] = a_f
-                gmat[m:, :m] = a_f.T
-
-            # Factor the Schur complement after a symmetric diagonal equilibration
-            # (rows whose coefficients live where W is small would otherwise sit
-            # orders of magnitude below the rest) and a tiny diagonal shift: on
-            # degenerate programs the matrix becomes numerically singular near the
-            # optimum and an unshifted LU returns garbage along its near-null
-            # directions.  The refinement step against the unshifted matrix restores
-            # full accuracy everywhere else.
-            diag = np.abs(np.diagonal(gmat)).copy()
-            diag[diag == 0.0] = 1.0
-            eq = 1.0 / np.sqrt(diag)
-            gscaled = gmat * eq[:, None] * eq[None, :]
-            gscaled[np.arange(m), np.arange(m)] += _SCHUR_SHIFT
-            try:
-                with warnings.catch_warnings():
-                    # a collapsed scaling underflows the factorization; treat it
-                    # as a stall instead of letting the zero-pivot warning and
-                    # downstream NaNs escape
-                    warnings.simplefilter("ignore")
-                    glu = lu_factor(gscaled, check_finite=False)
-            except Exception:
+                gmat = np.block([[gmat, a_f], [a_f.T, np.zeros((f, f))]])
+            gsolve = _schur_solver(gmat, m)
+            if gsolve is None:
                 return None
-            udiag = np.abs(np.diagonal(glu[0]))
-            if not np.all(np.isfinite(udiag)) or float(udiag.min()) == 0.0:
-                return None
-
-            def gsolve(rhs: np.ndarray) -> np.ndarray:
-                sol = eq * lu_solve(glu, eq * rhs, check_finite=False)
-                sol += eq * lu_solve(glu, eq * (rhs - gmat @ sol), check_finite=False)
-                return sol
 
             # pieces independent of the complementarity right-hand side
             wrd = [scal[j][3] @ rdc[j] @ scal[j][3] for j in range(len(psd))]

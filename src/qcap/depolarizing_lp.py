@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,6 +30,7 @@ from .results import BoundResult
 _LP_STATUS = {0: "optimal", 1: "max_iter", 2: "infeasible", 3: "unbounded", 4: "max_iter"}
 
 
+@lru_cache(maxsize=256)
 def x_coeffs(n: int, d: int = 2) -> np.ndarray:
     """Partial-transpose spectrum table of the invariant subspace.
 
@@ -37,6 +39,10 @@ def x_coeffs(n: int, d: int = 2) -> np.ndarray:
     (k counts symmetric factors).  The alternating sum is accumulated in
     exact integer arithmetic before the single division by d^n; individual
     terms overflow the 53-bit float mantissa well before n = 30.
+
+    The table depends on (n, d) alone and is cached, so ``lp_f`` and
+    ``lp_g_hat_iterate`` on one row build it once.  The returned array is
+    shared between callers and therefore read-only.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -56,6 +62,7 @@ def x_coeffs(n: int, d: int = 2) -> np.ndarray:
                 )
                 num += -term if (i - m) % 2 else term
             x[i, k] = num / dn
+    x.flags.writeable = False
     return x
 
 

@@ -76,6 +76,16 @@ def test_x_coeffs_single_use_table():
     assert np.array_equal(x_coeffs(1, 2), np.array([[1.5, 0.5], [-0.5, 0.5]]))
 
 
+def test_x_coeffs_is_cached_and_read_only():
+    first = x_coeffs(6, 2)
+    again = x_coeffs(6, 2)
+    assert np.array_equal(first, again)
+    assert not first.flags.writeable and not again.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    assert np.array_equal(x_coeffs(6, 2), again)
+
+
 def test_x_coeffs_rejects_bad_args():
     with pytest.raises(ValueError):
         x_coeffs(0)
