@@ -195,7 +195,7 @@ def _assemble(prog: ConicProgram) -> _Assembled:
             if entries
             else np.zeros((0, side, side), dtype=np.complex128)
         )
-        keep = coefs.reshape(len(entries), -1).any(axis=1)
+        keep = coefs.reshape(len(entries), side * side).any(axis=1)
         rows, coefs = rows[keep], coefs[keep]
         cone = _PsdCone(
             name=blk.name,

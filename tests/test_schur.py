@@ -144,3 +144,16 @@ def test_cholesky_failure_falls_back_to_lu(monkeypatch):
     # every iteration but the last, which only checks convergence, factored by LU
     assert len(lu_calls) == sol.iterations - 1
     assert abs(sol.primal_value - clean.primal_value) <= 1e-7 * abs(clean.primal_value)
+
+
+def test_block_in_no_row_is_assembled():
+    # Y appears only in the objective: no row has a coefficient on it
+    prog = solver_mod.ConicProgram("min")
+    prog.herm_block("X", 2)
+    prog.herm_block("Y", 3)
+    prog.set_objective({"X": np.diag([1.0, 2.0]), "Y": np.eye(3)})
+    prog.add_constraint({"X": np.eye(2)}, "==", 1.0)
+    sol = solver_mod.solve(prog)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - 1.0) < 1e-7
+    assert np.max(np.abs(sol.blocks["Y"])) < 1e-7
