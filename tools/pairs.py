@@ -1,8 +1,9 @@
 """Alternating benchmark pairs of two source checkouts, summarised as a
 ``BENCH_*.json``.
 
-    python tools/pairs.py --parent DIR --change DIR --pairs 10 --seed0 401 \\
-        --workloads ad2_oneshot nr_rates --out BENCH_x.json [--traced 1]
+    python tools/pairs.py --parent DIR --parent-commit SHA --change DIR \\
+        --change-commit SHA --pairs 10 --seed0 401 --out BENCH_x.json \\
+        [--workloads ad2_oneshot nr_rates] [--traced 1]
 
 For each workload and pair i it runs ``perfbench/run.py --workload W --seed
 seed0 + i --seconds S --trace 0`` once in each checkout, the parent first in
@@ -12,8 +13,8 @@ benchmark.  For every end-to-end metric of BENCHMARK.json the output records
 both sides' runs, medians and quartiles, the relative change of the medians,
 and in how many pairs the change was better.  ``--traced N`` adds N traced
 runs per side and records the medians of their per-layer metrics.  The
-checkouts' commits are read with ``git rev-parse`` where they are git
-repositories; pass ``--parent-commit`` and ``--change-commit`` otherwise.
+checkouts are plain source trees (``git archive``), so their commits are
+given as arguments.
 
 Every ``conic.solve`` runs on one OpenBLAS thread, whatever the process
 default; ``blas_threads`` records that, and ``default_blas_threads`` the
@@ -42,15 +43,8 @@ def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) 
     return {**json.loads(lines[-1]), "run": json.loads(lines[-2])["run"]}
 
 
-def commit(checkout: Path, given: str | None) -> str | None:
-    if given:
-        return given
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or None
-
-
 def summary(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, med, q3 = statistics.quantiles(values, n=4)
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -59,8 +53,8 @@ def main(argv=None) -> int:
     par = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     par.add_argument("--parent", type=Path, required=True)
     par.add_argument("--change", type=Path, required=True)
-    par.add_argument("--parent-commit")
-    par.add_argument("--change-commit")
+    par.add_argument("--parent-commit", required=True)
+    par.add_argument("--change-commit", required=True)
     par.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
     par.add_argument("--pairs", type=int, default=10)
     par.add_argument("--seed0", type=int, default=401)
@@ -68,13 +62,15 @@ def main(argv=None) -> int:
     par.add_argument("--traced", type=int, default=0)
     par.add_argument("--out", type=Path, required=True)
     args = par.parse_args(argv)
+    if args.pairs < 2:
+        par.error("need --pairs >= 2 for quartiles")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds} --trace 0",
-        "parent_commit": commit(sides["parent"], args.parent_commit),
-        "change_commit": commit(sides["change"], args.change_commit),
+        "parent_commit": args.parent_commit,
+        "change_commit": args.change_commit,
         "blas_threads": 1,
         "workloads": {},
     }
