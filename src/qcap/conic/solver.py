@@ -18,19 +18,18 @@ barrier parameter.  Working on the complex matrices instead of their
 which no row and no objective term can see and which roundoff would
 otherwise let grow until the scaling breaks down.
 
-Each PSD block's constraint coefficients are stored once, at assembly, with
-the rows whose coefficient on the block is zero left out.  A small block
-(rows x side**2 under ``_SPARSE_MIN``) keeps its coefficients as a dense stack
-and enters the Schur complement through the batched products W C_i W and one
-matrix product against the stack.  A large block stores them as a real sparse
-matrix A_c of orthonormal Hermitian-basis coordinates (``hermitian_basis``
-order), whose rows have about one nonzero each in the programs here.  Each
-iteration it forms K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the
-basis' structure (every basis element has at most two nonzero entries; the
-index pairs are cached per side), in the spirit of Fujisawa, Kojima and
-Nakata, Math. Prog. 79 (1997).  All large blocks then enter the Schur
-complement through one sparse product, A [A_c K_c]'.  The choice is made per
-block from its size alone.
+Each PSD block's constraint coefficients are stored once, at assembly, as a
+real sparse matrix A_c of orthonormal Hermitian-basis coordinates
+(``hermitian_basis`` order); a row whose coefficient on the block is zero has
+no entries, and the other rows have about one nonzero each in the programs
+here.  The blocks sit side by side in one sparse A, whose transpose is also
+stored, so applying A or A' is one sparse product; a block converts to and
+from its coordinates by gathers on its interleaved float view, with index
+tables cached per side.  Each iteration every block forms
+K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the basis' structure
+(every basis element has at most two nonzero entries), in the spirit of
+Fujisawa, Kojima and Nakata, Math. Prog. 79 (1997), and all blocks enter the
+Schur complement through one sparse product, A [A_c K_c]'.
 
 The equilibrated, shifted Schur block is factored by Cholesky, and the free
 columns are eliminated through the reduced system F' M^-1 F; should Cholesky
@@ -70,8 +69,6 @@ _log = logging.getLogger("qcap.conic")
 _STEP_BACKOFF = 0.99
 _STALL_ALPHA = 1e-9
 _SCHUR_SHIFT = 1e-14
-# a PSD block with rows * side**2 at least this takes the sparse Schur path
-_SPARSE_MIN = 65_536
 _RT2 = np.sqrt(2.0)
 
 
@@ -95,19 +92,14 @@ class _PsdCone:
     name: str
     side: int
     cobj: np.ndarray  # (side, side) complex Hermitian, already halved
-    # dense path: the rows with a nonzero coefficient, and those coefficients
-    rows: np.ndarray | None = None
-    coefs: np.ndarray | None = None  # (r, side, side) complex Hermitian, already halved
-    flat: np.ndarray | None = None  # (r, 2*side*side) real and imaginary parts
-    all_rows: bool = False
-    # sparse path: (m, side**2) Hermitian-basis coordinates of every row's coefficient
-    a: sparse.csr_array | None = None
+    a: sparse.csr_array  # (m, side**2) basis coordinates of each row's halved coefficient
 
 
 @dataclass
 class _Assembled:
     psd: list[_PsdCone]
-    a_sparse: sparse.csr_array | None  # the sparse cones' ``a``, side by side
+    a: sparse.csr_array  # the cones' ``a``, side by side
+    at: sparse.csr_array  # its transpose
     a_nn: np.ndarray  # (m, p) nonnegative columns, slacks included
     c_nn: np.ndarray
     a_f: np.ndarray  # (m, f) free columns
@@ -190,30 +182,17 @@ def _assemble(prog: ConicProgram) -> _Assembled:
         side = blk.size
         entries = psd_rows[blk.name]
         rows = np.array([i for i, _ in entries], dtype=np.intp)
-        coefs = (
-            0.5 * np.stack([c for _, c in entries])
-            if entries
-            else np.zeros((0, side, side), dtype=np.complex128)
-        )
-        keep = coefs.reshape(len(entries), side * side).any(axis=1)
-        rows, coefs = rows[keep], coefs[keep]
-        cone = _PsdCone(
-            name=blk.name,
-            side=side,
-            cobj=psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128)),
-        )
-        if rows.size * side * side >= _SPARSE_MIN:
-            coords = _coords(coefs)
-            r, k = np.nonzero(coords)
-            cone.a = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
-        else:
-            cone.rows, cone.coefs, cone.all_rows = rows, coefs, rows.size == m
-            cone.flat = _split(coefs.reshape(rows.size, side * side))
-        psd.append(cone)
-    large = [cone.a for cone in psd if cone.a is not None]
-    a_sparse = sparse.hstack(large, format="csr") if large else None
+        coefs = np.array([c for _, c in entries], dtype=np.complex128)
+        coords = _coords(0.5 * coefs.reshape(rows.size, side, side))
+        r, k = np.nonzero(coords)
+        a = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
+        cobj = psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128))
+        psd.append(_PsdCone(blk.name, side, cobj, a))
+    a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
 
-    return _Assembled(psd, a_sparse, a_nn, c_nn, a_f, c_f, b, nonneg_spans, free_spans, sign)
+    return _Assembled(
+        psd, a, a.T.tocsr(), a_nn, c_nn, a_f, c_f, b, nonneg_spans, free_spans, sign
+    )
 
 
 @lru_cache(maxsize=None)
@@ -225,31 +204,52 @@ def _pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@lru_cache(maxsize=None)
+def _gathers(side: int) -> tuple[np.ndarray, ...]:
+    """Tables between a side x side complex matrix's interleaved float view v
+    (Re, Im of each entry, row-major) and its ``hermitian_basis`` coordinates
+    x: x = v[g1] c1 + v[g2] c2, and the float view of the Hermitian matrix
+    with coordinates x is x[f] e.  Read-only, as every caller shares them."""
+    s, n = side, side * side
+    i, j = _pairs(s)
+    d = np.arange(s)
+    diag, up, low = 2 * (d * s + d), 2 * (i * s + j), 2 * (j * s + i)  # Re X_dd, X_ij, X_ji
+    sym = s + 2 * np.arange(i.size)  # the symmetric coordinate of pair (i, j)
+    g1, g2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    c1, c2 = np.full(n, 1.0 / _RT2), np.full(n, 1.0 / _RT2)
+    g1[:s] = g2[:s] = diag
+    c1[:s], c2[:s] = 1.0, 0.0
+    g1[s::2], g2[s::2] = up, low  # (Re X_ij + Re X_ji) / sqrt2
+    g1[s + 1 :: 2], g2[s + 1 :: 2] = low + 1, up + 1  # (Im X_ji - Im X_ij) / sqrt2
+    c2[s + 1 :: 2] = -1.0 / _RT2
+    f, e = np.zeros(2 * n, dtype=np.intp), np.zeros(2 * n)  # Im X_dd stays 0
+    f[diag], e[diag] = d, 1.0
+    f[up] = f[low] = sym
+    e[up] = e[low] = 1.0 / _RT2
+    f[up + 1] = f[low + 1] = sym + 1
+    e[up + 1], e[low + 1] = -1.0 / _RT2, 1.0 / _RT2
+    tables = (g1, g2, c1, c2, f, e)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _coords(mats: np.ndarray) -> np.ndarray:
     """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
     ``hermitian_basis`` order: the diagonal, then for each pair i < j the
     symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
     (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
     s = mats.shape[-1]
-    i, j = _pairs(s)
-    up, low = mats[..., i, j], mats[..., j, i]
-    out = np.empty(mats.shape[:-2] + (s * s,))
-    out[..., :s] = np.diagonal(mats, axis1=-2, axis2=-1).real
-    out[..., s::2] = (up.real + low.real) / _RT2
-    out[..., s + 1 :: 2] = (low.imag - up.imag) / _RT2
-    return out
+    g1, g2, c1, c2, _, _ = _gathers(s)
+    v = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    v = v.reshape(mats.shape[:-2] + (2 * s * s,))
+    return v[..., g1] * c1 + v[..., g2] * c2
 
 
 def _from_coords(x: np.ndarray, s: int) -> np.ndarray:
     """The Hermitian s x s matrix sum_b x_b B_b: the inverse of ``_coords``."""
-    i, j = _pairs(s)
-    out = np.empty((s, s), dtype=np.complex128)
-    d = np.arange(s)
-    out[d, d] = x[:s]
-    sym, anti = x[s::2] / _RT2, x[s + 1 :: 2] / _RT2
-    out[i, j] = sym - 1j * anti
-    out[j, i] = sym + 1j * anti
-    return out
+    _, _, _, _, f, e = _gathers(s)
+    return (x[f] * e).view(np.complex128).reshape(s, s)
 
 
 def _basis_kernel(w: np.ndarray) -> np.ndarray:
@@ -275,11 +275,6 @@ def _basis_kernel(w: np.ndarray) -> np.ndarray:
     k[s + 1 :: 2, s::2] = 2.0 * (u1.imag + u2.imag)
     k[s + 1 :: 2, s + 1 :: 2] = 2.0 * (u2.real - u1.real)
     return k
-
-
-def _split(z: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts side by side along the last axis."""
-    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -341,27 +336,13 @@ def _vec_max_step(x: np.ndarray, dx: np.ndarray) -> float:
 def _schur(data: _Assembled, ws: list[np.ndarray], w2n: np.ndarray) -> np.ndarray:
     """The symmetric Schur complement M = A W A' of the cone columns, where
     ``ws`` holds each PSD block's scaling W and ``w2n`` the nonnegative one."""
-    m = data.b.size
-    if data.a_sparse is not None:
-        # [A_c K_c]' stacked row-major, the layout the sparse product reads
-        gt = np.empty(data.a_sparse.shape[::-1])
-        off = 0
-        for cone, w in zip(data.psd, ws):
-            if cone.a is not None:
-                gt[off : off + w.size] = (cone.a @ _basis_kernel(w)).T
-                off += w.size
-        M = data.a_sparse @ gt
-    else:
-        M = np.zeros((m, m))
+    # [A_c K_c]' stacked row-major, the layout the sparse product reads
+    gt = np.empty(data.a.shape[::-1])
+    off = 0
     for cone, w in zip(data.psd, ws):
-        if cone.coefs is None or not cone.rows.size:
-            continue
-        waw = np.matmul(np.matmul(w, cone.coefs), w)
-        contrib = 2.0 * (_split(waw.reshape(cone.rows.size, -1)) @ cone.flat.T)
-        if cone.all_rows:
-            M += contrib
-        else:
-            M[np.ix_(cone.rows, cone.rows)] += contrib
+        gt[off : off + w.size] = (cone.a @ _basis_kernel(w)).T
+        off += w.size
+    M = data.a @ gt
     if data.a_nn.shape[1]:
         M += (data.a_nn * w2n[None, :]) @ data.a_nn.T
     return 0.5 * (M + M.T)
@@ -493,6 +474,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         )
     )
 
+    offs = np.cumsum([0] + [cone.side**2 for cone in psd])  # each cone's first coordinate
+
     # state
     X = [np.eye(cone.side, dtype=np.complex128) for cone in psd]
     Sm = [np.eye(cone.side, dtype=np.complex128) for cone in psd]
@@ -504,16 +487,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
     kap = 1.0
 
     def apply_cones(mats, vn) -> np.ndarray:
-        out = np.zeros(m)
-        for j, cone in enumerate(psd):
-            if cone.a is not None:
-                out += 2.0 * (cone.a @ _coords(mats[j]))
-            elif cone.rows.size:
-                vals = 2.0 * (cone.flat @ _split(mats[j].ravel()))
-                if cone.all_rows:
-                    out += vals
-                else:
-                    out[cone.rows] += vals
+        out = 2.0 * (data.a @ np.concatenate([_coords(x) for x in mats])) if psd else np.zeros(m)
         if have_nn:
             out += a_nn @ vn
         return out
@@ -525,18 +499,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         return out
 
     def apply_at(vec) -> list[np.ndarray]:
-        outs = []
-        for cone in psd:
-            if cone.a is not None:
-                outs.append(_from_coords(cone.a.T @ vec, cone.side))
-            elif cone.rows.size:
-                yv = vec if cone.all_rows else vec[cone.rows]
-                half = cone.side * cone.side
-                v = yv @ cone.flat  # real arithmetic on the split coefficients
-                outs.append((v[:half] + 1j * v[half:]).reshape(cone.side, cone.side))
-            else:
-                outs.append(np.zeros((cone.side, cone.side), dtype=np.complex128))
-        return outs
+        v = data.at @ vec
+        return [_from_coords(v[o : o + cone.side**2], cone.side) for cone, o in zip(psd, offs)]
 
     def c_dot(mats, vn) -> float:
         total = 0.0
@@ -608,7 +572,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
 
         if pres <= feas_tol and dres <= feas_tol and abs(pobj - dobj) <= gap_tol * (1.0 + abs(pobj)):
             status = OPTIMAL
-            best = (0.0, X, xn, xf, y, tau, pres, dres, it, pobj, dobj)
+            best = (0.0, X, xn, xf, y, tau, pres, dres, pobj, dobj)
             break
 
         score = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj)))
@@ -622,7 +586,6 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
                 tau,
                 pres,
                 dres,
-                it,
                 pobj,
                 dobj,
             )
@@ -819,5 +782,5 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             y=None,
         )
 
-    _, Xc, xnc, xfc, yc, tauc, pres, dres, iters, pobj, dobj = best
+    _, Xc, xnc, xfc, yc, tauc, pres, dres, pobj, dobj = best
     return extract(status, Xc, xnc, xfc, yc, tauc, pres, dres, it, pobj, dobj)

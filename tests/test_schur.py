@@ -5,8 +5,8 @@ solves with it.
 For every PSD block, row i's coefficient C_i (halved, as the solver's real
 embedding pairs blocks by 2 Re tr(AB)) contributes 2 Re tr(W C_i W C_k) to
 M[i, k]; the nonnegative columns, slacks of inequality rows included,
-contribute A diag(w) A'.  The solver builds large blocks' share from sparse
-Hermitian-basis coordinates instead, and small blocks' from dense stacks.
+contribute A diag(w) A'.  The solver builds every block's share from sparse
+Hermitian-basis coordinates instead.
 """
 import numpy as np
 import pytest
@@ -92,22 +92,18 @@ def test_schur_matches_dense_formula(monkeypatch, name):
     got = solver_mod._schur(data, ws, w2n)
     want = _dense_schur(prog, ws, w2n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # the one-shot programs on AD (x) AD exercise the sparse path on every
-    # side-16 block and the dense one on the side-4 blocks; channel_nr's
-    # programs stay dense throughout
-    sparse_sides = {cone.side for cone in data.psd if cone.a is not None}
-    dense_sides = {cone.side for cone in data.psd if cone.a is None}
-    if name.startswith("q_"):
-        assert not sparse_sides
-    else:
-        assert sparse_sides == {16} and dense_sides == {4}
 
 
 def test_assembly_drops_zero_rows_and_stores_basis_coordinates(monkeypatch):
     data = solver_mod._assemble(_program(monkeypatch, "bound_g"))
     cones = {cone.name: cone for cone in data.psd}
-    assert cones["rho"].rows.size == 257 - 192
-    assert cones["S"].rows.size == 512 - 384
+
+    def rows_kept(cone):
+        return int(np.count_nonzero(np.diff(cone.a.indptr)))
+
+    # of the rows with a coefficient on the block, the all-zero ones store nothing
+    assert cones["rho"].a.shape == (770, 16) and rows_kept(cones["rho"]) == 257 - 192
+    assert cones["S"].a.shape == (770, 16) and rows_kept(cones["S"]) == 512 - 384
     assert cones["W"].a.shape == (770, 256) and cones["W"].a.nnz == 785
 
 
@@ -119,6 +115,15 @@ def test_coordinates_follow_the_hermitian_basis(side):
     mat = solver_mod._from_coords(x, side)
     assert np.allclose(mat, np.einsum("b,bij->ij", x, basis), rtol=0, atol=1e-15)
     assert np.allclose(solver_mod._coords(mat), x, rtol=0, atol=1e-15)
+    # only the Hermitian part has coordinates
+    rng = np.random.default_rng(100 + side)
+    y = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    herm = 0.5 * (y + y.conj().T)
+    assert np.allclose(solver_mod._coords(y), solver_mod._coords(herm), rtol=0, atol=1e-15)
+    # a stack with two leading dimensions, as assembly passes: tr(B_b H) = Re tr(B_b Y)
+    stack = rng.normal(size=(2, 3, side, side)) + 1j * rng.normal(size=(2, 3, side, side))
+    want = np.einsum("bij,xyji->xyb", basis, stack).real
+    assert np.allclose(solver_mod._coords(stack), want, rtol=0, atol=1e-14)
 
 
 def test_cholesky_failure_falls_back_to_lu(monkeypatch):
