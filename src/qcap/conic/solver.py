@@ -185,9 +185,9 @@ def _assemble(prog: ConicProgram) -> _Assembled:
         coefs = np.array([c for _, c in entries], dtype=np.complex128)
         coords = _coords(0.5 * coefs.reshape(rows.size, side, side))
         r, k = np.nonzero(coords)
-        a = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
         cobj = psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128))
-        psd.append(_PsdCone(blk.name, side, cobj, a))
+        a_c = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
+        psd.append(_PsdCone(blk.name, side, cobj, a_c))
     a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
 
     return _Assembled(

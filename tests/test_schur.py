@@ -123,7 +123,7 @@ def test_coordinates_follow_the_hermitian_basis(side):
     # a stack with two leading dimensions, as assembly passes: tr(B_b H) = Re tr(B_b Y)
     stack = rng.normal(size=(2, 3, side, side)) + 1j * rng.normal(size=(2, 3, side, side))
     want = np.einsum("bij,xyji->xyb", basis, stack).real
-    assert np.allclose(solver_mod._coords(stack), want, rtol=0, atol=1e-14)
+    assert np.allclose(solver_mod._coords(stack), want, rtol=0, atol=1e-15)
 
 
 def test_cholesky_failure_falls_back_to_lu(monkeypatch):

@@ -12,7 +12,10 @@ weighs on both sides alike.  Each run gets a fresh process, as in the
 benchmark.  For every end-to-end metric of BENCHMARK.json the output records
 both sides' runs, medians and quartiles, the relative change of the medians,
 and in how many pairs the change was better.  ``--traced N`` adds N traced
-runs per side and records the medians of their per-layer metrics.  The
+runs per side and records the medians of their per-layer metrics.  A traced
+run covers as many rows as fit in its time, so a faster side covers more of
+them; the per-layer medians, ``conic.iters_per_solve`` among them, compare
+two commits only when both sides' runs cover the same rows.  The
 checkouts are plain source trees (``git archive``), so their commits are
 given as arguments.
 
