@@ -1,19 +1,21 @@
 """Structured conic-program description shared by all bound formulations.
 
 A program is a list of named variable blocks (complex Hermitian PSD,
-nonnegative vector, free vector), scalar linear constraint rows whose
-coefficients are Hermitian matrices or real vectors per block, and a linear
-objective with a minimize/maximize sense.  An operator (in)equality is
-stated with one ``add_operator_constraint`` call, as the forward linear map
-of each block; the program expands it into scalar rows <L^dag(B), X> over an
-orthonormal Hermitian basis B, plus a PSD slack block for an inequality, so
-the solver still reads only scalar rows.
+nonnegative vector, free vector), scalar linear equality rows, and a linear
+objective with a minimize/maximize sense.  ``add_constraint`` states one row
+by a Hermitian matrix or real vector per block; ``add_operator_constraint``
+states an operator (in)equality by the forward linear map of each block and
+expands it into rows <L^dag(B), X> over an orthonormal Hermitian basis B.
+An inequality gets a slack block: length-1 nonnegative for a scalar row, PSD
+for an operator one.
 
-The solver keeps Hermitian blocks complex.  It runs the iteration of the
-real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of each block, which
-doubles eigenvalue multiplicities and pairs two blocks by 2 Re tr(AB), twice
-their complex trace pairing; so coefficient matrices are halved during
-assembly and every scalar row keeps its complex-domain value exactly.
+Each block's coefficients are stored as the solver reads them: nonzero
+(row, coordinate, value) triples, where a vector block's coordinates are its
+entries and a Hermitian block's are <B_b, C> in ``hermitian_basis`` order,
+made here by ``matops.hermitian_coords`` as rows are added.  The objective
+stays one dense coefficient per block.  The solver's real symmetric
+embedding pairs two blocks by 2 Re tr(AB), twice their complex trace
+pairing, so it halves every PSD coefficient at assembly.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..matops import hermitian_basis, hermiticity_defect
+from ..matops import hermitian_basis, hermitian_coords, hermiticity_defect
 from ._blas import one_blas_thread
 
 HERM_PSD = "hermitian_psd"
@@ -31,7 +33,7 @@ FREE = "free"
 
 RELATIONS = ("==", "<=", ">=")
 
-# names of operator-inequality slack blocks start with this; user blocks' may not
+# names of inequality slack blocks start with this; user blocks' may not
 SLACK_PREFIX = "slack#"
 
 
@@ -42,13 +44,6 @@ class Block:
     size: int  # matrix side for hermitian_psd, vector length otherwise
 
 
-@dataclass(frozen=True)
-class Row:
-    terms: dict[str, np.ndarray]
-    relation: str
-    rhs: float
-
-
 class ConicProgram:
     """Builder for block-structured conic programs."""
 
@@ -57,9 +52,11 @@ class ConicProgram:
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.sense = sense
         self.blocks: list[Block] = []
-        self.rows: list[Row] = []
+        self.rows: list[float] = []  # the right-hand side of each scalar row
         self.objective: dict[str, np.ndarray] = {}
         self._by_name: dict[str, Block] = {}
+        # per block, one (rows, coordinates, values) part per call that added rows
+        self._parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
     # -- block declaration -------------------------------------------------
 
@@ -73,6 +70,7 @@ class ConicProgram:
         blk = Block(name, kind, int(size))
         self.blocks.append(blk)
         self._by_name[name] = blk
+        self._parts[name] = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
         return name
 
     def herm_block(self, name: str, side: int) -> str:
@@ -109,17 +107,41 @@ class ConicProgram:
             )
         return c
 
+    def coefficients(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, coordinates and values of block ``name``'s nonzero constraint
+        coefficients, ordered by row and then by coordinate."""
+        return tuple(np.concatenate(col) for col in zip(*self._parts[name]))
+
+    def _append(self, coords: Mapping[str, np.ndarray], rhs) -> None:
+        """Append one row per entry of ``rhs``; coords[name][r] holds the
+        coordinates of row r's coefficient on block ``name``."""
+        base = len(self.rows)
+        for name, x in coords.items():
+            r, k = np.nonzero(x)
+            self._parts[name].append((base + r, k, x[r, k]))
+        self.rows.extend(float(v) for v in rhs)
+
     def set_objective(self, terms: Mapping[str, object]) -> None:
         self.objective = {n: self._coerce_coeff(n, c) for n, c in terms.items()}
 
-    def add_constraint(self, terms: Mapping[str, object], relation: str, rhs: float) -> None:
-        """Append one scalar row: sum of block inner products <relation> rhs."""
+    def add_constraint(self, terms: Mapping[str, object], relation: str, rhs: float) -> str | None:
+        """Append one scalar row: sum of block inner products <relation> rhs.
+
+        ``"<="`` and ``">="`` also declare a length-1 nonnegative slack block
+        s, entering the row as +s or -s, and return its name.
+        """
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
         if not terms:
             raise ValueError("a constraint row needs at least one term")
-        row = Row({n: self._coerce_coeff(n, c) for n, c in terms.items()}, relation, float(rhs))
-        self.rows.append(row)
+        coeffs = {n: self._coerce_coeff(n, c) for n, c in terms.items()}
+        coords = {n: (hermitian_coords(c) if c.ndim == 2 else c)[None] for n, c in coeffs.items()}
+        rhs, slack = float(rhs), None
+        if relation != "==":
+            slack = self._add_block(f"{SLACK_PREFIX}{len(self.blocks)}", NONNEG, 1, True)
+            coords[slack] = np.array([[1.0 if relation == "<=" else -1.0]])
+        self._append(coords, [rhs])
+        return slack
 
     def add_operator_constraint(
         self, terms: Mapping[str, Callable], relation: str, rhs=0
@@ -149,19 +171,21 @@ class ConicProgram:
         sign = -1.0 if relation == ">=" else 1.0
         # row i of a term is L^dag(B_i): <L(e_ab), B_i> at (a, b), or <L(e_j), B_i> at j.
         # On one BLAS thread, as in the solve: a second one would only spin.
-        coeffs = {}
+        coords = {}
         with one_blas_thread():
             b = sign * (basis.conj() @ r.reshape(-1)).real
             for name, img in images.items():
                 blk = self._by_name[name]
                 c = sign * (basis @ img.reshape(len(img), -1).conj().T)
-                coeffs[name] = c.reshape(-1, blk.size, blk.size) if blk.kind == HERM_PSD else c.real
+                if blk.kind == HERM_PSD:
+                    coords[name] = hermitian_coords(c.reshape(-1, blk.size, blk.size))
+                else:
+                    coords[name] = c.real
         slack = None
         if relation != "==":
             slack = self._add_block(f"{SLACK_PREFIX}{len(self.blocks)}", HERM_PSD, side, True)
-            coeffs[slack] = basis.reshape(-1, side, side)
-        for i in range(side * side):
-            self.rows.append(Row({name: c[i] for name, c in coeffs.items()}, "==", float(b[i])))
+            coords[slack] = hermitian_coords(basis.reshape(-1, side, side))
+        self._append(coords, b)
         return slack
 
     def _images(self, name: str, fn: Callable) -> np.ndarray:

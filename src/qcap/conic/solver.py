@@ -12,24 +12,24 @@ complement bordered by the free columns.
 The iteration is the one of the real symmetric embedding
 [[Re H, -Im H], [Im H, Re H]] of each block.  The embedding pairs two blocks
 by ``<A, B> = 2 Re tr(A B)``, twice their complex trace pairing, so
-coefficient matrices are halved, and a side-s block contributes 2s to the
-barrier parameter.  Working on the complex matrices instead of their
+assembly halves every PSD coefficient, and a side-s block contributes 2s to
+the barrier parameter.  Working on the complex matrices instead of their
 2s x 2s embeddings removes the component outside the embedding's image,
 which no row and no objective term can see and which roundoff would
 otherwise let grow until the scaling breaks down.
 
-Each PSD block's constraint coefficients are stored once, at assembly, as a
-real sparse matrix A_c of orthonormal Hermitian-basis coordinates
-(``hermitian_basis`` order); a row whose coefficient on the block is zero has
-no entries, and the other rows have about one nonzero each in the programs
-here.  The blocks sit side by side in one sparse A, whose transpose is also
-stored, so applying A or A' is one sparse product; a block converts to and
-from its coordinates by gathers on its interleaved float view, with index
-tables cached per side.  Each iteration every block forms
-K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the basis' structure
-(every basis element has at most two nonzero entries), in the spirit of
-Fujisawa, Kojima and Nakata, Math. Prog. 79 (1997), and all blocks enter the
-Schur complement through one sparse product, A [A_c K_c]'.
+The program hands over only equality rows, and each block's coefficients as
+nonzero (row, coordinate, value) triples; a PSD block's coordinates are
+orthonormal Hermitian-basis ones (``hermitian_basis`` order), made by the
+program.  Assembly only places them: the halved PSD values into a real
+sparse matrix A_c per block, the vector values into dense column blocks.
+The PSD blocks sit side by side in one sparse A, whose transpose is also
+stored, so applying A or A' is one sparse product; an iterate converts to
+and from its coordinates by the gathers of ``matops``.  Each iteration every
+block forms K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the basis'
+structure (every basis element has at most two nonzero entries), in the
+spirit of Fujisawa, Kojima and Nakata, Math. Prog. 79 (1997), and all blocks
+enter the Schur complement through one sparse product, A [A_c K_c]'.
 
 The equilibrated, shifted Schur block is factored by Cholesky, and the free
 columns are eliminated through the reduced system F' M^-1 F; should Cholesky
@@ -41,12 +41,12 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve, solve_triangular
 
+from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
 
@@ -74,9 +74,13 @@ _RT2 = np.sqrt(2.0)
 
 @dataclass
 class ConicSolution:
-    """Result of a solve: objective values, status, and per-block variables."""
+    """Result of a solve: objective values, status, and per-block variables.
+
+    ``reason`` is why the iteration ended: ``converged``, ``iteration_limit``,
+    or a breakdown, ``factorization_failed``, ``non_finite`` or ``step_stalled``."""
 
     status: str
+    reason: str
     primal_value: float | None
     dual_value: float | None
     gap: float | None
@@ -112,144 +116,40 @@ class _Assembled:
 
 def _assemble(prog: ConicProgram) -> _Assembled:
     m = len(prog.rows)
-    psd_blocks = [blk for blk in prog.blocks if blk.kind == HERM_PSD]
-    nn_blocks = [blk for blk in prog.blocks if blk.kind == NONNEG]
-    fr_blocks = [blk for blk in prog.blocks if blk.kind == FREE]
-
-    n_slack = sum(1 for row in prog.rows if row.relation != "==")
-    p = sum(blk.size for blk in nn_blocks) + n_slack
-    f = sum(blk.size for blk in fr_blocks)
-
-    nonneg_spans: list[tuple[str, int, int]] = []
-    off = 0
-    nn_offset = {}
-    for blk in nn_blocks:
-        nonneg_spans.append((blk.name, off, blk.size))
-        nn_offset[blk.name] = off
-        off += blk.size
-    slack_base = off
-
-    free_spans: list[tuple[str, int, int]] = []
-    off = 0
-    fr_offset = {}
-    for blk in fr_blocks:
-        free_spans.append((blk.name, off, blk.size))
-        fr_offset[blk.name] = off
-        off += blk.size
-
-    a_nn = np.zeros((m, p))
-    a_f = np.zeros((m, f))
-    b = np.zeros(m)
-    psd_rows: dict[str, list[tuple[int, np.ndarray]]] = {blk.name: [] for blk in psd_blocks}
-
-    slack_at = slack_base
-    for i, row in enumerate(prog.rows):
-        b[i] = row.rhs
-        for name, coeff in row.terms.items():
-            kind = prog._by_name[name].kind
-            if kind == HERM_PSD:
-                psd_rows[name].append((i, coeff))
-            elif kind == NONNEG:
-                o = nn_offset[name]
-                a_nn[i, o : o + coeff.size] = coeff
-            else:
-                o = fr_offset[name]
-                a_f[i, o : o + coeff.size] = coeff
-        if row.relation == "<=":
-            a_nn[i, slack_at] = 1.0
-            slack_at += 1
-        elif row.relation == ">=":
-            a_nn[i, slack_at] = -1.0
-            slack_at += 1
-
     sign = 1.0 if prog.sense == "min" else -1.0
-    c_nn = np.zeros(p)
-    c_f = np.zeros(f)
-    psd_cobj: dict[str, np.ndarray] = {}
-    for name, coeff in prog.objective.items():
-        kind = prog._by_name[name].kind
-        if kind == HERM_PSD:
-            psd_cobj[name] = sign * 0.5 * coeff
-        elif kind == NONNEG:
-            o = nn_offset[name]
-            c_nn[o : o + coeff.size] = sign * coeff
-        else:
-            o = fr_offset[name]
-            c_f[o : o + coeff.size] = sign * coeff
-
     psd: list[_PsdCone] = []
-    for blk in psd_blocks:
-        side = blk.size
-        entries = psd_rows[blk.name]
-        rows = np.array([i for i, _ in entries], dtype=np.intp)
-        coefs = np.array([c for _, c in entries], dtype=np.complex128)
-        coords = _coords(0.5 * coefs.reshape(rows.size, side, side))
-        r, k = np.nonzero(coords)
-        cobj = psd_cobj.get(blk.name, np.zeros((side, side), dtype=np.complex128))
-        a_c = sparse.csr_array((coords[r, k], (rows[r], k)), shape=(m, side * side))
-        psd.append(_PsdCone(blk.name, side, cobj, a_c))
+    spans: dict[str, list[tuple[str, int, int]]] = {NONNEG: [], FREE: []}
+    width = {NONNEG: 0, FREE: 0}
+    for blk in prog.blocks:
+        if blk.kind == HERM_PSD:
+            side = blk.size
+            rows, k, v = prog.coefficients(blk.name)
+            a_c = sparse.csr_array((0.5 * v, (rows, k)), shape=(m, side * side))
+            if blk.name in prog.objective:
+                cobj = sign * 0.5 * prog.objective[blk.name]
+            else:
+                cobj = np.zeros((side, side), dtype=np.complex128)
+            psd.append(_PsdCone(blk.name, side, cobj, a_c))
+        else:
+            spans[blk.kind].append((blk.name, width[blk.kind], blk.size))
+            width[blk.kind] += blk.size
+
+    def dense(kind):
+        a, c = np.zeros((m, width[kind])), np.zeros(width[kind])
+        for name, off, size in spans[kind]:
+            rows, k, v = prog.coefficients(name)
+            a[rows, off + k] = v
+            if name in prog.objective:
+                c[off : off + size] = sign * prog.objective[name]
+        return a, c
+
+    a_nn, c_nn = dense(NONNEG)
+    a_f, c_f = dense(FREE)
     a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
-
+    b = np.array(prog.rows, dtype=np.float64)
     return _Assembled(
-        psd, a, a.T.tocsr(), a_nn, c_nn, a_f, c_f, b, nonneg_spans, free_spans, sign
+        psd, a, a.T.tocsr(), a_nn, c_nn, a_f, c_f, b, spans[NONNEG], spans[FREE], sign
     )
-
-
-@lru_cache(maxsize=None)
-def _pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of the off-diagonal Hermitian basis elements, in
-    order; read-only, as every caller shares them."""
-    i, j = np.triu_indices(side, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-@lru_cache(maxsize=None)
-def _gathers(side: int) -> tuple[np.ndarray, ...]:
-    """Tables between a side x side complex matrix's interleaved float view v
-    (Re, Im of each entry, row-major) and its ``hermitian_basis`` coordinates
-    x: x = v[g1] c1 + v[g2] c2, and the float view of the Hermitian matrix
-    with coordinates x is x[f] e.  Read-only, as every caller shares them."""
-    s, n = side, side * side
-    i, j = _pairs(s)
-    d = np.arange(s)
-    diag, up, low = 2 * (d * s + d), 2 * (i * s + j), 2 * (j * s + i)  # Re X_dd, X_ij, X_ji
-    sym = s + 2 * np.arange(i.size)  # the symmetric coordinate of pair (i, j)
-    g1, g2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    c1, c2 = np.full(n, 1.0 / _RT2), np.full(n, 1.0 / _RT2)
-    g1[:s] = g2[:s] = diag
-    c1[:s], c2[:s] = 1.0, 0.0
-    g1[s::2], g2[s::2] = up, low  # (Re X_ij + Re X_ji) / sqrt2
-    g1[s + 1 :: 2], g2[s + 1 :: 2] = low + 1, up + 1  # (Im X_ji - Im X_ij) / sqrt2
-    c2[s + 1 :: 2] = -1.0 / _RT2
-    f, e = np.zeros(2 * n, dtype=np.intp), np.zeros(2 * n)  # Im X_dd stays 0
-    f[diag], e[diag] = d, 1.0
-    f[up] = f[low] = sym
-    e[up] = e[low] = 1.0 / _RT2
-    f[up + 1] = f[low + 1] = sym + 1
-    e[up + 1], e[low + 1] = -1.0 / _RT2, 1.0 / _RT2
-    tables = (g1, g2, c1, c2, f, e)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _coords(mats: np.ndarray) -> np.ndarray:
-    """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
-    ``hermitian_basis`` order: the diagonal, then for each pair i < j the
-    symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
-    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
-    s = mats.shape[-1]
-    g1, g2, c1, c2, _, _ = _gathers(s)
-    v = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
-    v = v.reshape(mats.shape[:-2] + (2 * s * s,))
-    return v[..., g1] * c1 + v[..., g2] * c2
-
-
-def _from_coords(x: np.ndarray, s: int) -> np.ndarray:
-    """The Hermitian s x s matrix sum_b x_b B_b: the inverse of ``_coords``."""
-    _, _, _, _, f, e = _gathers(s)
-    return (x[f] * e).view(np.complex128).reshape(s, s)
 
 
 def _basis_kernel(w: np.ndarray) -> np.ndarray:
@@ -260,7 +160,7 @@ def _basis_kernel(w: np.ndarray) -> np.ndarray:
     u1 = W_jk W_li and u2 = W_jl W_ki.
     """
     s = w.shape[0]
-    i, j = _pairs(s)
+    i, j = basis_pairs(s)
     k = np.empty((s * s, s * s))
     k[:s, :s] = 2.0 * (w.real**2 + w.imag**2)
     z = 2.0 * _RT2 * (w[:, i] * w[:, j].conj())  # diagonal l against pair (i, j)
@@ -443,7 +343,7 @@ def solve(
     the same tolerance; ``max_iter`` returns the best iterate seen.  A
     numerical breakdown (a failed factorization, a non-finite iterate or a
     stalled step) also ends the iteration with ``max_iter`` and the best
-    iterate; no numerical exception escapes.
+    iterate, and ``reason`` names it; no numerical exception escapes.
 
     The solve runs on one OpenBLAS thread, assembly included; each loaded
     OpenBLAS gets its previous thread count back on return.  With the
@@ -487,7 +387,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
     kap = 1.0
 
     def apply_cones(mats, vn) -> np.ndarray:
-        out = 2.0 * (data.a @ np.concatenate([_coords(x) for x in mats])) if psd else np.zeros(m)
+        coords = [hermitian_coords(x) for x in mats]
+        out = 2.0 * (data.a @ np.concatenate(coords)) if psd else np.zeros(m)
         if have_nn:
             out += a_nn @ vn
         return out
@@ -500,7 +401,9 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
 
     def apply_at(vec) -> list[np.ndarray]:
         v = data.at @ vec
-        return [_from_coords(v[o : o + cone.side**2], cone.side) for cone, o in zip(psd, offs)]
+        return [
+            from_hermitian_coords(v[o : o + cone.side**2], cone.side) for cone, o in zip(psd, offs)
+        ]
 
     def c_dot(mats, vn) -> float:
         total = 0.0
@@ -510,7 +413,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             total += float(c_nn @ vn)
         return total
 
-    def extract(status, Xc, xnc, xfc, yc, tauc, pres, dres, iters, pvalue, dvalue):
+    def extract(status, reason, Xc, xnc, xfc, yc, tauc, pres, dres, iters, pvalue, dvalue):
         blocks: dict[str, np.ndarray] = {}
         for j, cone in enumerate(psd):
             blocks[cone.name] = _herm(Xc[j] / tauc)
@@ -521,6 +424,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         gap = abs(pvalue - dvalue)
         return ConicSolution(
             status=status,
+            reason=reason,
             primal_value=data.sign * pvalue,
             dual_value=data.sign * dvalue,
             gap=gap,
@@ -532,7 +436,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         )
 
     best = None  # (score, args for extract)
-    status = MAX_ITER
+    status, reason = MAX_ITER, "iteration_limit"
     it = 0
 
     for it in range(1, max_iter + 1):
@@ -568,10 +472,11 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             )
 
         if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
+            reason = "non_finite"
             break  # breakdown: fall through to best-iterate return
 
         if pres <= feas_tol and dres <= feas_tol and abs(pobj - dobj) <= gap_tol * (1.0 + abs(pobj)):
-            status = OPTIMAL
+            status, reason = OPTIMAL, "converged"
             best = (0.0, X, xn, xf, y, tau, pres, dres, pobj, dobj)
             break
 
@@ -600,16 +505,16 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
                 v = a_f.T @ y
                 res_sq += float(v @ v)
             if np.sqrt(res_sq) * max(1.0, normb) <= feas_tol * by:
-                status = INFEASIBLE
+                status, reason = INFEASIBLE, "converged"
                 break
         if it > 1 and cx < 0.0:
             res = float(np.linalg.norm(apply_a(X, xn, xf)))
             if res * max(1.0, normc) <= feas_tol * (-cx):
-                status = UNBOUNDED
+                status, reason = UNBOUNDED, "converged"
                 break
 
         def newton_step():
-            """Predictor-corrector direction and step length, or None on breakdown."""
+            """Predictor-corrector direction and step length, or the reason of a breakdown."""
             # Nesterov-Todd scalings
             scal = [_nt_scaling(X[j], Sm[j]) for j in range(len(psd))]
             w2n = xn / sn if have_nn else np.zeros(0)
@@ -620,7 +525,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
                 gmat = np.block([[gmat, a_f], [a_f.T, np.zeros((f, f))]])
             gsolve = _schur_solver(gmat, m)
             if gsolve is None:
-                return None
+                return "factorization_failed"
 
             # pieces independent of the complementarity right-hand side
             wrd = [scal[j][3] @ rdc[j] @ scal[j][3] for j in range(len(psd))]
@@ -653,7 +558,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             sol_b = gsolve(np.concatenate([b, np.zeros(f)]))
             sol_u = gsolve(np.concatenate([u_vec, c_hat_f]))
             if not (np.all(np.isfinite(sol_b)) and np.all(np.isfinite(sol_u))):
-                return None
+                return "non_finite"
             pb, pu = sol_b[:m], sol_u[:m]
             p2 = pb + pu
             q2 = (sol_b[m:] + sol_u[m:]) if have_f else np.zeros(0)
@@ -717,7 +622,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
 
             aff = direction([-X[j] for j in range(len(psd))], -xn, -tau * kap)
             if not aff.ok:
-                return None
+                return "non_finite"
 
             a_aff = min(1.0, max_step(aff))
             compl_aff = sum(
@@ -745,14 +650,17 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
 
             alpha = min(1.0, _STEP_BACKOFF * max_step(step))
             if not alpha >= _STALL_ALPHA:  # also rejects a NaN step length
-                return None
+                return "step_stalled"
             return step, alpha
 
         try:
             found = newton_step()
-        except (np.linalg.LinAlgError, ArithmeticError):
-            found = None  # e.g. Cholesky of a block that lost definiteness
-        if found is None:
+        except np.linalg.LinAlgError:
+            found = "factorization_failed"  # e.g. Cholesky of a block that lost definiteness
+        except ArithmeticError:
+            found = "non_finite"
+        if isinstance(found, str):
+            reason = found
             break  # fall through to best-iterate return
         step, alpha = found
 
@@ -772,6 +680,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         # best is None only when the very first iterate was already non-finite
         return ConicSolution(
             status=status,
+            reason=reason,
             primal_value=None,
             dual_value=None,
             gap=None,
@@ -783,4 +692,4 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         )
 
     _, Xc, xnc, xfc, yc, tauc, pres, dres, pobj, dobj = best
-    return extract(status, Xc, xnc, xfc, yc, tauc, pres, dres, it, pobj, dobj)
+    return extract(status, reason, Xc, xnc, xfc, yc, tauc, pres, dres, it, pobj, dobj)

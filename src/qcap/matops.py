@@ -5,17 +5,22 @@ composite index is row-major with the *first* factor most significant, the
 same ordering ``numpy.kron`` produces: for ``dims == (d1, d2)`` the basis
 vector ``|i1, i2>`` lives at row ``i1 * d2 + i2``.
 
+Conic programs state coefficients in the coordinates of ``hermitian_basis``,
+to and from which ``hermitian_coords`` and ``from_hermitian_coords`` convert.
+
 All operations are pure functions; inputs are never mutated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 # Relative tolerance for declaring a matrix Hermitian.
 HERM_RTOL = 1e-12
+_RT2 = np.sqrt(2.0)
 
 
 def _as_complex(mat: np.ndarray) -> np.ndarray:
@@ -154,6 +159,64 @@ def hermitian_basis(side: int) -> np.ndarray:
     basis[k + 1, i, j] = -1j * rt2
     basis[k + 1, j, i] = 1j * rt2
     return basis
+
+
+@lru_cache(maxsize=None)
+def basis_pairs(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the off-diagonal Hermitian basis elements, in
+    order; read-only, as every caller shares them."""
+    i, j = np.triu_indices(side, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+@lru_cache(maxsize=None)
+def _gathers(side: int) -> tuple[np.ndarray, ...]:
+    """Tables between a side x side complex matrix's interleaved float view v
+    (Re, Im of each entry, row-major) and its ``hermitian_basis`` coordinates
+    x: x = v[g1] c1 + v[g2] c2, and the float view of the Hermitian matrix
+    with coordinates x is x[f] e.  Read-only, as every caller shares them."""
+    s, n = side, side * side
+    i, j = basis_pairs(s)
+    d = np.arange(s)
+    diag, up, low = 2 * (d * s + d), 2 * (i * s + j), 2 * (j * s + i)  # Re X_dd, X_ij, X_ji
+    sym = s + 2 * np.arange(i.size)  # the symmetric coordinate of pair (i, j)
+    g1, g2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    c1, c2 = np.full(n, 1.0 / _RT2), np.full(n, 1.0 / _RT2)
+    g1[:s] = g2[:s] = diag
+    c1[:s], c2[:s] = 1.0, 0.0
+    g1[s::2], g2[s::2] = up, low  # (Re X_ij + Re X_ji) / sqrt2
+    g1[s + 1 :: 2], g2[s + 1 :: 2] = low + 1, up + 1  # (Im X_ji - Im X_ij) / sqrt2
+    c2[s + 1 :: 2] = -1.0 / _RT2
+    f, e = np.zeros(2 * n, dtype=np.intp), np.zeros(2 * n)  # Im X_dd stays 0
+    f[diag], e[diag] = d, 1.0
+    f[up] = f[low] = sym
+    e[up] = e[low] = 1.0 / _RT2
+    f[up + 1] = f[low + 1] = sym + 1
+    e[up + 1], e[low + 1] = -1.0 / _RT2, 1.0 / _RT2
+    tables = (g1, g2, c1, c2, f, e)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def hermitian_coords(mats: np.ndarray) -> np.ndarray:
+    """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
+    ``hermitian_basis`` order: the diagonal, then for each pair i < j the
+    symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
+    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
+    s = mats.shape[-1]
+    g1, g2, c1, c2, _, _ = _gathers(s)
+    v = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    v = v.reshape(mats.shape[:-2] + (2 * s * s,))
+    return v[..., g1] * c1 + v[..., g2] * c2
+
+
+def from_hermitian_coords(x: np.ndarray, s: int) -> np.ndarray:
+    """The Hermitian s x s matrix sum_b x_b B_b: the inverse of
+    ``hermitian_coords``."""
+    _, _, _, _, f, e = _gathers(s)
+    return (x[f] * e).view(np.complex128).reshape(s, s)
 
 
 def bipartite_maps(dims: Sequence[int]):

@@ -10,7 +10,7 @@ import qcap.conic._blas as blas_mod
 import qcap.conic.program as program_mod
 import qcap.conic.solver as solver_mod
 from qcap.conic import MAX_ITER, ConicProgram, SolverError, solve
-from qcap.conic.program import HERM_PSD
+from qcap.conic.program import HERM_PSD, NONNEG, SLACK_PREFIX
 from qcap.matops import hermitian_basis
 
 RNG = np.random.default_rng(42)
@@ -204,6 +204,7 @@ def test_solution_carries_metadata():
     prog.set_objective({"x": [1.0]})
     prog.add_constraint({"x": [1.0]}, "==", 1.0)
     sol = solve(prog)
+    assert sol.reason == "converged"
     assert sol.iterations >= 1
     assert sol.primal_residual < 1e-7
     assert sol.dual_residual < 1e-7
@@ -249,11 +250,17 @@ def test_breakdown_returns_status_instead_of_raising(monkeypatch, target, health
 
     monkeypatch.setattr(solver_mod, target, failing)
     sol = solve(_box_program())
-    assert sol.status == MAX_ITER
+    assert sol.status == MAX_ITER and sol.reason == "factorization_failed"
     assert sol.iterations == 4 < clean.iterations
     # the best iterate seen so far comes back with its residuals
     assert sol.blocks["X"].shape == (3, 3)
     assert np.isfinite(sol.primal_value) and np.isfinite(sol.primal_residual)
+
+
+def test_iteration_limit_is_the_reason():
+    sol = solve(_box_program(), max_iter=2)
+    assert sol.status == MAX_ITER and sol.reason == "iteration_limit"
+    assert sol.iterations == 2
 
 
 @pytest.fixture
@@ -375,7 +382,7 @@ def test_non_finite_data_returns_status():
     prog.set_objective({"x": [np.inf]})
     prog.add_constraint({"x": [1.0]}, "==", 1.0)
     sol = solve(prog)
-    assert sol.status == MAX_ITER
+    assert sol.status == MAX_ITER and sol.reason == "non_finite"
     assert sol.primal_value is None and sol.blocks == {}
 
 
@@ -440,17 +447,33 @@ def _operator_program(kind, size):
     return prog
 
 
+def _stored(prog, name, width):
+    """The program's coefficients on block ``name`` as a dense rows x width array."""
+    rows, k, v = prog.coefficients(name)
+    out = np.zeros((len(prog.rows), width))
+    out[rows, k] = v
+    return out
+
+
+def _basis_coords(mats):
+    """<B_k, C_i> = tr(B_k C_i) for each matrix C_i, over ``hermitian_basis``."""
+    mats = np.asarray(mats)
+    return np.einsum("kab,iba->ik", hermitian_basis(mats.shape[-1]), mats).real
+
+
 @pytest.mark.parametrize("name", list(OPERATOR_MAPS))
 def test_operator_rows_are_the_adjoint_expansion(name):
     kind, size, forward, adjoint = OPERATOR_MAPS[name]
     prog = _operator_program(kind, size)
     assert prog.add_operator_constraint({"X": forward}, "==", 0) is None
     side = np.shape(forward(np.eye(size)))[0]
-    basis = list(hermitian_basis(side))
-    assert len(prog.rows) == len(basis)
-    for row, bmat in zip(prog.rows, basis):
-        assert row.relation == "==" and row.rhs == 0.0
-        assert np.max(np.abs(row.terms["X"] - np.asarray(adjoint(bmat)))) <= 1e-15
+    basis = hermitian_basis(side)
+    assert prog.rows == [0.0] * len(basis)
+    # row i holds L^dag(B_i): its Hermitian-basis coordinates, or its entries
+    images = [np.asarray(adjoint(bmat)) for bmat in basis]
+    want = _basis_coords(images) if kind == "herm" else np.real(images)
+    got = _stored(prog, "X", want.shape[1])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("relation, sign", [("==", 1.0), ("<=", 1.0), (">=", -1.0)])
@@ -470,12 +493,35 @@ def test_operator_inequality_adds_one_slack_block(relation, sign):
             (slack, HERM_PSD, DA * DB)
         ]
     # Z = rhs - sum for "<=", Z = sum - rhs for ">=": sign * sum + Z = sign * rhs
-    for row, bmat in zip(prog.rows, hermitian_basis(DA * DB)):
-        assert row.relation == "=="
-        assert np.array_equal(row.terms["Y"], sign * _pt(bmat))
-        assert abs(row.rhs - sign * np.trace(bmat @ rhs).real) <= 1e-15
-        if slack is not None:
-            assert np.array_equal(row.terms[slack], bmat)
+    basis = hermitian_basis(DA * DB)
+    n = len(basis)
+    assert len(prog.rows) == n
+    want_y = sign * _basis_coords([_pt(bmat) for bmat in basis])
+    assert np.max(np.abs(_stored(prog, "Y", n) - want_y)) <= 1e-15
+    for b, bmat in zip(prog.rows, basis):
+        assert abs(b - sign * np.trace(bmat @ rhs).real) <= 1e-15
+    if slack is not None:
+        assert np.max(np.abs(_stored(prog, slack, n) - _basis_coords(basis))) <= 1e-15
+
+
+@pytest.mark.parametrize("relation, coeff", [("<=", 1.0), (">=", -1.0)])
+def test_scalar_inequality_adds_one_nonneg_slack(relation, coeff):
+    prog = ConicProgram("min")
+    prog.herm_block("X", 2)
+    assert prog.add_constraint({"X": np.eye(2)}, "==", 2.0) is None
+    slack = prog.add_constraint({"X": np.diag([1.0, 3.0])}, relation, 1.0)
+    assert slack.startswith(SLACK_PREFIX)
+    assert [(blk.name, blk.kind, blk.size) for blk in prog.blocks] == [
+        ("X", HERM_PSD, 2), (slack, NONNEG, 1)
+    ]
+    assert prog.rows == [2.0, 1.0]
+    assert np.array_equal(_stored(prog, "X", 4), [[1, 1, 0, 0], [1, 3, 0, 0]])
+    assert np.array_equal(_stored(prog, slack, 1), [[0.0], [coeff]])
+    # a bad relation or an unknown block leaves the program as it was
+    for terms, bad in (({"X": np.eye(2)}, "=<"), ({"Y": [1.0]}, relation)):
+        with pytest.raises(ValueError):
+            prog.add_constraint(terms, bad, 0.0)
+    assert prog.rows == [2.0, 1.0] and len(prog.blocks) == 2
 
 
 def test_slack_names_are_reserved():

@@ -1,5 +1,6 @@
 """Each bound builder hands the solver a program of a fixed shape: its row
-count, the sides of its PSD blocks and its vector blocks.  The programs are
+count, the sides of its PSD blocks and its vector blocks, the length-1
+nonnegative slack of each scalar inequality among them.  The programs are
 built but not solved."""
 import pytest
 
@@ -14,10 +15,11 @@ AD2_PSD = [4, 4, 16, 16, 16, 16]
 NR_PSD = [3, 6, 6, 6]
 
 CASES = {
-    "bound_f": (oneshot, lambda: oneshot.bound_f(AD2, 0.01), 514, AD2_PSD, []),
-    "bound_g": (oneshot, lambda: oneshot.bound_g(AD2, 0.01), 770, AD2_PSD, []),
+    "bound_f": (oneshot, lambda: oneshot.bound_f(AD2, 0.01), 514, AD2_PSD, [("nonneg", 1)]),
+    "bound_g": (oneshot, lambda: oneshot.bound_g(AD2, 0.01), 770, AD2_PSD, [("nonneg", 1)]),
     "bound_g_tilde": (
-        oneshot, lambda: oneshot.bound_g_tilde(AD2, 0.01), 786, AD2_PSD, [("free", 1)]
+        oneshot, lambda: oneshot.bound_g_tilde(AD2, 0.01), 786, AD2_PSD,
+        [("free", 1), ("nonneg", 1)],
     ),
     "fidelity_ppt": (
         oneshot, lambda: oneshot.fidelity_sdp(AD2, 2), 769, [4, 16, 16, 16, 16], []

@@ -1,10 +1,11 @@
 """The Schur complement of the interior-point solver, against the dense
-formula written out from the program rows, and the factorization that
-solves with it.
+formula written out from the program's coefficients, and the factorization
+that solves with it.
 
-For every PSD block, row i's coefficient C_i (halved, as the solver's real
-embedding pairs blocks by 2 Re tr(AB)) contributes 2 Re tr(W C_i W C_k) to
-M[i, k]; the nonnegative columns, slacks of inequality rows included,
+For every PSD block, row i's coefficient C_i (rebuilt as sum_k x_ik B_k from
+its stored coordinates and ``hermitian_basis``, then halved, as the solver's
+real embedding pairs blocks by 2 Re tr(AB)) contributes 2 Re tr(W C_i W C_k)
+to M[i, k]; the nonnegative columns, slacks of inequality rows included,
 contribute A diag(w) A'.  The solver builds every block's share from sparse
 Hermitian-basis coordinates instead.
 """
@@ -16,7 +17,7 @@ import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import amplitude_damping, channel_nr, tensor
 from qcap.conic.program import HERM_PSD, NONNEG
-from qcap.matops import hermitian_basis
+from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
 AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
 NR = channel_nr(0.22)
@@ -51,26 +52,25 @@ def _program(monkeypatch, name):
     return progs[0]
 
 
+def _stored(prog, blk):
+    """The program's coefficients on ``blk`` as a dense rows x coordinates array."""
+    rows, k, v = prog.coefficients(blk.name)
+    out = np.zeros((len(prog.rows), blk.size**2 if blk.kind == HERM_PSD else blk.size))
+    out[rows, k] = v
+    return out
+
+
 def _dense_schur(prog, ws, w2n):
-    """M from the program rows alone: the dense formula."""
+    """M from the program's coefficients alone: the dense formula."""
     m = len(prog.rows)
     M = np.zeros((m, m))
     psd = [blk for blk in prog.blocks if blk.kind == HERM_PSD]
     for blk, w in zip(psd, ws):
-        zero = np.zeros((blk.size, blk.size))
-        c = np.array([0.5 * row.terms.get(blk.name, zero) for row in prog.rows])
+        c = 0.5 * np.einsum("ik,kab->iab", _stored(prog, blk), hermitian_basis(blk.size))
         wcw = w @ c @ w
         # tr(X C_k) = vec(X) . vec(C_k^T)
         M += 2.0 * (wcw.reshape(m, -1) @ c.transpose(0, 2, 1).reshape(m, -1).T).real
-    cols = []
-    for blk in prog.blocks:
-        if blk.kind == NONNEG:
-            zero = np.zeros(blk.size)
-            cols.append(np.array([row.terms.get(blk.name, zero) for row in prog.rows]))
-    slack = {"<=": 1.0, ">=": -1.0}
-    for i, row in enumerate(prog.rows):
-        if row.relation in slack:
-            cols.append(np.eye(m)[:, [i]] * slack[row.relation])
+    cols = [_stored(prog, blk) for blk in prog.blocks if blk.kind == NONNEG]
     if cols:
         a_nn = np.hstack(cols)
         M += (a_nn * w2n) @ a_nn.T
@@ -110,20 +110,20 @@ def test_assembly_drops_zero_rows_and_stores_basis_coordinates(monkeypatch):
 @pytest.mark.parametrize("side", [1, 2, 3, 16])
 def test_coordinates_follow_the_hermitian_basis(side):
     basis = hermitian_basis(side)
-    assert np.allclose(solver_mod._coords(basis), np.eye(side * side), rtol=0, atol=1e-15)
+    assert np.allclose(hermitian_coords(basis), np.eye(side * side), rtol=0, atol=1e-15)
     x = np.random.default_rng(side).normal(size=side * side)
-    mat = solver_mod._from_coords(x, side)
+    mat = from_hermitian_coords(x, side)
     assert np.allclose(mat, np.einsum("b,bij->ij", x, basis), rtol=0, atol=1e-15)
-    assert np.allclose(solver_mod._coords(mat), x, rtol=0, atol=1e-15)
+    assert np.allclose(hermitian_coords(mat), x, rtol=0, atol=1e-15)
     # only the Hermitian part has coordinates
     rng = np.random.default_rng(100 + side)
     y = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
     herm = 0.5 * (y + y.conj().T)
-    assert np.allclose(solver_mod._coords(y), solver_mod._coords(herm), rtol=0, atol=1e-15)
-    # a stack with two leading dimensions, as assembly passes: tr(B_b H) = Re tr(B_b Y)
+    assert np.allclose(hermitian_coords(y), hermitian_coords(herm), rtol=0, atol=1e-15)
+    # a stack with two leading dimensions: tr(B_b H) = Re tr(B_b Y)
     stack = rng.normal(size=(2, 3, side, side)) + 1j * rng.normal(size=(2, 3, side, side))
     want = np.einsum("bij,xyji->xyb", basis, stack).real
-    assert np.allclose(solver_mod._coords(stack), want, rtol=0, atol=1e-15)
+    assert np.allclose(hermitian_coords(stack), want, rtol=0, atol=1e-15)
 
 
 def test_cholesky_failure_falls_back_to_lu(monkeypatch):
