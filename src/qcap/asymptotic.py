@@ -74,7 +74,8 @@ def q_gamma(
                 rho=sol.blocks["rho"],
             )
         return BoundResult.from_optimum(
-            "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert
+            "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert,
+            iterations=sol.iterations, reason=sol.reason, form=sol.form,
         )
 
     eye_a = np.eye(ch.d_in)
@@ -95,7 +96,8 @@ def q_gamma(
             mu=float(sol.blocks["mu"][0]),
         )
     return BoundResult.from_optimum(
-        "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert
+        "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert,
+        iterations=sol.iterations, reason=sol.reason, form=sol.form,
     )
 
 
@@ -233,7 +235,8 @@ def q_theta(
     prog.add_operator_constraint({"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     return BoundResult.from_optimum(
-        "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1
+        "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1,
+        iterations=sol.iterations, reason=sol.reason, form=sol.form,
     )
 
 

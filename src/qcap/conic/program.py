@@ -12,10 +12,18 @@ for an operator one.
 Each block's coefficients are stored as the solver reads them: nonzero
 (row, coordinate, value) triples, where a vector block's coordinates are its
 entries and a Hermitian block's are <B_b, C> in ``hermitian_basis`` order,
-made here by ``matops.hermitian_coords`` as rows are added.  The objective
-stays one dense coefficient per block.  The solver's real symmetric
-embedding pairs two blocks by 2 Re tr(AB), twice their complex trace
-pairing, so it halves every PSD coefficient at assembly.
+made here by ``matops.hermitian_coords`` as rows are added; an operator
+constraint's rows are gathers of the maps' images, as each basis element has
+at most two nonzero entries.  The objective stays one dense coefficient per
+block.  The solver's real symmetric embedding pairs two blocks by
+2 Re tr(AB), twice their complex trace pairing, so it halves every PSD
+coefficient at assembly.
+
+This is the program's equality form: one scalar row per row above.  The
+solver may instead solve its LMI form (``lmi.py``), which keeps the user's
+coordinates, eliminates the equality rows and reads each slack block as a
+cone on rhs - L(y); ``solve`` picks the form from the two row counts, and
+the solution is stated in this program's blocks and rows either way.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..matops import hermitian_basis, hermitian_coords, hermiticity_defect
+from ..matops import basis_pairs, hermitian_coords, hermiticity_defect
 from ._blas import one_blas_thread
 
 HERM_PSD = "hermitian_psd"
@@ -35,6 +43,8 @@ RELATIONS = ("==", "<=", ">=")
 
 # names of inequality slack blocks start with this; user blocks' may not
 SLACK_PREFIX = "slack#"
+
+_RT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -159,32 +169,44 @@ class ConicProgram:
         """
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        images = {name: self._images(name, fn) for name, fn in terms.items()}
+        # the maps run on one BLAS thread, as in the solve: should one call
+        # BLAS, a second thread would only spin at these sizes
+        with one_blas_thread():
+            images = {name: self._images(name, fn) for name, fn in terms.items()}
         sides = sorted({img.shape[-1] for img in images.values()})
         if len(sides) != 1:
             raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
         side = sides[0]
-        basis = hermitian_basis(side).reshape(side * side, side * side)
         r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
         if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
             raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
         sign = -1.0 if relation == ">=" else 1.0
-        # row i of a term is L^dag(B_i): <L(e_ab), B_i> at (a, b), or <L(e_j), B_i> at j.
-        # On one BLAS thread, as in the solve: a second one would only spin.
+        # Row i of a term is L^dag(B_i).  With t_i(u) = tr(B_i L(e_u)), its
+        # coordinate on a vector block's entry j is t_i(j), and on a Hermitian
+        # block's diagonal unit d it is t_i(dd) and on the pair a < b it is
+        # sqrt2 Re t_i(ab) and sqrt2 Im t_i(ab), as L(e_ba) = L(e_ab)^dag.  Each
+        # B_i has at most two nonzero entries, so Re t = hermitian_coords(L(e_u))
+        # and Im t = hermitian_coords(-i L(e_u)) are gathers.
+        b = sign * hermitian_coords(r)
         coords = {}
-        with one_blas_thread():
-            b = sign * (basis.conj() @ r.reshape(-1)).real
-            for name, img in images.items():
-                blk = self._by_name[name]
-                c = sign * (basis @ img.reshape(len(img), -1).conj().T)
-                if blk.kind == HERM_PSD:
-                    coords[name] = hermitian_coords(c.reshape(-1, blk.size, blk.size))
-                else:
-                    coords[name] = c.real
+        for name, img in images.items():
+            blk = self._by_name[name]
+            re_t = hermitian_coords(img)  # (units, side**2)
+            if blk.kind != HERM_PSD:
+                coords[name] = sign * re_t.T
+                continue
+            n = blk.size
+            i, j = basis_pairs(n)
+            up = i * n + j
+            x = np.empty((n * n, side * side))
+            x[:n] = re_t[np.arange(n) * (n + 1)]
+            x[n::2] = _RT2 * re_t[up]
+            x[n + 1 :: 2] = _RT2 * hermitian_coords(-1j * img[up])
+            coords[name] = sign * x.T
         slack = None
         if relation != "==":
             slack = self._add_block(f"{SLACK_PREFIX}{len(self.blocks)}", HERM_PSD, side, True)
-            coords[slack] = hermitian_coords(basis.reshape(-1, side, side))
+            coords[slack] = np.eye(side * side)
         self._append(coords, b)
         return slack
 

@@ -35,6 +35,32 @@ The equilibrated, shifted Schur block is factored by Cholesky, and the free
 columns are eliminated through the reduced system F' M^-1 F; should Cholesky
 fail, that iteration falls back to LU of the bordered matrix.  Everything
 runs on one BLAS thread, which is faster than several at these sizes.
+
+Two forms.  The iteration above runs on the program as stated (``eq``: one
+Schur row per scalar row) or on its LMI form (``lmi``, see ``lmi.py``: one
+row per free coordinate of the user's blocks, the program's equality rows
+eliminated by pivoting, one cone per block and per inequality).  ``solve``
+takes the LMI form when its Schur complement is smaller by at least
+``_LMI_MIN_FLOPS`` of Cholesky per iteration, as for the g family on two
+uses of a qubit channel (770 rows against 287); a small program keeps the
+equality form, since its iterations cost per-cone work that both forms
+share.  In the LMI form the solver's primal blocks are the multipliers of
+the user's cones and its dual iterate is the user's point; three things
+differ from the equality form:
+
+- the objective b = -T'c is scaled by 1 / (1 + |b|), and every stopping and
+  certificate test reads residuals, gap and values in the user's units;
+- after the back-substitution dX = rx - W dS W, each direction is corrected
+  back onto A dx - b dtau = -r_p by dx += W A' M^-1 r, one more solve with
+  the factored Schur complement M = A W A': the least-norm correction in the
+  scaling's metric.  Without it the solves' error builds up in the primal
+  residual until the step stalls near 1e-8; the Euclidean least-norm
+  correction through the constant A A' ignores how near each cone is to its
+  boundary, and stalled g_tilde on AD(0.0708) x AD(0.0708) at step 1e-10;
+- the solution is mapped back: the user's blocks are the cones' values (and
+  y for free blocks), the values swap sides, the rows' duals come from the
+  multipliers, and an infeasible multiplier program reads ``unbounded`` and
+  an unbounded one ``infeasible``.
 """
 from __future__ import annotations
 
@@ -48,6 +74,7 @@ from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve, solve_triangu
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
+from .lmi import LmiProgram, compile_lmi, row_counts
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
 
 OPTIMAL = "optimal"
@@ -69,6 +96,11 @@ _log = logging.getLogger("qcap.conic")
 _STEP_BACKOFF = 0.99
 _STALL_ALPHA = 1e-9
 _SCHUR_SHIFT = 1e-14
+# Below this many flops of Cholesky saved per iteration (about 1 ms on one
+# core), compiling the LMI form and correcting its steps costs more than its
+# smaller Schur complement saves: an iteration of a small program is per-cone
+# work that both forms share.
+_LMI_MIN_FLOPS = 1e7
 _RT2 = np.sqrt(2.0)
 
 
@@ -77,7 +109,8 @@ class ConicSolution:
     """Result of a solve: objective values, status, and per-block variables.
 
     ``reason`` is why the iteration ended: ``converged``, ``iteration_limit``,
-    or a breakdown, ``factorization_failed``, ``non_finite`` or ``step_stalled``."""
+    or a breakdown, ``factorization_failed``, ``non_finite`` or ``step_stalled``.
+    ``form`` is the form the program was solved in, ``eq`` or ``lmi``."""
 
     status: str
     reason: str
@@ -89,6 +122,7 @@ class ConicSolution:
     primal_residual: float
     dual_residual: float
     y: np.ndarray | None = None
+    form: str = "eq"
 
 
 @dataclass
@@ -112,6 +146,15 @@ class _Assembled:
     nonneg_spans: list[tuple[str, int, int]]
     free_spans: list[tuple[str, int, int]]
     sign: float  # +1 for min programs, -1 when a max program was negated
+    # the LMI form: b is scale times the user's -T'c, the user's objective is
+    # offset - b.y / scale, and each direction is corrected onto A dx = rhs
+    lmi: bool = False
+    scale: float = 1.0
+    offset: float = 0.0
+
+    def user_value(self, pobj: float, dobj: float) -> float:
+        """The user's objective, in min sense, of the iterate's values."""
+        return self.offset - dobj / self.scale if self.lmi else pobj
 
 
 def _assemble(prog: ConicProgram) -> _Assembled:
@@ -149,6 +192,33 @@ def _assemble(prog: ConicProgram) -> _Assembled:
     b = np.array(prog.rows, dtype=np.float64)
     return _Assembled(
         psd, a, a.T.tocsr(), a_nn, c_nn, a_f, c_f, b, spans[NONNEG], spans[FREE], sign
+    )
+
+
+def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
+    """The solver's program for a program's LMI form: each cone's multiplier
+    is a primal block, and there are no free columns.  The objective b is
+    scaled by 1 / (1 + |b|), so that the solver's primal side, the user's
+    multipliers, weighs less than the user's point, whose feasibility
+    decides the reported value."""
+    m = lmi.b.size
+    psd = [
+        _PsdCone(cone.name, cone.size, 0.5 * from_hermitian_coords(cone.c, cone.size), 0.5 * cone.a)
+        for cone in lmi.cones
+        if cone.kind == HERM_PSD
+    ]
+    nn = [cone for cone in lmi.cones if cone.kind != HERM_PSD]
+    spans, width = [], 0
+    for cone in nn:
+        spans.append((cone.name, width, cone.size))
+        width += cone.size
+    a_nn = np.hstack([cone.a.toarray() for cone in nn]) if nn else np.zeros((m, 0))
+    c_nn = np.concatenate([cone.c for cone in nn]) if nn else np.zeros(0)
+    a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
+    scale = 1.0 / (1.0 + float(np.linalg.norm(lmi.b)))
+    return _Assembled(
+        psd, a, a.T.tocsr(), a_nn, c_nn, np.zeros((m, 0)), np.zeros(0), scale * lmi.b, spans, [],
+        1.0, lmi=True, scale=scale, offset=lmi.offset,
     )
 
 
@@ -345,17 +415,128 @@ def solve(
     stalled step) also ends the iteration with ``max_iter`` and the best
     iterate, and ``reason`` names it; no numerical exception escapes.
 
+    The program is solved in its equality form or in its LMI form, whichever
+    has fewer rows (``form`` says which); either way the solution is the
+    program's own, and the tolerances hold in its units.
+
     The solve runs on one OpenBLAS thread, assembly included; each loaded
     OpenBLAS gets its previous thread count back on return.  With the
     ``qcap.conic`` logger at DEBUG, each iteration logs one progress record.
     """
     with one_blas_thread():
-        return _solve(prog, feas_tol, gap_tol, max_iter)
+        return _solve(prog, feas_tol, gap_tol, max_iter, _form(prog))
 
 
-def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
+def _form(prog: ConicProgram) -> str:
+    """``lmi`` when the LMI form's smaller Schur complement saves at least
+    ``_LMI_MIN_FLOPS`` of Cholesky per iteration, else ``eq``."""
+    eq_rows, lmi_rows = row_counts(prog)
+    saved = (eq_rows**3 - lmi_rows**3) / 3.0
+    return "lmi" if lmi_rows > 0 and saved >= _LMI_MIN_FLOPS else "eq"
+
+
+def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
+    lmi = compile_lmi(prog) if form == "lmi" else None
+    if lmi is None:
+        data = _assemble(prog)
+        return _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
+    data = _assemble_lmi(lmi)
+    return _lmi_solution(lmi, data, _iterate(data, feas_tol, gap_tol, max_iter))
+
+
+@dataclass
+class _Final:
+    """How the iteration ended, and its best iterate (None if it had none)."""
+
+    status: str
+    reason: str
+    iterations: int
+    best: tuple | None  # (X, xn, xf, y, S, sn, tau, pres, dres, pobj, dobj)
+
+
+def _empty(status: str, reason: str, iterations: int, form: str) -> ConicSolution:
+    return ConicSolution(
+        status=status,
+        reason=reason,
+        primal_value=None,
+        dual_value=None,
+        gap=None,
+        blocks={},
+        iterations=iterations,
+        primal_residual=float("nan"),
+        dual_residual=float("nan"),
+        y=None,
+        form=form,
+    )
+
+
+def _eq_solution(data: _Assembled, fin: _Final) -> ConicSolution:
+    if fin.status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
+        # best is None only when the very first iterate was already non-finite
+        return _empty(fin.status, fin.reason, fin.iterations, "eq")
+    Xc, xnc, xfc, yc, _, _, tauc, pres, dres, pvalue, dvalue = fin.best
+    blocks: dict[str, np.ndarray] = {}
+    for j, cone in enumerate(data.psd):
+        blocks[cone.name] = _herm(Xc[j] / tauc)
+    for name, off, ln in data.nonneg_spans:
+        blocks[name] = np.array(xnc[off : off + ln] / tauc)
+    for name, off, ln in data.free_spans:
+        blocks[name] = np.array(xfc[off : off + ln] / tauc)
+    return ConicSolution(
+        status=fin.status,
+        reason=fin.reason,
+        primal_value=data.sign * pvalue,
+        dual_value=data.sign * dvalue,
+        gap=abs(pvalue - dvalue),
+        blocks=blocks,
+        iterations=fin.iterations,
+        primal_residual=pres,
+        dual_residual=dres,
+        y=yc / tauc,
+        form="eq",
+    )
+
+
+def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSolution:
+    """The program's solution from its LMI form's: the user's blocks are the
+    cones' values and the free coordinates of y, its primal value is the LMI
+    form's dual one, and the cones' multipliers give the rows' duals.  A
+    certificate of infeasibility of the multipliers is one of unboundedness
+    of the program, and the other way round."""
+    status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(fin.status, fin.status)
+    if status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
+        return _empty(status, fin.reason, fin.iterations, "lmi")
+    Xc, xnc, _, yc, Sc, snc, tauc, pres, dres, pobj, dobj = fin.best
+    y = lmi.y0 + lmi.t @ (yc / tauc)
+    blocks: dict[str, np.ndarray] = {}
+    mult: dict[str, np.ndarray] = {}
+    per_unit = 1.0 / (tauc * data.scale)
+    for j, cone in enumerate(data.psd):
+        blocks[cone.name] = _herm(2.0 * Sc[j] / tauc)  # the solver's S is half the value
+        mult[cone.name] = hermitian_coords(Xc[j]) * per_unit
+    for name, off, ln in data.nonneg_spans:
+        blocks[name] = np.array(snc[off : off + ln] / tauc)
+        mult[name] = xnc[off : off + ln] * per_unit
+    for name, (off, n) in lmi.spans.items():
+        if name not in blocks:
+            blocks[name] = y[off : off + n].copy()
+    return ConicSolution(
+        status=status,
+        reason=fin.reason,
+        primal_value=lmi.sign * (lmi.offset - dobj / data.scale),
+        dual_value=lmi.sign * (lmi.offset - pobj / data.scale),
+        gap=abs(pobj - dobj) / data.scale,
+        blocks=blocks,
+        iterations=fin.iterations,
+        primal_residual=dres,
+        dual_residual=pres,
+        y=lmi.row_duals(mult),
+        form="lmi",
+    )
+
+
+def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     debug = _log.isEnabledFor(logging.DEBUG)
-    data = _assemble(prog)
     psd, a_nn, c_nn, a_f, c_f, b = data.psd, data.a_nn, data.c_nn, data.a_f, data.c_f, data.b
     m = b.size
     p = c_nn.size
@@ -413,29 +594,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             total += float(c_nn @ vn)
         return total
 
-    def extract(status, reason, Xc, xnc, xfc, yc, tauc, pres, dres, iters, pvalue, dvalue):
-        blocks: dict[str, np.ndarray] = {}
-        for j, cone in enumerate(psd):
-            blocks[cone.name] = _herm(Xc[j] / tauc)
-        for name, off, ln in data.nonneg_spans:
-            blocks[name] = np.array(xnc[off : off + ln] / tauc)
-        for name, off, ln in data.free_spans:
-            blocks[name] = np.array(xfc[off : off + ln] / tauc)
-        gap = abs(pvalue - dvalue)
-        return ConicSolution(
-            status=status,
-            reason=reason,
-            primal_value=data.sign * pvalue,
-            dual_value=data.sign * dvalue,
-            gap=gap,
-            blocks=blocks,
-            iterations=iters,
-            primal_residual=pres,
-            dual_residual=dres,
-            y=yc / tauc,
-        )
-
-    best = None  # (score, args for extract)
+    best = None  # (score, X, xn, xf, y, S, sn, tau, pres, dres, pobj, dobj)
     status, reason = MAX_ITER, "iteration_limit"
     it = 0
 
@@ -455,7 +614,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             compl += float(xn @ sn)
         mu = (compl + tau * kap) / (nu + 1)
 
-        pres = float(np.linalg.norm(rp)) / tau / (1.0 + normb)
+        # in the user's units: the LMI form's b and its multipliers carry the scale
+        pres = float(np.linalg.norm(rp)) / tau / (data.scale + normb)
         dres_sq = _sq_norm(rdc)
         if have_nn:
             dres_sq += float(rdn @ rdn)
@@ -475,12 +635,14 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             reason = "non_finite"
             break  # breakdown: fall through to best-iterate return
 
-        if pres <= feas_tol and dres <= feas_tol and abs(pobj - dobj) <= gap_tol * (1.0 + abs(pobj)):
+        gap = abs(pobj - dobj) / data.scale
+        ref = 1.0 + abs(data.user_value(pobj, dobj))
+        if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
             status, reason = OPTIMAL, "converged"
-            best = (0.0, X, xn, xf, y, tau, pres, dres, pobj, dobj)
+            best = (0.0, X, xn, xf, y, Sm, sn, tau, pres, dres, pobj, dobj)
             break
 
-        score = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(pobj)))
+        score = max(pres, dres, gap / ref)
         if best is None or score < best[0]:
             best = (
                 score,
@@ -488,6 +650,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
                 xn.copy(),
                 xf.copy(),
                 y.copy(),
+                [s.copy() for s in Sm],
+                sn.copy(),
                 tau,
                 pres,
                 dres,
@@ -504,7 +668,7 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
             if have_f:
                 v = a_f.T @ y
                 res_sq += float(v @ v)
-            if np.sqrt(res_sq) * max(1.0, normb) <= feas_tol * by:
+            if np.sqrt(res_sq) * max(1.0, normb / data.scale) <= feas_tol * by / data.scale:
                 status, reason = INFEASIBLE, "converged"
                 break
         if it > 1 and cx < 0.0:
@@ -601,6 +765,16 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
                 dsn = (-(a_nn.T @ dy_shift) + c_hat_n * dtau + rdn) if have_nn else np.zeros(0)
                 dX = [_herm(rx[j] - scal[j][3] @ dS[j] @ scal[j][3]) for j in range(len(psd))]
                 dxn = rxn - w2n * dsn if have_nn else np.zeros(0)
+                if data.lmi:
+                    # restore A dx - b dtau = -rp, which the back-substitution
+                    # above meets only to the accuracy of the Schur solves, by
+                    # the correction of least norm in the scaling's metric (the
+                    # LMI form has no free columns)
+                    v = gsolve(b * dtau - rp - apply_cones(dX, dxn))
+                    at_v = apply_at(v)
+                    dX = [_herm(dX[j] + scal[j][3] @ at_v[j] @ scal[j][3]) for j in range(len(psd))]
+                    if have_nn:
+                        dxn = dxn + w2n * (a_nn.T @ v)
                 dkap = (dtau_rhs - kap * dtau) / tau
                 ok = np.isfinite(dtau) and np.isfinite(dkap) and all(
                     np.all(np.isfinite(d)) for d in (*dX, *dS, dxn, dsn, dxf, dy)
@@ -676,20 +850,4 @@ def _solve(prog, feas_tol, gap_tol, max_iter) -> ConicSolution:
         tau = tau + alpha * step.dtau
         kap = kap + alpha * step.dkap
 
-    if status in (INFEASIBLE, UNBOUNDED) or best is None:
-        # best is None only when the very first iterate was already non-finite
-        return ConicSolution(
-            status=status,
-            reason=reason,
-            primal_value=None,
-            dual_value=None,
-            gap=None,
-            blocks={},
-            iterations=it,
-            primal_residual=float("nan"),
-            dual_residual=float("nan"),
-            y=None,
-        )
-
-    _, Xc, xnc, xfc, yc, tauc, pres, dres, pobj, dobj = best
-    return extract(status, reason, Xc, xnc, xfc, yc, tauc, pres, dres, it, pobj, dobj)
+    return _Final(status, reason, it, None if best is None else best[1:])

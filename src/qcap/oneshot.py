@@ -181,7 +181,8 @@ def bound_f(
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     cert = _certificate(sol, with_theta=True, with_t=False)
     return BoundResult.from_optimum(
-        "f", sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert
+        "f", sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
+        iterations=sol.iterations, reason=sol.reason, form=sol.form,
     )
 
 
@@ -220,7 +221,8 @@ def _g_bound(
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     cert = _certificate(sol, with_theta=False, with_t=with_t)
     return BoundResult.from_optimum(
-        name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert
+        name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
+        iterations=sol.iterations, reason=sol.reason, form=sol.form,
     )
 
 

@@ -14,7 +14,9 @@ class BoundResult:
     ``value`` is the raw program optimum; ``log_value`` is the bound in
     base-2 log domain (sign convention depends on the bound family:
     one-shot fidelity-style bounds report -log2(value), asymptotic
-    rate-style bounds report +log2(value)).
+    rate-style bounds report +log2(value)).  A bound from a conic solve
+    carries its ``iterations``, termination ``reason`` and the ``form`` it
+    was solved in (``eq`` or ``lmi``); the LP bounds leave them None.
     """
 
     name: str
@@ -24,10 +26,24 @@ class BoundResult:
     gap: float
     wall_time: float
     certificate: Any = None
+    iterations: int | None = None
+    reason: str | None = None
+    form: str | None = None
 
     @classmethod
     def from_optimum(
-        cls, name: str, value, status: str, gap, t0: float, *, log_sign: int, certificate=None
+        cls,
+        name: str,
+        value,
+        status: str,
+        gap,
+        t0: float,
+        *,
+        log_sign: int,
+        certificate=None,
+        iterations: int | None = None,
+        reason: str | None = None,
+        form: str | None = None,
     ) -> BoundResult:
         """The result of a program that started at ``time.perf_counter() == t0``.
 
@@ -45,6 +61,9 @@ class BoundResult:
             gap=float("nan") if gap is None else float(gap),
             wall_time=time.perf_counter() - t0,
             certificate=certificate,
+            iterations=iterations,
+            reason=reason,
+            form=form,
         )
 
     def to_json_dict(self) -> dict:
@@ -60,4 +79,7 @@ class BoundResult:
             "status": self.status,
             "gap": _num(self.gap),
             "wall_time": _num(self.wall_time),
+            "iterations": self.iterations,
+            "reason": self.reason,
+            "form": self.form,
         }

@@ -109,6 +109,8 @@ def test_main_eval_identity(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "optimal"
     assert abs(payload["log_value"] - 1.0) < 1e-6
+    assert payload["reason"] == "converged" and payload["iterations"] >= 1
+    assert payload["form"] == "eq"  # a qubit program is too small for the LMI form
 
 
 def test_main_eval_iterated_bound(tmp_path, capsys):

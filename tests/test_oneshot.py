@@ -127,23 +127,13 @@ def test_bound_f_solves_damping_pair(r):
     assert 0.0 < res.value < 1.0
 
 
-def test_bound_f_iterations_on_damping_pair(monkeypatch):
+def test_bound_f_iterations_on_damping_pair():
     # the tau column of the Newton step is solved against c - A'y / tau; with
     # the raw objective its residual stalls the primal residual near 1e-8 and
     # this solve took 28 iterations or more
-    import qcap.oneshot as oneshot
-
-    sols = []
-    real_solve = oneshot.solve
-
-    def recording_solve(prog, **kwargs):
-        sols.append(real_solve(prog, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(oneshot, "solve", recording_solve)
     res = bound_f(tensor(amplitude_damping(0.09), amplitude_damping(0.09)), 0.01)
-    assert res.status == "optimal"
-    assert sols[0].iterations <= 28
+    assert res.status == "optimal" and res.reason == "converged"
+    assert res.iterations <= 28
 
 
 def test_bound_f_gap_small():

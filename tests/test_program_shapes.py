@@ -5,8 +5,10 @@ built but not solved."""
 import pytest
 
 import qcap.asymptotic as asymptotic
+import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import amplitude_damping, channel_nr, choi, tensor
+from qcap.conic.lmi import row_counts
 from qcap.conic.program import HERM_PSD
 
 AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
@@ -40,13 +42,26 @@ CASES = {
 }
 
 
+# rows of the equality and the LMI form, and the form ``solve`` picks
+FORMS = {
+    "bound_f": (514, 543, "eq"),
+    "bound_g": (770, 287, "lmi"),
+    "bound_g_tilde": (786, 272, "lmi"),
+    "fidelity_ppt": (769, 271, "lmi"),
+    "fidelity_ns_ppt": (785, 255, "lmi"),
+    "q_gamma_primal": (73, 44, "eq"),  # fewer rows, but too few to pay for the LMI form
+    "q_gamma_dual": (45, 73, "eq"),
+    "q_theta": (74, 88, "eq"),
+    "e_w_primal": (72, 36, "eq"),
+    "e_w_dual": (36, 72, "eq"),
+}
+
+
 class _Built(Exception):
     """Raised in place of the solve, once the program is built."""
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_builder_program_shape(monkeypatch, name):
-    module, build, rows, psd_sides, vectors = CASES[name]
+def _built(monkeypatch, module, build):
     progs = []
 
     def capture(prog, **kwargs):
@@ -57,6 +72,28 @@ def test_builder_program_shape(monkeypatch, name):
     with pytest.raises(_Built):
         build()
     (prog,) = progs
+    return prog
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_builder_program_shape(monkeypatch, name):
+    module, build, rows, psd_sides, vectors = CASES[name]
+    prog = _built(monkeypatch, module, build)
     assert len(prog.rows) == rows
     assert sorted(b.size for b in prog.blocks if b.kind == HERM_PSD) == psd_sides
     assert sorted((b.kind, b.size) for b in prog.blocks if b.kind != HERM_PSD) == vectors
+
+
+@pytest.mark.parametrize("name", list(FORMS))
+def test_row_counts_of_both_forms(monkeypatch, name):
+    module, build = CASES[name][:2]
+    prog = _built(monkeypatch, module, build)
+    eq_rows, lmi_rows, form = FORMS[name]
+    assert row_counts(prog) == (eq_rows, lmi_rows)
+    assert solver_mod._form(prog) == form
+
+
+def test_g_hat_row_counts(monkeypatch):
+    prog = _built(monkeypatch, oneshot, lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5))
+    assert row_counts(prog) == (787, 272)
+    assert solver_mod._form(prog) == "lmi"

@@ -41,3 +41,13 @@ def test_from_optimum_keeps_gap_status_and_certificate():
     assert (res.name, res.value, res.log_value, res.status, res.gap) == ("b", 2.0, 1.0, "max_iter", 1e-9)
     assert res.certificate is cert
     assert res.to_json_dict()["gap"] == 1e-9
+
+
+def test_solve_record_reaches_json():
+    res = BoundResult.from_optimum(
+        "g", 0.5, "optimal", 1e-9, 0.0, log_sign=-1, iterations=14, reason="converged", form="lmi"
+    )
+    payload = res.to_json_dict()
+    assert (payload["iterations"], payload["reason"], payload["form"]) == (14, "converged", "lmi")
+    lp = BoundResult.from_optimum("f", 0.5, "optimal", 0.0, 0.0, log_sign=-1).to_json_dict()
+    assert (lp["iterations"], lp["reason"], lp["form"]) == (None, None, None)

@@ -1,13 +1,14 @@
 """The Schur complement of the interior-point solver, against the dense
-formula written out from the program's coefficients, and the factorization
-that solves with it.
+formula written out from the program's coefficients, the factorization that
+solves with it, and the two forms a program can be solved in.
 
 For every PSD block, row i's coefficient C_i (rebuilt as sum_k x_ik B_k from
 its stored coordinates and ``hermitian_basis``, then halved, as the solver's
 real embedding pairs blocks by 2 Re tr(AB)) contributes 2 Re tr(W C_i W C_k)
 to M[i, k]; the nonnegative columns, slacks of inequality rows included,
 contribute A diag(w) A'.  The solver builds every block's share from sparse
-Hermitian-basis coordinates instead.
+Hermitian-basis coordinates instead.  In the LMI form the blocks are the
+cones of the compiled program and the rows its free coordinates.
 """
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ import qcap.asymptotic as asymptotic
 import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import amplitude_damping, channel_nr, tensor
-from qcap.conic.program import HERM_PSD, NONNEG
+from qcap.conic.lmi import compile_lmi
+from qcap.conic.program import HERM_PSD, NONNEG, ConicProgram
 from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
 AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
@@ -60,21 +62,30 @@ def _stored(prog, blk):
     return out
 
 
-def _dense_schur(prog, ws, w2n):
-    """M from the program's coefficients alone: the dense formula."""
-    m = len(prog.rows)
+def _dense_schur(blocks, ws, w2n):
+    """M from (kind, size, dense rows x coordinates coefficients) of each
+    block alone: the dense formula."""
+    m = blocks[0][2].shape[0]
     M = np.zeros((m, m))
-    psd = [blk for blk in prog.blocks if blk.kind == HERM_PSD]
-    for blk, w in zip(psd, ws):
-        c = 0.5 * np.einsum("ik,kab->iab", _stored(prog, blk), hermitian_basis(blk.size))
+    psd = [(size, coeffs) for kind, size, coeffs in blocks if kind == HERM_PSD]
+    for (side, coeffs), w in zip(psd, ws):
+        c = 0.5 * np.einsum("ik,kab->iab", coeffs, hermitian_basis(side))
         wcw = w @ c @ w
         # tr(X C_k) = vec(X) . vec(C_k^T)
         M += 2.0 * (wcw.reshape(m, -1) @ c.transpose(0, 2, 1).reshape(m, -1).T).real
-    cols = [_stored(prog, blk) for blk in prog.blocks if blk.kind == NONNEG]
+    cols = [coeffs for kind, _, coeffs in blocks if kind == NONNEG]
     if cols:
         a_nn = np.hstack(cols)
         M += (a_nn * w2n) @ a_nn.T
     return M
+
+
+def _eq_blocks(prog):
+    return [(blk.kind, blk.size, _stored(prog, blk)) for blk in prog.blocks]
+
+
+def _lmi_blocks(lmi):
+    return [(cone.kind, cone.size, cone.a.toarray()) for cone in lmi.cones]
 
 
 def _random_pd(side, rng):
@@ -82,16 +93,83 @@ def _random_pd(side, rng):
     return g @ g.conj().T / side + 0.1 * np.eye(side)
 
 
-@pytest.mark.parametrize("name", list(PROGRAMS))
-def test_schur_matches_dense_formula(monkeypatch, name):
-    prog = _program(monkeypatch, name)
-    data = solver_mod._assemble(prog)
+def _check_schur(data, blocks):
     rng = np.random.default_rng(2024)
     ws = [_random_pd(cone.side, rng) for cone in data.psd]
     w2n = rng.uniform(0.5, 2.0, size=data.a_nn.shape[1])
     got = solver_mod._schur(data, ws, w2n)
-    want = _dense_schur(prog, ws, w2n)
+    want = _dense_schur(blocks, ws, w2n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_schur_matches_dense_formula(monkeypatch, name):
+    prog = _program(monkeypatch, name)
+    _check_schur(solver_mod._assemble(prog), _eq_blocks(prog))
+
+
+def test_lmi_schur_matches_dense_formula(monkeypatch):
+    lmi = compile_lmi(_program(monkeypatch, "bound_g_tilde"))
+    _check_schur(solver_mod._assemble_lmi(lmi), _lmi_blocks(lmi))
+
+
+def _row_residual(prog, blocks):
+    """max |A x - b| / (1 + |b|) of the program's rows at the returned blocks,
+    slacks included."""
+    b = np.array(prog.rows)
+    ax = np.zeros_like(b)
+    for blk in prog.blocks:
+        x = blocks[blk.name]
+        ax += _stored(prog, blk) @ (hermitian_coords(x) if blk.kind == HERM_PSD else x)
+    return float(np.max(np.abs(ax - b))) / (1.0 + float(np.linalg.norm(b)))
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_both_forms_solve_every_program(monkeypatch, name):
+    prog = _program(monkeypatch, name)
+    sols = {}
+    for form in ("eq", "lmi"):
+        monkeypatch.setattr(solver_mod, "_form", lambda prog, form=form: form)
+        sol = solver_mod.solve(prog)
+        assert (sol.status, sol.reason, sol.form) == ("optimal", "converged", form)
+        # the blocks are the program's own, slacks included, and meet its rows
+        assert sol.blocks.keys() == {blk.name for blk in prog.blocks}
+        assert _row_residual(prog, sol.blocks) <= 1e-7
+        assert sol.y.shape == (len(prog.rows),)
+        assert abs(sol.primal_value - sol.dual_value) <= 1e-7 * (1 + abs(sol.primal_value))
+        sols[form] = sol
+    eq, lmi = sols["eq"].primal_value, sols["lmi"].primal_value
+    assert abs(eq - lmi) <= 1e-7 * abs(eq)
+
+
+def test_g_hat_above_one_is_infeasible_in_lmi_form():
+    res = oneshot.bound_g_hat(AD2, 0.01, 1.5)
+    assert (res.status, res.reason, res.form) == ("infeasible", "converged", "lmi")
+    assert res.certificate is None and np.isnan(res.value)
+
+
+def _eigen_program(rhs_rows):
+    # max <C, X> over X <= I with the trace rows tr X = r for r in rhs_rows
+    prog = ConicProgram("max")
+    prog.herm_block("X", 3)
+    prog.set_objective({"X": np.diag([1.0, 2.0, 3.0])})
+    for r in rhs_rows:
+        prog.add_constraint({"X": np.eye(3)}, "==", r)
+    prog.add_operator_constraint({"X": lambda x: x}, "<=", np.eye(3))
+    return prog
+
+
+def test_dependent_equality_rows(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_form", lambda prog: "lmi")
+    # a duplicated row is dropped from the elimination
+    sol = solver_mod.solve(_eigen_program([1.5, 1.5]))
+    assert (sol.status, sol.form) == ("optimal", "lmi")
+    assert abs(sol.primal_value - 4.0) <= 1e-7
+    # inconsistent ones have no LMI form: the equality form solves them, and
+    # ends without an optimum instead of raising
+    assert compile_lmi(_eigen_program([1.5, 2.0])) is None
+    sol = solver_mod.solve(_eigen_program([1.5, 2.0]))
+    assert sol.form == "eq" and sol.status != "optimal"
 
 
 def test_assembly_drops_zero_rows_and_stores_basis_coordinates(monkeypatch):

@@ -18,16 +18,19 @@ comparison of two census runs.
 - ``fig1``: the Fig. 1 grid, f, g and g_tilde at eps 0.01 on two uses of
   amplitude damping for r = 0.05, 0.055, ..., 0.1.
 
-Each solve is recorded with its status, termination reason, iteration
-count, objective value, gap and final residuals, under a key naming the
-group, the channel, the bound and the solve's index within the bound call.
-``run`` prints per-bound status and reason counts and iteration quartiles.
-``compare`` prints both summaries, and per bound the median iterations, the
-number of solves whose iteration count changed and the largest value move;
+Each solve is recorded with its status, termination reason, the form it
+was solved in (``eq`` or ``lmi``), iteration count, objective value, gap and
+final residuals, under a key naming the group, the channel, the bound and
+the solve's index within the bound call.  ``run`` prints per-bound status,
+reason and form counts and iteration quartiles.  ``compare`` prints both
+summaries, and per bound the median iterations, the number of solves whose
+iteration count changed, the number that changed form and the largest value
+move;
 it checks the gate for a change to the solver or to a program builder: every
 solve optimal on both sides, no bound's median iteration count higher, and
 no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
-A census written before solves had a reason reads as reason ``-``.
+A census written before solves had a reason reads as reason ``-``, and one
+written before they had a form as form ``eq``, the only form there was.
 
 The census is not part of the test suite: a run takes about two minutes on
 two cores.
@@ -115,6 +118,7 @@ def run(out: str) -> None:
                     "bound": current["bound"],
                     "status": sol.status,
                     "reason": sol.reason,
+                    "form": sol.form,
                     "iterations": sol.iterations,
                     "value": sol.primal_value,
                     "gap": sol.gap,
@@ -158,24 +162,28 @@ def _by_bound(records) -> dict[str, list[dict]]:
     return dict(sorted(out.items()))
 
 
+def _form(rec) -> str:
+    return rec.get("form", "eq")
+
+
 def _counts(recs, field: str) -> str:
     counts = defaultdict(int)
     for rec in recs:
-        counts[rec.get(field, "-")] += 1
+        counts[_form(rec) if field == "form" else rec.get(field, "-")] += 1
     return ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
 
 
 def _summary(records) -> str:
     head = (
         f"{'bound':16s} {'solves':>6s}  {'status counts':24s} {'reason counts':24s} "
-        "iterations min/q1/median/q3/max"
+        f"{'form counts':16s} iterations min/q1/median/q3/max"
     )
     lines = [head]
     for bound, recs in _by_bound(records).items():
         q = np.percentile([rec["iterations"] for rec in recs], [0, 25, 50, 75, 100])
         iters = "/".join(f"{v:g}" for v in q)
-        status, reason = _counts(recs, "status"), _counts(recs, "reason")
-        lines.append(f"{bound:16s} {len(recs):6d}  {status:24s} {reason:24s} {iters}")
+        status, reason, form = (_counts(recs, f) for f in ("status", "reason", "form"))
+        lines.append(f"{bound:16s} {len(recs):6d}  {status:24s} {reason:24s} {form:16s} {iters}")
     return "\n".join(lines)
 
 
@@ -199,7 +207,10 @@ def compare(before_path: str, after_path: str) -> int:
     bad = [rec["key"] for rec in before + after if rec["status"] != "optimal"]
     if bad:
         failures.append(f"{len(bad)} solves not optimal, e.g. {bad[0]}")
-    print(f"{'bound':16s} median iterations   iterations changed   max relative value change")
+    print(
+        f"{'bound':16s} median iterations   iterations changed   form changed    "
+        "max relative value change"
+    )
     for bound, recs in _by_bound(after).items():
         pairs = [(old[rec["key"]], rec) for rec in recs if rec["key"] in old]
         if not pairs:
@@ -207,9 +218,13 @@ def compare(before_path: str, after_path: str) -> int:
         med_old = float(np.median([o["iterations"] for o, _ in pairs]))
         med_new = float(np.median([n["iterations"] for _, n in pairs]))
         changed = sum(o["iterations"] != n["iterations"] for o, n in pairs)
+        reformed = sum(_form(o) != _form(n) for o, n in pairs)
         worst = max(_rel(o["value"], n["value"]) for o, n in pairs)
         moved = f"{med_old:g} -> {med_new:g}"
-        print(f"{bound:16s} {moved:20s} {f'{changed} of {len(pairs)}':20s} {worst:.2e}")
+        print(
+            f"{bound:16s} {moved:20s} {f'{changed} of {len(pairs)}':20s} "
+            f"{f'{reformed} of {len(pairs)}':15s} {worst:.2e}"
+        )
         if med_new > med_old:
             failures.append(f"{bound}: median iterations rose from {med_old:g} to {med_new:g}")
         if worst > GATE_RTOL:
