@@ -415,9 +415,10 @@ def solve(
     stalled step) also ends the iteration with ``max_iter`` and the best
     iterate, and ``reason`` names it; no numerical exception escapes.
 
-    The program is solved in its equality form or in its LMI form, whichever
-    has fewer rows (``form`` says which); either way the solution is the
-    program's own, and the tolerances hold in its units.
+    The program is solved in its equality form, or in its LMI form when that
+    form's Schur complement is enough smaller (``_form``; the solution's
+    ``form`` says which).  Either way the solution is the program's own, and
+    the tolerances hold in its units.
 
     The solve runs on one OpenBLAS thread, assembly included; each loaded
     OpenBLAS gets its previous thread count back on return.  With the
