@@ -1,4 +1,5 @@
-"""One OpenBLAS thread for each solve and each operator-constraint expansion.
+"""One OpenBLAS thread for each solve, each operator-constraint expansion and
+each phase-sector search.
 
 The solver's dense work runs on PSD blocks of side at most 64 and Schur
 complements of under a thousand rows, where OpenBLAS threads cost more in

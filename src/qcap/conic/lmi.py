@@ -19,7 +19,10 @@ with b~ = -T' c_user: the solver runs on that program, its dual iterate z is
 the user's point and its primal x~ the multipliers of the user's cones
 (SeDuMi/SDPT3 dual form; Loefberg, "Dualize it", Optim. Methods Softw. 24,
 2009).  It has one row per coordinate z, where the equality form has one
-per scalar row of the program.
+per scalar row of the program.  A sectored block is one program block per
+sector, so it gives one cone per sector here too.  Equality rows that have
+no solution raise ``InconsistentRows``, with the combination of them that
+reads 0 = 1.
 """
 from __future__ import annotations
 
@@ -103,38 +106,57 @@ class LmiProgram:
         return y_rows
 
 
+class InconsistentRows(ValueError):
+    """The program's equality rows have no solution.  ``y``, over the
+    program's rows, combines them into 0 = 1: A'y = 0 and b.y = 1, a Farkas
+    certificate that the program is infeasible."""
+
+    def __init__(self, y: np.ndarray) -> None:
+        super().__init__("the equality rows are inconsistent")
+        self.y = y
+
+
 def _eliminate(e_mat: np.ndarray, e_rhs: np.ndarray):
     """Reduced rows of E y = e: pivot columns p and rows R, e' with
-    y[p] = e' - R[:, rest] y[rest], or None if the rows are inconsistent.
+    y[p] = e' - R[:, rest] y[rest].
 
     Each row, once reduced by the earlier pivots, pivots on its largest
-    entry; a row that reduces to zero is dependent and is dropped.
+    entry; a row that reduces to zero is dependent and is dropped, unless its
+    right-hand side does not, when ``InconsistentRows`` carries the
+    combination of E's rows that it came from, scaled to 0 = 1.
     """
     rows: list[np.ndarray] = []
     rhs: list[float] = []
+    combs: list[np.ndarray] = []  # each reduced row as a combination of E's rows
     piv: list[int] = []
-    for row, r in zip(e_mat, e_rhs):
+    for i, (row, r) in enumerate(zip(e_mat, e_rhs)):
         size = float(np.max(np.abs(row), initial=0.0))
         row, r = row.astype(float), float(r)
-        for k, prow, pr in zip(piv, rows, rhs):
+        comb = np.zeros(len(e_rhs))
+        comb[i] = 1.0
+        for k, prow, pr, pcomb in zip(piv, rows, rhs, combs):
             f = row[k]
             if f != 0.0:
                 row -= f * prow
                 r -= f * pr
+                comb -= f * pcomb
         k = int(np.argmax(np.abs(row)))
         if abs(row[k]) <= _DEPENDENT_RTOL * size:
             if abs(r) > _DEPENDENT_RTOL * max(1.0, float(np.max(np.abs(e_rhs)))):
-                return None
+                raise InconsistentRows(comb / r)
             continue
         r /= row[k]
+        comb /= row[k]
         row /= row[k]
         for j, prow in enumerate(rows):
             f = prow[k]
             if f != 0.0:
                 prow -= f * row
                 rhs[j] -= f * r
+                combs[j] -= f * comb
         rows.append(row)
         rhs.append(r)
+        combs.append(comb)
         piv.append(k)
     if not piv:
         return np.zeros(0, dtype=np.intp), np.zeros((0, e_mat.shape[1])), np.zeros(0)
@@ -142,8 +164,9 @@ def _eliminate(e_mat: np.ndarray, e_rhs: np.ndarray):
 
 
 def compile_lmi(prog: ConicProgram) -> LmiProgram | None:
-    """The LMI form of ``prog``, or None when its equality rows are
-    inconsistent or leave no coordinate free."""
+    """The LMI form of ``prog``, or None when its equality rows leave no
+    coordinate free.  Raises ``InconsistentRows`` when they have no
+    solution."""
     m_rows = len(prog.rows)
     b_rows = np.array(prog.rows, dtype=np.float64)
     sign = 1.0 if prog.sense == "min" else -1.0
@@ -176,10 +199,12 @@ def compile_lmi(prog: ConicProgram) -> LmiProgram | None:
         in_slack[rows] = True
     eq_rows = np.flatnonzero(~in_slack)
 
-    reduced = _eliminate(a_y[eq_rows].toarray(), b_rows[eq_rows])
-    if reduced is None:
-        return None
-    piv, red, red_rhs = reduced
+    try:
+        piv, red, red_rhs = _eliminate(a_y[eq_rows].toarray(), b_rows[eq_rows])
+    except InconsistentRows as exc:
+        y = np.zeros(m_rows)
+        y[eq_rows] = exc.y
+        raise InconsistentRows(y) from None
     rest = np.setdiff1d(np.arange(n_y), piv)
     if rest.size == 0:
         return None

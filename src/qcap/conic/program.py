@@ -15,9 +15,18 @@ entries and a Hermitian block's are <B_b, C> in ``hermitian_basis`` order,
 made here by ``matops.hermitian_coords`` as rows are added; an operator
 constraint's rows are gathers of the maps' images, as each basis element has
 at most two nonzero entries.  The objective stays one dense coefficient per
-block.  The solver's real symmetric embedding pairs two blocks by
-2 Re tr(AB), twice their complex trace pairing, so it halves every PSD
-coefficient at assembly.
+block.
+
+A Hermitian block may be declared zero off a partition of its index range,
+its sectors, as a symmetry of the program allows (``qcap.symmetry``).  It is
+then held as one block per sector, named ``name[k]``, whose coordinates are
+those of the sector's diagonal block; an operator constraint given sectors
+states only the rows of its in-sector basis elements, and its slack gets
+the same sectors.  The maps still take and return full matrices, and are
+called only on in-sector units.  Every image, rhs and coefficient must
+vanish off its sectors to 1e-12 of its largest entry, or the call raises
+``ValueError``: a wrong symmetry fails when the program is built, not with a
+wrong value.  ``full_blocks`` puts a solution's sectors back together.
 
 This is the program's equality form: one scalar row per row above.  The
 solver may instead solve its LMI form (``lmi.py``), which keeps the user's
@@ -28,7 +37,7 @@ the solution is stated in this program's blocks and rows either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +63,37 @@ class Block:
     size: int  # matrix side for hermitian_psd, vector length otherwise
 
 
+class _Sectors:
+    """A partition of range(side): the diagonal blocks a matrix may fill."""
+
+    def __init__(self, side: int, sectors: Sequence[Sequence[int]] | None) -> None:
+        parts = [np.arange(side)] if sectors is None else [
+            np.sort(np.asarray(sec, dtype=np.intp).reshape(-1)) for sec in sectors
+        ]
+        flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        if any(p.size == 0 for p in parts) or not np.array_equal(np.sort(flat), np.arange(side)):
+            raise ValueError(f"sectors must partition range({side})")
+        self.side = side
+        self.parts = parts
+        self.key = tuple(tuple(int(i) for i in p) for p in parts)
+        self.off = np.ones((side, side), dtype=bool)  # True off the sectors
+        for p in parts:
+            self.off[np.ix_(p, p)] = False
+
+    def check(self, mats: np.ndarray, what: str) -> None:
+        """Raise unless each (..., side, side) matrix vanishes off the sectors
+        to 1e-12 of its largest entry."""
+        if not self.off.any():
+            return
+        mags = np.abs(mats).reshape(-1, self.side, self.side)
+        if np.any(np.max(mags[:, self.off], axis=1) > 1e-12 * np.max(mags, axis=(1, 2))):
+            raise ValueError(f"{what} does not vanish off its sectors")
+
+    def coords(self, mats: np.ndarray) -> np.ndarray:
+        """``hermitian_coords`` of each sector's diagonal block, sector by sector."""
+        return hermitian_coords(mats, None if len(self.parts) == 1 else self.key)
+
+
 class ConicProgram:
     """Builder for block-structured conic programs."""
 
@@ -65,6 +105,8 @@ class ConicProgram:
         self.rows: list[float] = []  # the right-hand side of each scalar row
         self.objective: dict[str, np.ndarray] = {}
         self._by_name: dict[str, Block] = {}
+        # each Hermitian block's sectors and the names of the blocks holding them
+        self._sectors: dict[str, tuple[_Sectors, list[str]]] = {}
         # per block, one (rows, coordinates, values) part per call that added rows
         self._parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
@@ -73,7 +115,7 @@ class ConicProgram:
     def _add_block(self, name: str, kind: str, size: int, slack: bool = False) -> str:
         if name.startswith(SLACK_PREFIX) and not slack:
             raise ValueError(f"block names starting with {SLACK_PREFIX!r} are reserved")
-        if name in self._by_name:
+        if name in self._by_name or name in self._sectors:
             raise ValueError(f"block {name!r} already declared")
         if size < 1:
             raise ValueError(f"block {name!r} must have positive size")
@@ -83,9 +125,34 @@ class ConicProgram:
         self._parts[name] = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
         return name
 
-    def herm_block(self, name: str, side: int) -> str:
-        """Declare a complex Hermitian PSD matrix variable of given side."""
-        return self._add_block(name, HERM_PSD, side)
+    def herm_block(
+        self, name: str, side: int, sectors: Sequence[Sequence[int]] | None = None
+    ) -> str:
+        """Declare a complex Hermitian PSD matrix variable of given side.
+
+        ``sectors``, a partition of range(side), declares it zero off the
+        diagonal blocks of its parts; with two or more, each part is a block
+        ``name[k]`` of its own.
+        """
+        return self._add_herm(name, side, sectors, slack=False)
+
+    def _add_herm(self, name: str, side: int, sectors, slack: bool) -> str:
+        if name in self._sectors or name in self._by_name:
+            raise ValueError(f"block {name!r} already declared")
+        if side < 1:
+            raise ValueError(f"block {name!r} must have positive size")
+        sec = _Sectors(side, sectors)
+        if len(sec.parts) == 1:
+            names = [self._add_block(name, HERM_PSD, side, slack)]
+        elif name.startswith(SLACK_PREFIX) and not slack:
+            raise ValueError(f"block names starting with {SLACK_PREFIX!r} are reserved")
+        else:
+            names = [
+                self._add_block(f"{name}[{k}]", HERM_PSD, p.size, True)
+                for k, p in enumerate(sec.parts)
+            ]
+        self._sectors[name] = (sec, names)
+        return name
 
     def nonneg_block(self, name: str, length: int = 1) -> str:
         """Declare an entrywise-nonnegative vector variable."""
@@ -95,27 +162,43 @@ class ConicProgram:
         """Declare an unconstrained real vector variable."""
         return self._add_block(name, FREE, length)
 
+    def full_blocks(self, values: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Each declared block's value from those of ``blocks``: a sectored
+        block's parts placed on its diagonal blocks, zero elsewhere."""
+        out = dict(values)
+        for name, (sec, names) in self._sectors.items():
+            if len(names) > 1 and all(n in out for n in names):
+                full = np.zeros((sec.side, sec.side), dtype=np.complex128)
+                for p, n in zip(sec.parts, names):
+                    full[np.ix_(p, p)] = out.pop(n)
+                out[name] = full
+        return out
+
     # -- coefficients ------------------------------------------------------
 
-    def _coerce_coeff(self, name: str, coeff) -> np.ndarray:
-        blk = self._by_name.get(name)
-        if blk is None:
-            raise ValueError(f"unknown block {name!r}")
-        if blk.kind == HERM_PSD:
+    def _split(self, name: str, coeff) -> dict[str, np.ndarray]:
+        """A declared block's coefficient, per block holding it: a Hermitian
+        matrix per sector, or a real vector."""
+        if name in self._sectors:
+            sec, names = self._sectors[name]
             c = np.asarray(coeff, dtype=np.complex128)
-            if c.shape != (blk.size, blk.size):
+            if c.shape != (sec.side, sec.side):
                 raise ValueError(
-                    f"coefficient for {name!r} must be {blk.size}x{blk.size}, got {c.shape}"
+                    f"coefficient for {name!r} must be {sec.side}x{sec.side}, got {c.shape}"
                 )
             if hermiticity_defect(c) > _herm_tol(c):
                 raise ValueError(f"coefficient for Hermitian block {name!r} is not Hermitian")
-            return c
+            sec.check(c, f"the coefficient for {name!r}")
+            return {n: c[np.ix_(p, p)] for p, n in zip(sec.parts, names)}
+        blk = self._by_name.get(name)
+        if blk is None or blk.kind == HERM_PSD:
+            raise ValueError(f"unknown block {name!r}")
         c = np.atleast_1d(np.asarray(coeff, dtype=np.float64)).reshape(-1)
         if c.shape != (blk.size,):
             raise ValueError(
                 f"coefficient for {name!r} must have length {blk.size}, got {c.shape}"
             )
-        return c
+        return {name: c}
 
     def coefficients(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, coordinates and values of block ``name``'s nonzero constraint
@@ -132,7 +215,10 @@ class ConicProgram:
         self.rows.extend(float(v) for v in rhs)
 
     def set_objective(self, terms: Mapping[str, object]) -> None:
-        self.objective = {n: self._coerce_coeff(n, c) for n, c in terms.items()}
+        objective = {}
+        for n, c in terms.items():
+            objective.update(self._split(n, c))
+        self.objective = objective
 
     def add_constraint(self, terms: Mapping[str, object], relation: str, rhs: float) -> str | None:
         """Append one scalar row: sum of block inner products <relation> rhs.
@@ -144,7 +230,9 @@ class ConicProgram:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
         if not terms:
             raise ValueError("a constraint row needs at least one term")
-        coeffs = {n: self._coerce_coeff(n, c) for n, c in terms.items()}
+        coeffs = {}
+        for n, c in terms.items():
+            coeffs.update(self._split(n, c))
         coords = {n: (hermitian_coords(c) if c.ndim == 2 else c)[None] for n, c in coeffs.items()}
         rhs, slack = float(rhs), None
         if relation != "==":
@@ -154,25 +242,31 @@ class ConicProgram:
         return slack
 
     def add_operator_constraint(
-        self, terms: Mapping[str, Callable], relation: str, rhs=0
+        self, terms: Mapping[str, Callable], relation: str, rhs=0,
+        sectors: Sequence[Sequence[int]] | None = None,
     ) -> str | None:
         """Append the operator (in)equality: sum of terms[name](block) <relation> rhs.
 
         Each term is the forward linear map of a block into side x side
         matrices, e.g. ``lambda w: -w`` or ``lambda rho: np.kron(rho, eye)``.
-        A Hermitian block's map is called on each matrix unit, so it must be
-        complex-linear and Hermitian-preserving; a vector block's map is called
-        on each unit vector and must return Hermitian matrices.  ``rhs`` is a
-        Hermitian side x side matrix, or 0.  Appends side**2 rows in
-        basis order.  ``"<="`` and ``">="`` also declare a PSD slack block,
-        Z = rhs - sum or Z = sum - rhs, and return its name.
+        A Hermitian block's map is called on each in-sector matrix unit, so it
+        must be complex-linear and Hermitian-preserving; a vector block's map
+        is called on each unit vector and must return Hermitian matrices.
+        ``rhs`` is a Hermitian side x side matrix, or 0.  ``sectors``
+        partitions range(side): every image and ``rhs`` must vanish off it,
+        and one row is appended per basis element of each sector's diagonal
+        block, sector by sector in basis order (side**2 rows without
+        sectors).  ``"<="`` and ``">="`` also declare a PSD slack block on the
+        same sectors, Z = rhs - sum or Z = sum - rhs, and return its name.
         """
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
         # the maps run on one BLAS thread, as in the solve: should one call
         # BLAS, a second thread would only spin at these sizes
         with one_blas_thread():
-            images = {name: self._images(name, fn) for name, fn in terms.items()}
+            images = {}
+            for name, fn in terms.items():
+                images.update(self._images(name, fn))
         sides = sorted({img.shape[-1] for img in images.values()})
         if len(sides) != 1:
             raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
@@ -180,6 +274,8 @@ class ConicProgram:
         r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
         if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
             raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
+        out = _Sectors(side, sectors)
+        out.check(r, "rhs")
         sign = -1.0 if relation == ">=" else 1.0
         # Row i of a term is L^dag(B_i).  With t_i(u) = tr(B_i L(e_u)), its
         # coordinate on a vector block's entry j is t_i(j), and on a Hermitian
@@ -187,47 +283,65 @@ class ConicProgram:
         # sqrt2 Re t_i(ab) and sqrt2 Im t_i(ab), as L(e_ba) = L(e_ab)^dag.  Each
         # B_i has at most two nonzero entries, so Re t = hermitian_coords(L(e_u))
         # and Im t = hermitian_coords(-i L(e_u)) are gathers.
-        b = sign * hermitian_coords(r)
+        b = sign * out.coords(r)
         coords = {}
         for name, img in images.items():
+            out.check(img, f"an image of the map of block {name!r}")
             blk = self._by_name[name]
-            re_t = hermitian_coords(img)  # (units, side**2)
+            re_t = out.coords(img)  # (units, rows)
             if blk.kind != HERM_PSD:
                 coords[name] = sign * re_t.T
                 continue
             n = blk.size
             i, j = basis_pairs(n)
             up = i * n + j
-            x = np.empty((n * n, side * side))
+            x = np.empty((n * n, b.size))
             x[:n] = re_t[np.arange(n) * (n + 1)]
             x[n::2] = _RT2 * re_t[up]
-            x[n + 1 :: 2] = _RT2 * hermitian_coords(-1j * img[up])
+            x[n + 1 :: 2] = _RT2 * out.coords(-1j * img[up])
             coords[name] = sign * x.T
         slack = None
         if relation != "==":
-            slack = self._add_block(f"{SLACK_PREFIX}{len(self.blocks)}", HERM_PSD, side, True)
-            coords[slack] = np.eye(side * side)
+            slack = self._add_herm(f"{SLACK_PREFIX}{len(self.blocks)}", side, sectors, True)
+            first = 0
+            for n in self._sectors[slack][1]:
+                width = self._by_name[n].size ** 2
+                coords[n] = np.eye(b.size, width, -first)
+                first += width
         self._append(coords, b)
         return slack
 
-    def _images(self, name: str, fn: Callable) -> np.ndarray:
-        """fn on each unit of block ``name`` (e_ab at a * size + b), stacked
-        and checked square and Hermitian-preserving."""
-        blk = self._by_name.get(name)
-        if blk is None:
+    def _images(self, name: str, fn: Callable) -> dict[str, np.ndarray]:
+        """fn on each in-sector unit of the blocks holding ``name``, stacked per
+        block (the unit of a sector's entry (a, b) at a * size + b), and
+        checked square and Hermitian-preserving."""
+        if name in self._sectors:
+            sec, names = self._sectors[name]
+            units = {}
+            for p, n in zip(sec.parts, names):
+                k = p.size
+                u = np.zeros((k * k, sec.side, sec.side), dtype=np.complex128)
+                u[np.arange(k * k), np.repeat(p, k), np.tile(p, k)] = 1.0
+                units[n] = u
+        elif name in self._by_name and self._by_name[name].kind != HERM_PSD:
+            units = {name: np.eye(self._by_name[name].size)}
+        else:
             raise ValueError(f"unknown block {name!r}")
-        n, herm = blk.size, blk.kind == HERM_PSD
-        units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n) if herm else np.eye(n)
-        images = [np.asarray(fn(u), dtype=np.complex128) for u in units]
-        shape = images[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(im.shape != shape for im in images):
-            raise ValueError(f"the map of block {name!r} must return square matrices of one side")
-        img = np.array(images)
-        # L(e_ba) must be L(e_ab)^dag, and L(e_j) Hermitian
-        partner = np.arange(n * n).reshape(n, n).T.ravel() if herm else np.arange(n)
-        if np.max(np.abs(img - img[partner].conj().transpose(0, 2, 1))) > _herm_tol(img):
-            raise ValueError(f"the map of block {name!r} is not Hermitian-preserving")
-        return img
+        out = {}
+        for n, stack in units.items():
+            images = [np.asarray(fn(u), dtype=np.complex128) for u in stack]
+            shape = images[0].shape
+            if len(shape) != 2 or shape[0] != shape[1] or any(im.shape != shape for im in images):
+                raise ValueError(f"the map of block {name!r} must return square matrices of one side")
+            img = np.array(images)
+            # L(e_ba) must be L(e_ab)^dag, and L(e_j) Hermitian
+            k = self._by_name[n].size
+            herm = self._by_name[n].kind == HERM_PSD
+            partner = np.arange(k * k).reshape(k, k).T.ravel() if herm else np.arange(k)
+            if np.max(np.abs(img - img[partner].conj().transpose(0, 2, 1))) > _herm_tol(img):
+                raise ValueError(f"the map of block {name!r} is not Hermitian-preserving")
+            out[n] = img
+        return out
 
 
 def _herm_tol(mat: np.ndarray) -> float:

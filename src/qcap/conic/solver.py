@@ -11,25 +11,36 @@ complement bordered by the free columns.
 
 The iteration is the one of the real symmetric embedding
 [[Re H, -Im H], [Im H, Re H]] of each block.  The embedding pairs two blocks
-by ``<A, B> = 2 Re tr(A B)``, twice their complex trace pairing, so
-assembly halves every PSD coefficient, and a side-s block contributes 2s to
-the barrier parameter.  Working on the complex matrices instead of their
-2s x 2s embeddings removes the component outside the embedding's image,
-which no row and no objective term can see and which roundoff would
-otherwise let grow until the scaling breaks down.
+by ``<A, B> = 2 Re tr(A B)``, twice their complex trace pairing, and a
+side-s block contributes 2s to the barrier parameter.  Working on the
+complex matrices instead of their 2s x 2s embeddings removes the component
+outside the embedding's image, which no row and no objective term can see
+and which roundoff would otherwise let grow until the scaling breaks down.
+
+Stacks.  Assembly groups the cones into stacks of equal side, each held as
+one (k, s, s) array: the Hermitian blocks of each side, the sectors of a
+sectored block among them, and the entries of all nonnegative blocks as one
+stack of side-1 real cones, which pair by their product and weigh 1 in the
+barrier parameter, as a nonnegative orthant does.  Every piece of cone
+algebra runs once per stack: the NT scaling by stacked ``cholesky`` and
+``svd``, the W R W products, the pairings and the step test.  The step test
+runs in the scaled space, where X and S both read diag(lam): the largest
+step along dX is -1/lambda_min(lam^-1/2 R^-1 dX R^-H lam^-1/2), one stacked
+``eigvalsh`` with no triangular solve (Todd, Toh and Tutuncu, SIAM J. Optim.
+8, 1998); SDPT3 groups its blocks the same way (Toh, Todd and Tutuncu,
+Optim. Methods Softw. 11, 1999).
 
 The program hands over only equality rows, and each block's coefficients as
 nonzero (row, coordinate, value) triples; a PSD block's coordinates are
 orthonormal Hermitian-basis ones (``hermitian_basis`` order), made by the
-program.  Assembly only places them: the halved PSD values into a real
-sparse matrix A_c per block, the vector values into dense column blocks.
-The PSD blocks sit side by side in one sparse A, whose transpose is also
-stored, so applying A or A' is one sparse product; an iterate converts to
-and from its coordinates by the gathers of ``matops``.  Each iteration every
-block forms K_c = [2 Re tr(W B_b W B_g)] from the scaling W and the basis'
-structure (every basis element has at most two nonzero entries), in the
-spirit of Fujisawa, Kojima and Nakata, Math. Prog. 79 (1997), and all blocks
-enter the Schur complement through one sparse product, A [A_c K_c]'.
+program.  Each stack keeps its cones' coordinates contiguous in one sparse
+A, whose transpose is also stored, so applying A or A' is one sparse
+product; a stack converts to and from its coordinates by the gathers of
+``matops``.  Each iteration every stack forms K = [Re tr(W B_b W B_g)] of
+each cone from the scaling W and the basis' structure (every basis element
+has at most two nonzero entries), in the spirit of Fujisawa, Kojima and
+Nakata, Math. Prog. 79 (1997), and all stacks enter the Schur complement
+through one sparse product, A [K A']'.
 
 The equilibrated, shifted Schur block is factored by Cholesky, and the free
 columns are eliminated through the reduced system F' M^-1 F; should Cholesky
@@ -42,11 +53,11 @@ row per free coordinate of the user's blocks, the program's equality rows
 eliminated by pivoting, one cone per block and per inequality).  ``solve``
 takes the LMI form when its Schur complement is smaller by at least
 ``_LMI_MIN_FLOPS`` of Cholesky per iteration, as for the g family on two
-uses of a qubit channel (770 rows against 287); a small program keeps the
-equality form, since its iterations cost per-cone work that both forms
-share.  In the LMI form the solver's primal blocks are the multipliers of
-the user's cones and its dual iterate is the user's point; three things
-differ from the equality form:
+uses of a qubit channel with no phase symmetry (770 rows against 287); a
+small program keeps the equality form, since its iterations cost per-cone
+work that both forms share.  In the LMI form the solver's primal blocks are
+the multipliers of the user's cones and its dual iterate is the user's
+point; three things differ from the equality form:
 
 - the objective b = -T'c is scaled by 1 / (1 + |b|), and every stopping and
   certificate test reads residuals, gap and values in the user's units;
@@ -66,15 +77,16 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
-from .lmi import LmiProgram, compile_lmi, row_counts
+from .lmi import InconsistentRows, LmiProgram, compile_lmi, row_counts
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
 
 OPTIMAL = "optimal"
@@ -102,6 +114,11 @@ _SCHUR_SHIFT = 1e-14
 # work that both forms share.
 _LMI_MIN_FLOPS = 1e7
 _RT2 = np.sqrt(2.0)
+# A stack holds cones of at most this many Schur-kernel entries together
+# (count * side**4): a larger kernel and its temporaries leave the cache and
+# are faulted in afresh each iteration.  Four side-16 cones in one stack took
+# 3.4 ms per kernel, and 1.3 ms in four stacks of one.
+_STACK_KERNEL = 2**16
 
 
 @dataclass
@@ -109,8 +126,10 @@ class ConicSolution:
     """Result of a solve: objective values, status, and per-block variables.
 
     ``reason`` is why the iteration ended: ``converged``, ``iteration_limit``,
-    or a breakdown, ``factorization_failed``, ``non_finite`` or ``step_stalled``.
-    ``form`` is the form the program was solved in, ``eq`` or ``lmi``."""
+    ``inconsistent_rows`` (the equality rows have no solution, and ``y``
+    combines them into 0 = 1), or a breakdown, ``factorization_failed``,
+    ``non_finite`` or ``step_stalled``.  ``form`` is the form the program was
+    solved in, ``eq`` or ``lmi``."""
 
     status: str
     reason: str
@@ -125,25 +144,48 @@ class ConicSolution:
     form: str = "eq"
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _h(a))
+
+
 @dataclass
-class _PsdCone:
-    name: str
+class _Stack:
+    """The cones of one side and pairing, as (count, side, side) arrays.
+
+    Hermitian cones pair by <A, B> = 2 Re tr(AB), as their real symmetric
+    embedding does (``gamma`` 2), and each weighs 2 * side in the barrier
+    parameter.  The entries of the nonnegative blocks form one stack of
+    side-1 real cones, which pair by their product and weigh 1 (``gamma``
+    1).  A cone's coordinates are its ``hermitian_coords``, and ``a`` holds
+    the program's coefficients on them, so A(X) = a coords(X) and A'(y) has
+    coordinates a'y / gamma.
+    """
+
     side: int
-    cobj: np.ndarray  # (side, side) complex Hermitian, already halved
-    a: sparse.csr_array  # (m, side**2) basis coordinates of each row's halved coefficient
+    gamma: float
+    count: int
+    spans: list[tuple[str, int, int]]  # (block, first cone, cones); a Hermitian block is one cone
+    cobj: np.ndarray  # (count, side, side): the objective / gamma, in min sense
+    a: sparse.csr_array  # (m, count * side**2), each cone's coordinates contiguous
+    # ``a`` / gamma with its rows split by cone: row c * m + r holds row r's
+    # coefficients on cone c, so that a_split [K_1; ...; K_count] stacks the
+    # a_c K_c / gamma
+    a_split: sparse.csr_array
 
 
 @dataclass
 class _Assembled:
-    psd: list[_PsdCone]
-    a: sparse.csr_array  # the cones' ``a``, side by side
+    stacks: list[_Stack]
+    a: sparse.csr_array  # the stacks' ``a``, side by side
     at: sparse.csr_array  # its transpose
-    a_nn: np.ndarray  # (m, p) nonnegative columns, slacks included
-    c_nn: np.ndarray
     a_f: np.ndarray  # (m, f) free columns
     c_f: np.ndarray
     b: np.ndarray
-    nonneg_spans: list[tuple[str, int, int]]
     free_spans: list[tuple[str, int, int]]
     sign: float  # +1 for min programs, -1 when a max program was negated
     # the LMI form: b is scale times the user's -T'c, the user's objective is
@@ -157,42 +199,73 @@ class _Assembled:
         return self.offset - dobj / self.scale if self.lmi else pobj
 
 
+def _stacks(m: int, cones) -> list[_Stack]:
+    """Group cones into stacks, by side with the Hermitian ones, and all
+    nonnegative entries in one.  Each cone is given as (block name, kind,
+    size, rows, coordinates, values, objective coordinates in min sense)."""
+    groups: dict[tuple[int, float], list] = {}
+    for cone in cones:
+        kind, size = cone[1], cone[2]
+        key = (1, 1.0) if kind == NONNEG else (size, 2.0)
+        group = groups.setdefault(key, [[]])
+        cones_in = sum(c[2] if c[1] == NONNEG else 1 for c in group[-1])
+        if group[-1] and (cones_in + 1) * key[0] ** 4 > _STACK_KERNEL:
+            group.append([])
+        group[-1].append(cone)
+    stacks = []
+    for (side, gamma), members in ((k, mem) for k, g in sorted(groups.items()) for mem in g):
+        n = side * side
+        spans, rows, cols, vals, objs = [], [], [], [], []
+        first = 0
+        for name, kind, size, r, k, v, c in members:
+            count = size if kind == NONNEG else 1
+            spans.append((name, first, count))
+            rows.append(r)
+            cols.append(first * n + k)
+            vals.append(v)
+            objs.append(c)
+            first += count
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        a = sparse.csr_array((vals, (rows, cols)), shape=(m, first * n))
+        split = sparse.csr_array(
+            (vals / gamma, (cols // n * m + rows, cols)), shape=(first * m, first * n)
+        )
+        with np.errstate(invalid="ignore"):  # non-finite data ends the solve as non_finite
+            cobj = from_hermitian_coords(np.concatenate(objs).reshape(first, n), side) / gamma
+        stacks.append(_Stack(side, gamma, first, spans, cobj, a, split))
+    return stacks
+
+
+def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, sparse.csr_array]:
+    a = sparse.hstack([st.a for st in stacks], format="csr") if stacks else sparse.csr_array((m, 0))
+    return a, a.T.tocsr()
+
+
 def _assemble(prog: ConicProgram) -> _Assembled:
     m = len(prog.rows)
     sign = 1.0 if prog.sense == "min" else -1.0
-    psd: list[_PsdCone] = []
-    spans: dict[str, list[tuple[str, int, int]]] = {NONNEG: [], FREE: []}
-    width = {NONNEG: 0, FREE: 0}
+    cones, free_spans, width = [], [], 0
     for blk in prog.blocks:
-        if blk.kind == HERM_PSD:
-            side = blk.size
-            rows, k, v = prog.coefficients(blk.name)
-            a_c = sparse.csr_array((0.5 * v, (rows, k)), shape=(m, side * side))
-            if blk.name in prog.objective:
-                cobj = sign * 0.5 * prog.objective[blk.name]
-            else:
-                cobj = np.zeros((side, side), dtype=np.complex128)
-            psd.append(_PsdCone(blk.name, side, cobj, a_c))
+        if blk.kind == FREE:
+            free_spans.append((blk.name, width, blk.size))
+            width += blk.size
+            continue
+        herm = blk.kind == HERM_PSD
+        obj = prog.objective.get(blk.name)
+        if obj is None:
+            c = np.zeros(blk.size * blk.size if herm else blk.size)
         else:
-            spans[blk.kind].append((blk.name, width[blk.kind], blk.size))
-            width[blk.kind] += blk.size
-
-    def dense(kind):
-        a, c = np.zeros((m, width[kind])), np.zeros(width[kind])
-        for name, off, size in spans[kind]:
-            rows, k, v = prog.coefficients(name)
-            a[rows, off + k] = v
-            if name in prog.objective:
-                c[off : off + size] = sign * prog.objective[name]
-        return a, c
-
-    a_nn, c_nn = dense(NONNEG)
-    a_f, c_f = dense(FREE)
-    a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
+            c = sign * (hermitian_coords(obj) if herm else obj)
+        cones.append((blk.name, blk.kind, blk.size, *prog.coefficients(blk.name), c))
+    a_f, c_f = np.zeros((m, width)), np.zeros(width)
+    for name, off, size in free_spans:
+        rows, k, v = prog.coefficients(name)
+        a_f[rows, off + k] = v
+        if name in prog.objective:
+            c_f[off : off + size] = sign * prog.objective[name]
+    stacks = _stacks(m, cones)
     b = np.array(prog.rows, dtype=np.float64)
-    return _Assembled(
-        psd, a, a.T.tocsr(), a_nn, c_nn, a_f, c_f, b, spans[NONNEG], spans[FREE], sign
-    )
+    return _Assembled(stacks, *_side_by_side(m, stacks), a_f, c_f, b, free_spans, sign)
 
 
 def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
@@ -202,119 +275,60 @@ def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
     multipliers, weighs less than the user's point, whose feasibility
     decides the reported value."""
     m = lmi.b.size
-    psd = [
-        _PsdCone(cone.name, cone.size, 0.5 * from_hermitian_coords(cone.c, cone.size), 0.5 * cone.a)
-        for cone in lmi.cones
-        if cone.kind == HERM_PSD
-    ]
-    nn = [cone for cone in lmi.cones if cone.kind != HERM_PSD]
-    spans, width = [], 0
-    for cone in nn:
-        spans.append((cone.name, width, cone.size))
-        width += cone.size
-    a_nn = np.hstack([cone.a.toarray() for cone in nn]) if nn else np.zeros((m, 0))
-    c_nn = np.concatenate([cone.c for cone in nn]) if nn else np.zeros(0)
-    a = sparse.hstack([cone.a for cone in psd], format="csr") if psd else sparse.csr_array((m, 0))
+    cones = []
+    for cone in lmi.cones:
+        coo = cone.a.tocoo()
+        cones.append((cone.name, cone.kind, cone.size, coo.row, coo.col, coo.data, cone.c))
+    stacks = _stacks(m, cones)
     scale = 1.0 / (1.0 + float(np.linalg.norm(lmi.b)))
     return _Assembled(
-        psd, a, a.T.tocsr(), a_nn, c_nn, np.zeros((m, 0)), np.zeros(0), scale * lmi.b, spans, [],
+        stacks, *_side_by_side(m, stacks), np.zeros((m, 0)), np.zeros(0), scale * lmi.b, [],
         1.0, lmi=True, scale=scale, offset=lmi.offset,
     )
 
 
 def _basis_kernel(w: np.ndarray) -> np.ndarray:
-    """K = [2 Re tr(W B_b W B_g)] over the ``hermitian_basis`` of W's side.
+    """K = [Re tr(W B_b W B_g)] over the ``hermitian_basis`` of W's side, for
+    each W of a (count, s, s) stack: the coordinates of W B_g W.
 
     With tr(W e_ij W e_kl) = W_jk W_li, each entry is a sum of at most four
     such products; for pairs b = (i, j), g = (k, l) it takes the two products
     u1 = W_jk W_li and u2 = W_jl W_ki.
     """
-    s = w.shape[0]
+    s = w.shape[-1]
     i, j = basis_pairs(s)
-    k = np.empty((s * s, s * s))
-    k[:s, :s] = 2.0 * (w.real**2 + w.imag**2)
-    z = 2.0 * _RT2 * (w[:, i] * w[:, j].conj())  # diagonal l against pair (i, j)
-    k[:s, s::2] = z.real
-    k[:s, s + 1 :: 2] = z.imag
-    k[s:, :s] = k[:s, s:].T
-    rows_j, cols_i = w[j], w[:, i]
-    u1 = rows_j[:, i] * cols_i[j].T
-    u2 = rows_j[:, j] * cols_i[i].T
-    k[s::2, s::2] = 2.0 * (u1.real + u2.real)
-    k[s::2, s + 1 :: 2] = 2.0 * (u1.imag - u2.imag)
-    k[s + 1 :: 2, s::2] = 2.0 * (u1.imag + u2.imag)
-    k[s + 1 :: 2, s + 1 :: 2] = 2.0 * (u2.real - u1.real)
+    k = np.empty(w.shape[:-2] + (s * s, s * s))
+    k[..., :s, :s] = w.real**2 + w.imag**2
+    z = _RT2 * (w[..., :, i] * w[..., :, j].conj())  # diagonal l against pair (i, j)
+    k[..., :s, s::2] = z.real
+    k[..., :s, s + 1 :: 2] = z.imag
+    k[..., s:, :s] = k[..., :s, s:].swapaxes(-1, -2)
+    rows_j, cols_i = w[..., j, :], w[..., :, i]
+    u1 = rows_j[..., :, i] * cols_i[..., j, :].swapaxes(-1, -2)
+    u2 = rows_j[..., :, j] * cols_i[..., i, :].swapaxes(-1, -2)
+    k[..., s::2, s::2] = u1.real + u2.real
+    k[..., s::2, s + 1 :: 2] = u1.imag - u2.imag
+    k[..., s + 1 :: 2, s::2] = u1.imag + u2.imag
+    k[..., s + 1 :: 2, s + 1 :: 2] = u2.real - u1.real
     return k
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """<A, B> = 2 Re tr(A B) for Hermitian A, B: the embedding's trace pairing."""
-    return 2.0 * float(np.vdot(a, b).real)
-
-
-def _sq_norm(mats) -> float:
-    """Squared norm of embedded blocks: twice the complex Frobenius norm."""
-    return sum(2.0 * float(np.linalg.norm(a) ** 2) for a in mats)
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
-
-
-def _chol(mat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        side = mat.shape[0]
-        jitter = max(1e-14, 1e-12 * abs(np.trace(mat)) / side)
-        return np.linalg.cholesky(mat + jitter * np.eye(side))
-
-
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling point for one Hermitian PSD block.
-
-    Returns (R, Rinv, lam, w, Lx, Ls) with R^H S R = Rinv X Rinv^H = diag(lam),
-    w = R R^H satisfying w s w = x, and Lx, Ls the Cholesky factors of x, s.
-    """
-    lx = _chol(x)
-    ls = _chol(s)
-    u, sig, vh = np.linalg.svd(ls.conj().T @ lx)
-    isq = 1.0 / np.sqrt(sig)
-    r = (lx @ vh.conj().T) * isq[None, :]
-    rinv = (u * isq[None, :]).conj().T @ ls.conj().T
-    w = r @ r.conj().T
-    return r, rinv, sig, w, lx, ls
-
-
-def _psd_max_step(l_chol: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with X + t*delta PSD, where l_chol is a Cholesky factor of X."""
-    t1 = solve_triangular(l_chol, delta, lower=True, check_finite=False)
-    t2 = solve_triangular(l_chol, t1.conj().T, lower=True, check_finite=False)
-    lmin = float(np.linalg.eigvalsh(_herm(t2))[0])
-    if lmin >= -1e-300:
-        return np.inf
-    return -1.0 / lmin
-
-
-def _vec_max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
-
-
-def _schur(data: _Assembled, ws: list[np.ndarray], w2n: np.ndarray) -> np.ndarray:
+def _schur(data: _Assembled, ws: list[np.ndarray]) -> np.ndarray:
     """The symmetric Schur complement M = A W A' of the cone columns, where
-    ``ws`` holds each PSD block's scaling W and ``w2n`` the nonnegative one."""
-    # [A_c K_c]' stacked row-major, the layout the sparse product reads
-    gt = np.empty(data.a.shape[::-1])
+    ``ws`` holds each stack's scalings W: each cone c adds a_c (K_c / gamma)
+    a_c', with K_c its ``_basis_kernel``, and a stack's a_c K_c / gamma all
+    come from one sparse product with its ``a_split``."""
+    m = data.b.size
+    # [a_c K_c]' of every cone, stacked row-major, the layout the sparse product reads
+    gt = np.empty((data.a.shape[1], m))
     off = 0
-    for cone, w in zip(data.psd, ws):
-        gt[off : off + w.size] = (cone.a @ _basis_kernel(w)).T
-        off += w.size
+    for st, w in zip(data.stacks, ws):
+        k = _basis_kernel(w).reshape(-1, st.side * st.side)
+        width = st.count * st.side * st.side
+        ak = (st.a_split @ k).reshape(st.count, m, -1)
+        gt[off : off + width].reshape(st.count, -1, m)[...] = ak.transpose(0, 2, 1)
+        off += width
     M = data.a @ gt
-    if data.a_nn.shape[1]:
-        M += (data.a_nn * w2n[None, :]) @ data.a_nn.T
     return 0.5 * (M + M.T)
 
 
@@ -388,15 +402,45 @@ def _lu_solver(g: np.ndarray):
     return lambda rhs: lu_solve(glu, rhs, check_finite=False)
 
 
-class _Direction:
-    __slots__ = ("dX", "dS", "dxn", "dsn", "dxf", "dy", "dtau", "dkap", "ok")
+# The NT scaling of a stack: R^H S R = R^-1 X R^-H = diag(lam) and W = R R^H,
+# so that W S W = X; g stacks lam^-1/2 R^-1 over lam^-1/2 R^H, which carry
+# dX and dS into the scaled space.
+_Scaling = namedtuple("_Scaling", "r rinv lam w g")
 
-    def __init__(self, dX, dS, dxn, dsn, dxf, dy, dtau, dkap, ok=True):
-        self.dX, self.dS = dX, dS
-        self.dxn, self.dsn = dxn, dsn
-        self.dxf, self.dy = dxf, dy
-        self.dtau, self.dkap = dtau, dkap
-        self.ok = ok
+
+def _nt_scaling(xs: list[np.ndarray], ss: list[np.ndarray]) -> list[_Scaling]:
+    """The NT scaling of each stack of X and S, from their stacked Cholesky
+    factors Lx, Ls and the SVD of Ls^H Lx."""
+    out = []
+    for x, s in zip(xs, ss):
+        lx = np.linalg.cholesky(x)
+        ls = np.linalg.cholesky(s)
+        u, sig, vh = np.linalg.svd(_h(ls) @ lx)
+        isq = 1.0 / np.sqrt(sig)
+        r = (lx @ _h(vh)) * isq[..., None, :]
+        rinv = _h(u * isq[..., None, :]) @ _h(ls)
+        g = np.concatenate([rinv * isq[..., :, None], _h(r) * isq[..., :, None]])
+        out.append(_Scaling(r, rinv, sig, r @ _h(r), g))
+    return out
+
+
+def _max_step(scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray]) -> float:
+    """Largest t with X + t dX and S + t dS PSD in every stack.
+
+    The step test runs in the scaled space, where X and S both read
+    diag(lam): X + t dX is PSD while I + t lam^-1/2 R^-1 dX R^-H lam^-1/2 is,
+    so t is -1/lambda_min of that matrix, and likewise of
+    lam^-1/2 R^H dS R lam^-1/2 for S.  That is one stacked ``eigvalsh`` per
+    stack, and no triangular solve.
+    """
+    lmin = np.inf
+    for sc, dx, ds in zip(scal, dX, dS):
+        d = np.concatenate([dx, ds])
+        lmin = min(lmin, float(np.linalg.eigvalsh(_herm(sc.g @ d @ _h(sc.g)))[:, 0].min()))
+    return np.inf if lmin >= -1e-300 else -1.0 / lmin
+
+
+_Direction = namedtuple("_Direction", "dX dS dxf dy dtau dkap ok")
 
 
 def solve(
@@ -410,22 +454,27 @@ def solve(
     Status ``optimal`` guarantees the relative primal/dual equality residuals
     are at most ``feas_tol`` and |primal - dual| <= gap_tol * (1 + |primal|).
     ``infeasible``/``unbounded`` report an approximate Farkas certificate at
-    the same tolerance; ``max_iter`` returns the best iterate seen.  A
-    numerical breakdown (a failed factorization, a non-finite iterate or a
-    stalled step) also ends the iteration with ``max_iter`` and the best
-    iterate, and ``reason`` names it; no numerical exception escapes.
+    the same tolerance; equality rows that have no solution read
+    ``infeasible`` with the reason ``inconsistent_rows``.  ``max_iter``
+    returns the best iterate seen.  A numerical breakdown (a failed
+    factorization, a non-finite iterate or a stalled step) also ends the
+    iteration with ``max_iter`` and the best iterate, and ``reason`` names
+    it; no numerical exception escapes.
 
     The program is solved in its equality form, or in its LMI form when that
     form's Schur complement is enough smaller (``_form``; the solution's
     ``form`` says which).  Either way the solution is the program's own, and
-    the tolerances hold in its units.
+    the tolerances hold in its units; a sectored block comes back as one
+    full matrix (``ConicProgram.full_blocks``).
 
     The solve runs on one OpenBLAS thread, assembly included; each loaded
     OpenBLAS gets its previous thread count back on return.  With the
     ``qcap.conic`` logger at DEBUG, each iteration logs one progress record.
     """
     with one_blas_thread():
-        return _solve(prog, feas_tol, gap_tol, max_iter, _form(prog))
+        sol = _solve(prog, feas_tol, gap_tol, max_iter, _form(prog))
+    sol.blocks = prog.full_blocks(sol.blocks)
+    return sol
 
 
 def _form(prog: ConicProgram) -> str:
@@ -437,12 +486,23 @@ def _form(prog: ConicProgram) -> str:
 
 
 def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
-    lmi = compile_lmi(prog) if form == "lmi" else None
-    if lmi is None:
-        data = _assemble(prog)
-        return _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
-    data = _assemble_lmi(lmi)
-    return _lmi_solution(lmi, data, _iterate(data, feas_tol, gap_tol, max_iter))
+    try:
+        lmi = compile_lmi(prog) if form == "lmi" else None
+    except InconsistentRows as exc:
+        return _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
+    if lmi is not None:
+        data = _assemble_lmi(lmi)
+        return _lmi_solution(lmi, data, _iterate(data, feas_tol, gap_tol, max_iter))
+    data = _assemble(prog)
+    sol = _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
+    if sol.status == MAX_ITER:
+        # equality rows with no solution stall the equality form; the
+        # elimination of the LMI form finds the combination that shows it
+        try:
+            compile_lmi(prog)
+        except InconsistentRows as exc:
+            return _empty(INFEASIBLE, "inconsistent_rows", sol.iterations, "eq", exc.y)
+    return sol
 
 
 @dataclass
@@ -452,35 +512,33 @@ class _Final:
     status: str
     reason: str
     iterations: int
-    best: tuple | None  # (X, xn, xf, y, S, sn, tau, pres, dres, pobj, dobj)
+    best: tuple | None  # (X, xf, y, S, tau, pres, dres, pobj, dobj)
 
 
-def _empty(status: str, reason: str, iterations: int, form: str) -> ConicSolution:
-    return ConicSolution(
-        status=status,
-        reason=reason,
-        primal_value=None,
-        dual_value=None,
-        gap=None,
-        blocks={},
-        iterations=iterations,
-        primal_residual=float("nan"),
-        dual_residual=float("nan"),
-        y=None,
-        form=form,
-    )
+def _empty(status: str, reason: str, iterations: int, form: str, y=None) -> ConicSolution:
+    nan = float("nan")
+    return ConicSolution(status, reason, None, None, None, {}, iterations, nan, nan, y, form)
+
+
+def _values(stacks: list[_Stack], mats: list[np.ndarray], scale: float) -> dict[str, np.ndarray]:
+    """Each cone block's value in ``mats`` times ``scale``: a Hermitian matrix,
+    or the entries of a nonnegative block."""
+    out = {}
+    for st, x in zip(stacks, mats):
+        for name, first, count in st.spans:
+            if st.gamma == 1.0:
+                out[name] = x[first : first + count, 0, 0].real * scale
+            else:
+                out[name] = _herm(x[first]) * scale
+    return out
 
 
 def _eq_solution(data: _Assembled, fin: _Final) -> ConicSolution:
     if fin.status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
         # best is None only when the very first iterate was already non-finite
         return _empty(fin.status, fin.reason, fin.iterations, "eq")
-    Xc, xnc, xfc, yc, _, _, tauc, pres, dres, pvalue, dvalue = fin.best
-    blocks: dict[str, np.ndarray] = {}
-    for j, cone in enumerate(data.psd):
-        blocks[cone.name] = _herm(Xc[j] / tauc)
-    for name, off, ln in data.nonneg_spans:
-        blocks[name] = np.array(xnc[off : off + ln] / tauc)
+    Xc, xfc, yc, _, tauc, pres, dres, pvalue, dvalue = fin.best
+    blocks = _values(data.stacks, Xc, 1.0 / tauc)
     for name, off, ln in data.free_spans:
         blocks[name] = np.array(xfc[off : off + ln] / tauc)
     return ConicSolution(
@@ -507,17 +565,16 @@ def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSoluti
     status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(fin.status, fin.status)
     if status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
         return _empty(status, fin.reason, fin.iterations, "lmi")
-    Xc, xnc, _, yc, Sc, snc, tauc, pres, dres, pobj, dobj = fin.best
+    Xc, _, yc, Sc, tauc, pres, dres, pobj, dobj = fin.best
     y = lmi.y0 + lmi.t @ (yc / tauc)
-    blocks: dict[str, np.ndarray] = {}
-    mult: dict[str, np.ndarray] = {}
+    # the solver's S is the value over gamma; the multipliers are coordinates
+    blocks = _values(data.stacks, [st.gamma * s for st, s in zip(data.stacks, Sc)], 1.0 / tauc)
     per_unit = 1.0 / (tauc * data.scale)
-    for j, cone in enumerate(data.psd):
-        blocks[cone.name] = _herm(2.0 * Sc[j] / tauc)  # the solver's S is half the value
-        mult[cone.name] = hermitian_coords(Xc[j]) * per_unit
-    for name, off, ln in data.nonneg_spans:
-        blocks[name] = np.array(snc[off : off + ln] / tauc)
-        mult[name] = xnc[off : off + ln] * per_unit
+    mult = {}
+    for st, x in zip(data.stacks, Xc):
+        coords = hermitian_coords(x)
+        for name, first, count in st.spans:
+            mult[name] = coords[first : first + count].ravel() * per_unit
     for name, (off, n) in lmi.spans.items():
         if name not in blocks:
             blocks[name] = y[off : off + n].copy()
@@ -538,45 +595,28 @@ def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSoluti
 
 def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     debug = _log.isEnabledFor(logging.DEBUG)
-    psd, a_nn, c_nn, a_f, c_f, b = data.psd, data.a_nn, data.c_nn, data.a_f, data.c_f, data.b
+    stacks, a_f, c_f, b = data.stacks, data.a_f, data.c_f, data.b
     m = b.size
-    p = c_nn.size
     f = c_f.size
-    have_nn = p > 0
     have_f = f > 0
+    cobj = [st.cobj for st in stacks]
+    # each stack's first coordinate in A
+    offs = np.cumsum([0] + [st.count * st.side**2 for st in stacks])
 
-    # a side-s Hermitian block counts 2s, as its real symmetric embedding does
-    nu = sum(2 * cone.side for cone in psd) + p
-    normb = float(np.linalg.norm(b))
-    normc = float(
-        np.sqrt(
-            sum(2.0 * np.linalg.norm(cone.cobj) ** 2 for cone in psd)
-            + np.linalg.norm(c_nn) ** 2
-            + np.linalg.norm(c_f) ** 2
-        )
-    )
+    def inner(p, q) -> float:
+        """<P, Q> over all stacks, in each stack's pairing."""
+        return sum(st.gamma * float(np.vdot(x, z).real) for st, x, z in zip(stacks, p, q))
 
-    offs = np.cumsum([0] + [cone.side**2 for cone in psd])  # each cone's first coordinate
+    def sq_norm(p) -> float:
+        return sum(st.gamma * float(np.vdot(x, x).real) for st, x in zip(stacks, p))
 
-    # state
-    X = [np.eye(cone.side, dtype=np.complex128) for cone in psd]
-    Sm = [np.eye(cone.side, dtype=np.complex128) for cone in psd]
-    xn = np.ones(p)
-    sn = np.ones(p)
-    xf = np.zeros(f)
-    y = np.zeros(m)
-    tau = 1.0
-    kap = 1.0
+    def apply_cones(mats) -> np.ndarray:
+        if not stacks:
+            return np.zeros(m)
+        return data.a @ np.concatenate([hermitian_coords(x).ravel() for x in mats])
 
-    def apply_cones(mats, vn) -> np.ndarray:
-        coords = [hermitian_coords(x) for x in mats]
-        out = 2.0 * (data.a @ np.concatenate(coords)) if psd else np.zeros(m)
-        if have_nn:
-            out += a_nn @ vn
-        return out
-
-    def apply_a(mats, vn, vf) -> np.ndarray:
-        out = apply_cones(mats, vn)
+    def apply_a(mats, vf) -> np.ndarray:
+        out = apply_cones(mats)
         if have_f:
             out += a_f @ vf
         return out
@@ -584,45 +624,43 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     def apply_at(vec) -> list[np.ndarray]:
         v = data.at @ vec
         return [
-            from_hermitian_coords(v[o : o + cone.side**2], cone.side) for cone, o in zip(psd, offs)
+            from_hermitian_coords(v[o : o + st.count * st.side**2].reshape(st.count, -1), st.side)
+            / st.gamma
+            for st, o in zip(stacks, offs)
         ]
 
-    def c_dot(mats, vn) -> float:
-        total = 0.0
-        for j, cone in enumerate(psd):
-            total += _inner(cone.cobj, mats[j])
-        if have_nn:
-            total += float(c_nn @ vn)
-        return total
+    # a side-s Hermitian cone counts 2s, as its real symmetric embedding does
+    nu = sum(st.gamma * st.side * st.count for st in stacks)
+    normb = float(np.linalg.norm(b))
+    normc = float(np.sqrt(sq_norm(cobj) + np.linalg.norm(c_f) ** 2))
 
-    best = None  # (score, X, xn, xf, y, S, sn, tau, pres, dres, pobj, dobj)
+    # state
+    X = [np.broadcast_to(np.eye(st.side, dtype=np.complex128), st.cobj.shape).copy() for st in stacks]
+    Sm = [x.copy() for x in X]
+    xf = np.zeros(f)
+    y = np.zeros(m)
+    tau = 1.0
+    kap = 1.0
+
+    best = None  # (score, X, xf, y, S, tau, pres, dres, pobj, dobj)
     status, reason = MAX_ITER, "iteration_limit"
     it = 0
 
     for it in range(1, max_iter + 1):
         # residuals of the self-dual system
         at_y = apply_at(y)
-        ax = apply_a(X, xn, xf)
+        ax = apply_a(X, xf)
         rp = ax - b * tau
-        rdc = [-at_y[j] + psd[j].cobj * tau - Sm[j] for j in range(len(psd))]
-        rdn = (-(a_nn.T @ y) + c_nn * tau - sn) if have_nn else np.zeros(0)
+        rdc = [-aty + c * tau - s for aty, c, s in zip(at_y, cobj, Sm)]
         rdf = (-(a_f.T @ y) + c_f * tau) if have_f else np.zeros(0)
-        cx = c_dot(X, xn) + (float(c_f @ xf) if have_f else 0.0)
+        cx = inner(cobj, X) + (float(c_f @ xf) if have_f else 0.0)
         by = float(b @ y)
         rg = cx - by + kap
-        compl = sum(_inner(X[j], Sm[j]) for j in range(len(psd)))
-        if have_nn:
-            compl += float(xn @ sn)
-        mu = (compl + tau * kap) / (nu + 1)
+        mu = (inner(X, Sm) + tau * kap) / (nu + 1)
 
         # in the user's units: the LMI form's b and its multipliers carry the scale
         pres = float(np.linalg.norm(rp)) / tau / (data.scale + normb)
-        dres_sq = _sq_norm(rdc)
-        if have_nn:
-            dres_sq += float(rdn @ rdn)
-        if have_f:
-            dres_sq += float(rdf @ rdf)
-        dres = float(np.sqrt(dres_sq)) / tau / (1.0 + normc)
+        dres = float(np.sqrt(sq_norm(rdc) + float(rdf @ rdf))) / tau / (1.0 + normc)
         pobj = cx / tau
         dobj = by / tau
 
@@ -640,32 +678,17 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
         ref = 1.0 + abs(data.user_value(pobj, dobj))
         if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
             status, reason = OPTIMAL, "converged"
-            best = (0.0, X, xn, xf, y, Sm, sn, tau, pres, dres, pobj, dobj)
+            best = (0.0, X, xf, y, Sm, tau, pres, dres, pobj, dobj)
             break
 
         score = max(pres, dres, gap / ref)
         if best is None or score < best[0]:
-            best = (
-                score,
-                [x.copy() for x in X],
-                xn.copy(),
-                xf.copy(),
-                y.copy(),
-                [s.copy() for s in Sm],
-                sn.copy(),
-                tau,
-                pres,
-                dres,
-                pobj,
-                dobj,
-            )
+            copies = [x.copy() for x in X], xf.copy(), y.copy(), [s.copy() for s in Sm]
+            best = (score, *copies, tau, pres, dres, pobj, dobj)
 
         # Farkas certificate checks for infeasible / unbounded programs
         if it > 1 and by > 0.0:
-            res_sq = _sq_norm([at_y[j] + Sm[j] for j in range(len(psd))])
-            if have_nn:
-                v = a_nn.T @ y + sn
-                res_sq += float(v @ v)
+            res_sq = sq_norm([aty + s for aty, s in zip(at_y, Sm)])
             if have_f:
                 v = a_f.T @ y
                 res_sq += float(v @ v)
@@ -673,19 +696,21 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
                 status, reason = INFEASIBLE, "converged"
                 break
         if it > 1 and cx < 0.0:
-            res = float(np.linalg.norm(apply_a(X, xn, xf)))
+            res = float(np.linalg.norm(apply_a(X, xf)))
             if res * max(1.0, normc) <= feas_tol * (-cx):
                 status, reason = UNBOUNDED, "converged"
                 break
 
         def newton_step():
             """Predictor-corrector direction and step length, or the reason of a breakdown."""
-            # Nesterov-Todd scalings
-            scal = [_nt_scaling(X[j], Sm[j]) for j in range(len(psd))]
-            w2n = xn / sn if have_nn else np.zeros(0)
+            scal = _nt_scaling(X, Sm)
+            ws = [sc.w for sc in scal]
+
+            def wmw(mats):
+                return [w @ x @ w for w, x in zip(ws, mats)]
 
             # Schur complement M = A W A' over cone columns, bordered by free columns
-            gmat = _schur(data, [sc[3] for sc in scal], w2n)
+            gmat = _schur(data, ws)
             if have_f:
                 gmat = np.block([[gmat, a_f], [a_f.T, np.zeros((f, f))]])
             gsolve = _schur_solver(gmat, m)
@@ -693,19 +718,13 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
                 return "factorization_failed"
 
             # pieces independent of the complementarity right-hand side
-            wrd = [scal[j][3] @ rdc[j] @ scal[j][3] for j in range(len(psd))]
-            wrdn = w2n * rdn if have_nn else np.zeros(0)
-            awrd = apply_cones(wrd, wrdn)
-            cwrd = c_dot(wrd, wrdn)
+            wrd = wmw(rdc)
+            awrd = apply_cones(wrd)
+            cwrd = inner(cobj, wrd)
 
-            def w_quad(mats, vn) -> float:
+            def w_quad(mats) -> float:
                 # <xi, W(xi)> accumulated as sums of squares for stability
-                total = _sq_norm(
-                    [scal[j][0].conj().T @ mats[j] @ scal[j][0] for j in range(len(psd))]
-                )
-                if have_nn and vn is not None:
-                    total += float(w2n @ (vn * vn))
-                return total
+                return sq_norm([_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)])
 
             # The tau column needs gmat^-1 [A(W c W); c_f], whose right-hand side grows
             # like 1/mu; the residual of solving with it swamps the primal residual
@@ -713,13 +732,10 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             # c_hat = c - A'y / tau (about S / tau), whose image A(W c_hat W) is
             # moderate.  dS below is built from the same c_hat, so the primal
             # equation holds to the accuracy of the solves.
-            wc = [scal[j][3] @ psd[j].cobj @ scal[j][3] for j in range(len(psd))]
-            c_hat = [psd[j].cobj - at_y[j] / tau for j in range(len(psd))]
-            c_hat_n = c_nn - (a_nn.T @ y) / tau if have_nn else np.zeros(0)
+            wc = wmw(cobj)
+            c_hat = [c - aty / tau for c, aty in zip(cobj, at_y)]
             c_hat_f = c_f - (a_f.T @ y) / tau if have_f else np.zeros(0)
-            u_vec = apply_cones(
-                [scal[j][3] @ c_hat[j] @ scal[j][3] for j in range(len(psd))], w2n * c_hat_n
-            )
+            u_vec = apply_cones(wmw(c_hat))
             sol_b = gsolve(np.concatenate([b, np.zeros(f)]))
             sol_u = gsolve(np.concatenate([u_vec, c_hat_f]))
             if not (np.all(np.isfinite(sol_b)) and np.all(np.isfinite(sol_u))):
@@ -730,96 +746,78 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             # Delta-tau denominator, algebraically -(|W^.5 A'pb|^2 + |W^.5 (c_hat - A'pu)|^2
             # + kap/tau); the naive inner-product form cancels catastrophically once
             # the scaling matrices become extreme near convergence.
-            at_pb = apply_at(pb)
             at_pu = apply_at(pu)
-            vec_c = [c_hat[j] - at_pu[j] for j in range(len(psd))]
             denom = -(
-                w_quad(at_pb, a_nn.T @ pb if have_nn else None)
-                + w_quad(vec_c, (c_hat_n - a_nn.T @ pu) if have_nn else None)
+                w_quad(apply_at(pb))
+                + w_quad([c - atp for c, atp in zip(c_hat, at_pu)])
                 + kap / tau
             )
 
-            def direction(rx, rxn, dtau_rhs) -> _Direction:
-                arx = apply_cones(rx, rxn)
-                h1 = -rp - arx + awrd
-                crx = c_dot(rx, rxn)
-                h3 = -rg - dtau_rhs / tau - crx + cwrd
+            def direction(rx, dtau_rhs) -> _Direction:
+                h1 = -rp - apply_cones(rx) + awrd
+                h3 = -rg - dtau_rhs / tau - inner(cobj, rx) + cwrd
                 sol1 = gsolve(np.concatenate([h1, rdf]))
                 p1, q1 = sol1[:m], sol1[m:]
                 # [A(W c W); c_f] . sol1 taken directly, not through gmat @ sol1 =
                 # [h1; rd_f], so that the gap row holds for the step actually taken
-                at_p1 = apply_at(p1)
-                u_sol1 = sum(_inner(wc[j], at_p1[j]) for j in range(len(psd)))
-                if have_nn:
-                    u_sol1 += float((w2n * c_nn) @ (a_nn.T @ p1))
+                u_sol1 = inner(wc, apply_at(p1))
                 if have_f:
                     u_sol1 += float(c_f @ q1)
                 num = h3 + float(b @ p1) - u_sol1
                 if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(num):
-                    return _Direction(None, None, None, None, None, None, 0.0, 0.0, ok=False)
+                    return _Direction(None, None, None, None, 0.0, 0.0, False)
                 dtau = num / denom
                 dy_shift = p1 + dtau * p2  # dy' above
                 dy = dy_shift + (dtau / tau) * y
                 dxf = q1 + dtau * q2 if have_f else np.zeros(0)
                 at_dy = apply_at(dy_shift)
-                dS = [-at_dy[j] + c_hat[j] * dtau + rdc[j] for j in range(len(psd))]
-                dsn = (-(a_nn.T @ dy_shift) + c_hat_n * dtau + rdn) if have_nn else np.zeros(0)
-                dX = [_herm(rx[j] - scal[j][3] @ dS[j] @ scal[j][3]) for j in range(len(psd))]
-                dxn = rxn - w2n * dsn if have_nn else np.zeros(0)
+                dS = [-atd + ch * dtau + r for atd, ch, r in zip(at_dy, c_hat, rdc)]
+                dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
                 if data.lmi:
                     # restore A dx - b dtau = -rp, which the back-substitution
                     # above meets only to the accuracy of the Schur solves, by
                     # the correction of least norm in the scaling's metric (the
                     # LMI form has no free columns)
-                    v = gsolve(b * dtau - rp - apply_cones(dX, dxn))
-                    at_v = apply_at(v)
-                    dX = [_herm(dX[j] + scal[j][3] @ at_v[j] @ scal[j][3]) for j in range(len(psd))]
-                    if have_nn:
-                        dxn = dxn + w2n * (a_nn.T @ v)
+                    v = gsolve(b * dtau - rp - apply_cones(dX))
+                    dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(apply_at(v)))]
                 dkap = (dtau_rhs - kap * dtau) / tau
                 ok = np.isfinite(dtau) and np.isfinite(dkap) and all(
-                    np.all(np.isfinite(d)) for d in (*dX, *dS, dxn, dsn, dxf, dy)
+                    np.all(np.isfinite(d)) for d in (*dX, *dS, dxf, dy)
                 )
-                return _Direction(dX, dS, dxn, dsn, dxf, dy, dtau, dkap, ok=ok)
+                return _Direction(dX, dS, dxf, dy, dtau, dkap, ok)
 
             def max_step(d: _Direction) -> float:
-                t = np.inf
-                for j in range(len(psd)):
-                    t = min(t, _psd_max_step(scal[j][4], d.dX[j]))
-                    t = min(t, _psd_max_step(scal[j][5], d.dS[j]))
-                if have_nn:
-                    t = min(t, _vec_max_step(xn, d.dxn), _vec_max_step(sn, d.dsn))
+                t = _max_step(scal, d.dX, d.dS)
                 if d.dtau < 0:
                     t = min(t, -tau / d.dtau)
                 if d.dkap < 0:
                     t = min(t, -kap / d.dkap)
                 return t
 
-            aff = direction([-X[j] for j in range(len(psd))], -xn, -tau * kap)
+            aff = direction([-x for x in X], -tau * kap)
             if not aff.ok:
                 return "non_finite"
 
             a_aff = min(1.0, max_step(aff))
-            compl_aff = sum(
-                _inner(X[j] + a_aff * aff.dX[j], Sm[j] + a_aff * aff.dS[j])
-                for j in range(len(psd))
+            compl_aff = inner(
+                [x + a_aff * dx for x, dx in zip(X, aff.dX)],
+                [s + a_aff * ds for s, ds in zip(Sm, aff.dS)],
             )
-            if have_nn:
-                compl_aff += float((xn + a_aff * aff.dxn) @ (sn + a_aff * aff.dsn))
             mu_aff = (compl_aff + (tau + a_aff * aff.dtau) * (kap + a_aff * aff.dkap)) / (nu + 1)
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
+            # the corrector's complementarity right-hand side, in the scaled space
             rx = []
-            for j, cone in enumerate(psd):
-                r, rinv, lam, _, _, _ = scal[j]
-                dxt = rinv @ aff.dX[j] @ rinv.conj().T
-                dst = r.conj().T @ aff.dS[j] @ r
-                corr = 0.5 * (dxt @ dst + dst @ dxt)
-                d = sigma * mu * np.eye(cone.side) - np.diag(lam**2) - corr
-                rx.append(_herm(r @ (2.0 * d / (lam[:, None] + lam[None, :])) @ r.conj().T))
-            rxn = (sigma * mu - xn * sn - aff.dxn * aff.dsn) / sn if have_nn else np.zeros(0)
+            for sc, st, dx, ds in zip(scal, stacks, aff.dX, aff.dS):
+                dxt = sc.rinv @ dx @ _h(sc.rinv)
+                dst = _h(sc.r) @ ds @ sc.r
+                d = -0.5 * (dxt @ dst + dst @ dxt)
+                diag = np.arange(st.side)
+                d[:, diag, diag] += sigma * mu - sc.lam**2
+                d *= 2.0 / (sc.lam[:, :, None] + sc.lam[:, None, :])
+                rx.append(_herm(sc.r @ d @ _h(sc.r)))
             dtau_rhs = sigma * mu - tau * kap - aff.dtau * aff.dkap
-            step = direction(rx, rxn, dtau_rhs)
+            step = direction(rx, dtau_rhs)
             if not step.ok:
                 step = aff
 
@@ -839,12 +837,8 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             break  # fall through to best-iterate return
         step, alpha = found
 
-        for j in range(len(psd)):
-            X[j] = _herm(X[j] + alpha * step.dX[j])
-            Sm[j] = _herm(Sm[j] + alpha * step.dS[j])
-        if have_nn:
-            xn = xn + alpha * step.dxn
-            sn = sn + alpha * step.dsn
+        X = [_herm(x + alpha * dx) for x, dx in zip(X, step.dX)]
+        Sm = [_herm(s + alpha * ds) for s, ds in zip(Sm, step.dS)]
         if have_f:
             xf = xf + alpha * step.dxf
         y = y + alpha * step.dy

@@ -200,23 +200,47 @@ def _gathers(side: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def hermitian_coords(mats: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _sector_gathers(side: int, sectors: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """``_gathers``' g1, g2, c1, c2 of each sector's diagonal block, sector by
+    sector, read from the float view of the full side x side matrix."""
+    parts = []
+    for sec in sectors:
+        p = np.asarray(sec, dtype=np.intp)
+        g1, g2, c1, c2, _, _ = _gathers(p.size)
+        re = 2 * (p[:, None] * side + p[None, :]).ravel()  # Re of each local entry
+        full = np.stack([re, re + 1], axis=1).ravel()  # local float index -> full one
+        parts.append((full[g1], full[g2], c1, c2))
+    tables = tuple(np.concatenate(t) for t in zip(*parts))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def hermitian_coords(mats: np.ndarray, sectors=None) -> np.ndarray:
     """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
     ``hermitian_basis`` order: the diagonal, then for each pair i < j the
     symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
-    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
+    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates.
+    With ``sectors``, a partition of range(s) as a tuple of index tuples,
+    they are the coordinates of each sector's diagonal block X[p, p], sector
+    by sector."""
     s = mats.shape[-1]
-    g1, g2, c1, c2, _, _ = _gathers(s)
+    if sectors is None:
+        g1, g2, c1, c2, _, _ = _gathers(s)
+    else:
+        g1, g2, c1, c2 = _sector_gathers(s, sectors)
     v = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
     v = v.reshape(mats.shape[:-2] + (2 * s * s,))
     return v[..., g1] * c1 + v[..., g2] * c2
 
 
 def from_hermitian_coords(x: np.ndarray, s: int) -> np.ndarray:
-    """The Hermitian s x s matrix sum_b x_b B_b: the inverse of
-    ``hermitian_coords``."""
+    """The Hermitian s x s matrices sum_b x_b B_b of (..., s**2) coordinates:
+    the inverse of ``hermitian_coords``."""
     _, _, _, _, f, e = _gathers(s)
-    return (x[f] * e).view(np.complex128).reshape(s, s)
+    v = np.ascontiguousarray(x[..., f] * e)
+    return v.view(np.complex128).reshape(x.shape[:-1] + (s, s))
 
 
 def bipartite_maps(dims: Sequence[int]):

@@ -10,6 +10,10 @@ bounds the one-shot capacity.
 
 Each operator (in)equality, such as W <= rho (x) I, is one call of
 ``ConicProgram.add_operator_constraint`` on forward maps of the blocks.
+Every program is stated on the sectors of the channel's phase symmetry
+(``symmetry.phase_sectors``): each variable and each inequality is zero off
+the sectors of its grading, so a phase-covariant channel, such as amplitude
+damping, gives many small blocks, and any other channel the full ones.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, solve
 from .matops import bipartite_maps
 from .results import BoundResult
+from .symmetry import phase_sectors
 
 PPT = "ppt"
 NS_PPT = "ns_ppt"
@@ -91,19 +96,24 @@ def fidelity_sdp(
     _check_class(code_class)
     j = choi(ch)
     lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
+    sec = phase_sectors(ch)
     scale = 1.0 / k
 
     prog = ConicProgram("max")
-    prog.herm_block("W", ch.d_in * ch.d_out)
-    prog.herm_block("rho", ch.d_in)
+    prog.herm_block("W", ch.d_in * ch.d_out, sec.joint)
+    prog.herm_block("rho", ch.d_in, sec.inputs)
     prog.set_objective({"W": j.mat.data})
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
+    prog.add_operator_constraint(
+        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
+    )
     # -rho (x) I / k <= W^TB <= rho (x) I / k
-    prog.add_operator_constraint({"W": pt, "rho": lambda r: -scale * lift(r)}, "<=", 0)
-    prog.add_operator_constraint({"W": pt, "rho": lambda r: scale * lift(r)}, ">=", 0)
+    box = {"W": pt, "rho": lambda r: -scale * lift(r)}
+    prog.add_operator_constraint(box, "<=", 0, sec.transposed)
+    box = {"W": pt, "rho": lambda r: scale * lift(r)}
+    prog.add_operator_constraint(box, ">=", 0, sec.transposed)
     if code_class == NS_PPT:
-        prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2)
+        prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2, sec.outputs)
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
     if sol.status != "optimal":
@@ -162,20 +172,23 @@ def bound_f(
     eps = check_eps(eps)
     j = choi(ch)
     lift, pt, _, _ = bipartite_maps((ch.d_in, ch.d_out))
+    sec = phase_sectors(ch)
     d = ch.d_in * ch.d_out
     t0 = time.perf_counter()
 
     prog = ConicProgram("min")
-    prog.herm_block("W", d)
-    prog.herm_block("rho", ch.d_in)
-    prog.herm_block("S", ch.d_in)
-    prog.herm_block("Theta", d)
+    prog.herm_block("W", d, sec.joint)
+    prog.herm_block("rho", ch.d_in, sec.inputs)
+    prog.herm_block("S", ch.d_in, sec.inputs)
+    prog.herm_block("Theta", d, sec.transposed)
     prog.set_objective({"S": np.eye(ch.d_in)})
     prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
     prog.add_operator_constraint(
-        {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0
+        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
+    )
+    prog.add_operator_constraint(
+        {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.joint
     )
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
@@ -201,21 +214,26 @@ def _g_bound(
     t0 = time.perf_counter()
     j = choi(ch)
     lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
+    sec = phase_sectors(ch)
     prog = ConicProgram("min")
-    prog.herm_block("W", ch.d_in * ch.d_out)
-    prog.herm_block("rho", ch.d_in)
-    prog.herm_block("S", ch.d_in)
+    prog.herm_block("W", ch.d_in * ch.d_out, sec.joint)
+    prog.herm_block("rho", ch.d_in, sec.inputs)
+    prog.herm_block("S", ch.d_in, sec.inputs)
     if with_t:
         prog.free_block("t", 1)
     prog.set_objective({"S": np.eye(ch.d_in)})
     prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    prog.add_operator_constraint({"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0)
-    prog.add_operator_constraint({"W": pt, "S": lambda s: -lift(s)}, "<=", 0)
-    prog.add_operator_constraint({"W": pt, "S": lift}, ">=", 0)
+    prog.add_operator_constraint(
+        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
+    )
+    prog.add_operator_constraint({"W": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.transposed)
+    prog.add_operator_constraint({"W": pt, "S": lift}, ">=", 0, sec.transposed)
     if with_t:
         eye_b = np.eye(ch.d_out)
-        prog.add_operator_constraint({"W": tr_a, "t": lambda t: -t[0] * eye_b}, "==", 0)
+        prog.add_operator_constraint(
+            {"W": tr_a, "t": lambda t: -t[0] * eye_b}, "==", 0, sec.outputs
+        )
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)

@@ -233,8 +233,8 @@ def _box_program():
     return prog
 
 
-# one NT scaling per iteration; four PSD step-length probes per iteration
-@pytest.mark.parametrize("target, healthy_calls", [("_nt_scaling", 3), ("_psd_max_step", 12)])
+# one NT scaling of all stacks per iteration; two step-length tests per iteration
+@pytest.mark.parametrize("target, healthy_calls", [("_nt_scaling", 3), ("_max_step", 6)])
 def test_breakdown_returns_status_instead_of_raising(monkeypatch, target, healthy_calls):
     clean = solve(_box_program())
     assert clean.status == "optimal" and clean.iterations > 4
@@ -576,3 +576,72 @@ def test_largest_eigenvalue_through_an_operator_constraint(seed):
     sol = solve(prog)
     assert sol.status == "optimal"
     assert abs(sol.primal_value - np.linalg.eigvalsh(a)[-1]) < 1e-7
+
+
+def _sector_program(sectors):
+    # max <C, X> over tr X = 1 and X <= 0.8 I, C zero off the sectors (0, 2), (1,)
+    c = np.array([[1.0, 0.0, 0.5j], [0.0, 2.0, 0.0], [-0.5j, 0.0, 3.0]])
+    prog = ConicProgram("max")
+    prog.herm_block("X", 3, sectors)
+    prog.set_objective({"X": c})
+    prog.add_constraint({"X": np.eye(3)}, "==", 1.0)
+    slack = prog.add_operator_constraint({"X": lambda x: x}, "<=", 0.8 * np.eye(3), sectors)
+    return prog, slack
+
+
+def test_sectored_block_states_only_in_sector_rows():
+    sectors = ((0, 2), (1,))
+    prog, slack = _sector_program(sectors)
+    assert [(blk.name, blk.kind, blk.size) for blk in prog.blocks] == [
+        ("X[0]", HERM_PSD, 2), ("X[1]", HERM_PSD, 1),
+        (f"{slack}[0]", HERM_PSD, 2), (f"{slack}[1]", HERM_PSD, 1),
+    ]
+    assert len(prog.rows) == 1 + 4 + 1
+    sol, dense = solve(prog), solve(_sector_program(None)[0])
+    assert sol.status == dense.status == "optimal"
+    assert abs(sol.primal_value - dense.primal_value) <= 1e-7
+    # the solution holds the declared blocks, full size and zero off the sectors
+    assert sol.blocks.keys() == {"X", slack}
+    x = sol.blocks["X"]
+    assert x.shape == (3, 3) and x[0, 1] == x[1, 2] == 0.0
+    assert abs(np.trace(x).real - 1.0) <= 1e-7
+    # a coefficient, rhs or image off its sectors is refused, and adds nothing
+    with pytest.raises(ValueError, match="off its sectors"):
+        prog.add_constraint({"X": np.ones((3, 3))}, "==", 1.0)
+    with pytest.raises(ValueError, match="off its sectors"):
+        prog.set_objective({"X": np.ones((3, 3))})
+    with pytest.raises(ValueError, match="off its sectors"):
+        prog.add_operator_constraint({"X": lambda x: x}, "<=", np.ones((3, 3)), sectors)
+    with pytest.raises(ValueError, match="off its sectors"):
+        prog.add_operator_constraint({"X": lambda x: x}, "==", 0, ((0, 1), (2,)))
+    with pytest.raises(ValueError, match="partition"):
+        prog.herm_block("Y", 3, ((0, 1), (1, 2)))
+    assert len(prog.rows) == 6 and len(prog.blocks) == 4
+
+
+def _pd_stack(count, side, rng):
+    g = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
+    return g @ g.conj().transpose(0, 2, 1) / side + 1e-2 * np.eye(side)
+
+
+def _herm_stack(count, side, rng):
+    g = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
+    return g + g.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("side", [1, 2, 4, 16])
+def test_scaled_step_matches_an_eigenvalue_reference(side):
+    rng = np.random.default_rng(side)
+    x, s = _pd_stack(6, side, rng), _pd_stack(6, side, rng)
+    dx, ds = _herm_stack(6, side, rng), _herm_stack(6, side, rng)
+
+    def reference(m, d):
+        # M + t D is PSD while I + t M^-1/2 D M^-1/2 is
+        lam, v = np.linalg.eigh(m)
+        isq = (v / np.sqrt(lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        lmin = np.linalg.eigvalsh(isq @ d @ isq).min()
+        return np.inf if lmin >= 0 else -1.0 / lmin
+
+    want = min(reference(x, dx), reference(s, ds))
+    got = solver_mod._max_step(solver_mod._nt_scaling([x], [s]), [dx], [ds])
+    assert np.isfinite(want) and abs(got - want) <= 1e-10 * want

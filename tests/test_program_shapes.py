@@ -1,33 +1,40 @@
 """Each bound builder hands the solver a program of a fixed shape: its row
 count, the sides of its PSD blocks and its vector blocks, the length-1
 nonnegative slack of each scalar inequality among them.  The programs are
-built but not solved."""
+built but not solved.
+
+The dense pins use two uses of random qubit channels, which have no phase
+symmetry and so keep one sector per grading; two uses of amplitude damping
+give the sector programs pinned below them."""
+from collections import Counter
+
 import pytest
 
 import qcap.asymptotic as asymptotic
 import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
-from qcap.channels import amplitude_damping, channel_nr, choi, tensor
+from qcap.channels import amplitude_damping, channel_nr, choi, random_channel, tensor
 from qcap.conic.lmi import row_counts
 from qcap.conic.program import HERM_PSD
 
+RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
 AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
 NR = channel_nr(0.22)
-AD2_PSD = [4, 4, 16, 16, 16, 16]
+RP2_PSD = [4, 4, 16, 16, 16, 16]
 NR_PSD = [3, 6, 6, 6]
 
 CASES = {
-    "bound_f": (oneshot, lambda: oneshot.bound_f(AD2, 0.01), 514, AD2_PSD, [("nonneg", 1)]),
-    "bound_g": (oneshot, lambda: oneshot.bound_g(AD2, 0.01), 770, AD2_PSD, [("nonneg", 1)]),
+    "bound_f": (oneshot, lambda: oneshot.bound_f(RP2, 0.01), 514, RP2_PSD, [("nonneg", 1)]),
+    "bound_g": (oneshot, lambda: oneshot.bound_g(RP2, 0.01), 770, RP2_PSD, [("nonneg", 1)]),
     "bound_g_tilde": (
-        oneshot, lambda: oneshot.bound_g_tilde(AD2, 0.01), 786, AD2_PSD,
+        oneshot, lambda: oneshot.bound_g_tilde(RP2, 0.01), 786, RP2_PSD,
         [("free", 1), ("nonneg", 1)],
     ),
     "fidelity_ppt": (
-        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2), 769, [4, 16, 16, 16, 16], []
+        oneshot, lambda: oneshot.fidelity_sdp(RP2, 2), 769, [4, 16, 16, 16, 16], []
     ),
     "fidelity_ns_ppt": (
-        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2, oneshot.NS_PPT), 785,
+        oneshot, lambda: oneshot.fidelity_sdp(RP2, 2, oneshot.NS_PPT), 785,
         [4, 16, 16, 16, 16], [],
     ),
     "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(NR), 73, NR_PSD, []),
@@ -94,6 +101,37 @@ def test_row_counts_of_both_forms(monkeypatch, name):
 
 
 def test_g_hat_row_counts(monkeypatch):
-    prog = _built(monkeypatch, oneshot, lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5))
+    prog = _built(monkeypatch, oneshot, lambda: oneshot.bound_g_hat(RP2, 0.01, 0.5))
     assert row_counts(prog) == (787, 272)
     assert solver_mod._form(prog) == "lmi"
+
+
+# On AD x AD the joint and transposed gradings have 9 sectors of sides
+# 1, 1, 1, 1, 2, 2, 2, 2, 4, and the input and output ones 4 of side 1: a
+# program's PSD blocks are W, Theta and each operator inequality's slack on 9
+# sectors, and rho and S on 4.  Rows of the equality and the LMI form, the
+# count of PSD blocks of each side, and the form ``solve`` picks.
+SECTOR_CASES = {
+    "bound_f": (lambda: oneshot.bound_f(AD2, 0.01), (74, 79), {1: 24, 2: 16, 4: 4}),
+    "bound_g": (lambda: oneshot.bound_g(AD2, 0.01), (110, 43), {1: 24, 2: 16, 4: 4}),
+    "bound_g_tilde": (
+        lambda: oneshot.bound_g_tilde(AD2, 0.01), (114, 40), {1: 24, 2: 16, 4: 4}
+    ),
+    "bound_g_hat": (
+        lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5), (115, 40), {1: 24, 2: 16, 4: 4}
+    ),
+    "fidelity_ppt": (lambda: oneshot.fidelity_sdp(AD2, 2), (109, 39), {1: 20, 2: 16, 4: 4}),
+    "fidelity_ns_ppt": (
+        lambda: oneshot.fidelity_sdp(AD2, 2, oneshot.NS_PPT), (113, 35), {1: 20, 2: 16, 4: 4}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SECTOR_CASES))
+def test_sector_program_shape(monkeypatch, name):
+    build, counts, sides = SECTOR_CASES[name]
+    prog = _built(monkeypatch, oneshot, build)
+    assert row_counts(prog) == counts
+    assert Counter(b.size for b in prog.blocks if b.kind == HERM_PSD) == sides
+    # far under _LMI_MIN_FLOPS saved either way
+    assert solver_mod._form(prog) == "eq"

@@ -16,20 +16,21 @@ import pytest
 import qcap.asymptotic as asymptotic
 import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
-from qcap.channels import amplitude_damping, channel_nr, tensor
-from qcap.conic.lmi import compile_lmi
+from qcap.channels import channel_nr, random_channel, tensor
+from qcap.conic.lmi import InconsistentRows, compile_lmi
 from qcap.conic.program import HERM_PSD, NONNEG, ConicProgram
 from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
-AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
+# two uses of random qubit channels: no phase symmetry, so every block is dense
+RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
 NR = channel_nr(0.22)
 
 # builder, and the module whose ``solve`` it calls
 PROGRAMS = {
-    "bound_f": (lambda: oneshot.bound_f(AD2, 0.01), oneshot),
-    "bound_g": (lambda: oneshot.bound_g(AD2, 0.01), oneshot),
-    "bound_g_tilde": (lambda: oneshot.bound_g_tilde(AD2, 0.01), oneshot),
-    "fidelity_sdp": (lambda: oneshot.fidelity_sdp(AD2, 2), oneshot),
+    "bound_f": (lambda: oneshot.bound_f(RP2, 0.01), oneshot),
+    "bound_g": (lambda: oneshot.bound_g(RP2, 0.01), oneshot),
+    "bound_g_tilde": (lambda: oneshot.bound_g_tilde(RP2, 0.01), oneshot),
+    "fidelity_sdp": (lambda: oneshot.fidelity_sdp(RP2, 2), oneshot),
     "q_gamma_primal": (lambda: asymptotic.q_gamma(NR), asymptotic),
     "q_gamma_dual": (lambda: asymptotic.q_gamma(NR, "dual"), asymptotic),
     "q_theta": (lambda: asymptotic.q_theta(NR), asymptotic),
@@ -62,43 +63,43 @@ def _stored(prog, blk):
     return out
 
 
-def _dense_schur(blocks, ws, w2n):
-    """M from (kind, size, dense rows x coordinates coefficients) of each
-    block alone: the dense formula."""
-    m = blocks[0][2].shape[0]
-    M = np.zeros((m, m))
-    psd = [(size, coeffs) for kind, size, coeffs in blocks if kind == HERM_PSD]
-    for (side, coeffs), w in zip(psd, ws):
-        c = 0.5 * np.einsum("ik,kab->iab", coeffs, hermitian_basis(side))
-        wcw = w @ c @ w
-        # tr(X C_k) = vec(X) . vec(C_k^T)
-        M += 2.0 * (wcw.reshape(m, -1) @ c.transpose(0, 2, 1).reshape(m, -1).T).real
-    cols = [coeffs for kind, _, coeffs in blocks if kind == NONNEG]
-    if cols:
-        a_nn = np.hstack(cols)
-        M += (a_nn * w2n) @ a_nn.T
-    return M
+def _dense_share(kind, size, coeffs, w):
+    """One block's share of M from its dense rows x coordinates coefficients
+    and its scaling: the dense formula."""
+    m = coeffs.shape[0]
+    if kind == NONNEG:
+        return (coeffs * w[:, 0, 0].real ** 2) @ coeffs.T
+    c = 0.5 * np.einsum("ik,kab->iab", coeffs, hermitian_basis(size))
+    wcw = w[0] @ c @ w[0]
+    # tr(X C_k) = vec(X) . vec(C_k^T)
+    return 2.0 * (wcw.reshape(m, -1) @ c.transpose(0, 2, 1).reshape(m, -1).T).real
 
 
 def _eq_blocks(prog):
-    return [(blk.kind, blk.size, _stored(prog, blk)) for blk in prog.blocks]
+    return {blk.name: (blk.kind, blk.size, _stored(prog, blk)) for blk in prog.blocks}
 
 
 def _lmi_blocks(lmi):
-    return [(cone.kind, cone.size, cone.a.toarray()) for cone in lmi.cones]
+    return {cone.name: (cone.kind, cone.size, cone.a.toarray()) for cone in lmi.cones}
 
 
-def _random_pd(side, rng):
-    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    return g @ g.conj().T / side + 0.1 * np.eye(side)
+def _random_pd(count, side, rng):
+    g = rng.normal(size=(count, side, side)) + 1j * rng.normal(size=(count, side, side))
+    return g @ g.conj().transpose(0, 2, 1) / side + 0.1 * np.eye(side)
 
 
 def _check_schur(data, blocks):
+    """The solver's M against the dense formula, with a random scaling per
+    cone: a positive definite matrix for a Hermitian block, and for each
+    entry of a nonnegative block a positive number."""
     rng = np.random.default_rng(2024)
-    ws = [_random_pd(cone.side, rng) for cone in data.psd]
-    w2n = rng.uniform(0.5, 2.0, size=data.a_nn.shape[1])
-    got = solver_mod._schur(data, ws, w2n)
-    want = _dense_schur(blocks, ws, w2n)
+    ws = [_random_pd(st.count, st.side, rng) for st in data.stacks]
+    got = solver_mod._schur(data, ws)
+    want = sum(
+        _dense_share(*blocks[name], w[first : first + count])
+        for st, w in zip(data.stacks, ws)
+        for name, first, count in st.spans
+    )
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -143,7 +144,7 @@ def test_both_forms_solve_every_program(monkeypatch, name):
 
 
 def test_g_hat_above_one_is_infeasible_in_lmi_form():
-    res = oneshot.bound_g_hat(AD2, 0.01, 1.5)
+    res = oneshot.bound_g_hat(RP2, 0.01, 1.5)
     assert (res.status, res.reason, res.form) == ("infeasible", "converged", "lmi")
     assert res.certificate is None and np.isnan(res.value)
 
@@ -165,24 +166,43 @@ def test_dependent_equality_rows(monkeypatch):
     sol = solver_mod.solve(_eigen_program([1.5, 1.5]))
     assert (sol.status, sol.form) == ("optimal", "lmi")
     assert abs(sol.primal_value - 4.0) <= 1e-7
-    # inconsistent ones have no LMI form: the equality form solves them, and
-    # ends without an optimum instead of raising
-    assert compile_lmi(_eigen_program([1.5, 2.0])) is None
-    sol = solver_mod.solve(_eigen_program([1.5, 2.0]))
-    assert sol.form == "eq" and sol.status != "optimal"
+    # inconsistent ones end infeasible, and y combines them into 0 = 1: the LMI
+    # form's elimination finds them before an iteration, and the equality
+    # form's stalled iteration falls back on the same elimination
+    prog = _eigen_program([1.5, 2.0])
+    with pytest.raises(InconsistentRows):
+        compile_lmi(prog)
+    for form in ("lmi", "eq"):
+        monkeypatch.setattr(solver_mod, "_form", lambda prog, form=form: form)
+        sol = solver_mod.solve(prog)
+        assert (sol.status, sol.reason, sol.form) == ("infeasible", "inconsistent_rows", form)
+        assert (sol.iterations == 0) == (form == "lmi") and sol.blocks == {}
+        for blk in prog.blocks:
+            assert np.max(np.abs(_stored(prog, blk).T @ sol.y)) <= 1e-12
+        assert abs(np.dot(prog.rows, sol.y) - 1.0) <= 1e-12
 
 
 def test_assembly_drops_zero_rows_and_stores_basis_coordinates(monkeypatch):
     data = solver_mod._assemble(_program(monkeypatch, "bound_g"))
-    cones = {cone.name: cone for cone in data.psd}
+    # each block's columns of its stack: contiguous, side**2 per cone
+    cols = {
+        name: st.a[:, first * st.side**2 : (first + count) * st.side**2]
+        for st in data.stacks
+        for name, first, count in st.spans
+    }
 
-    def rows_kept(cone):
-        return int(np.count_nonzero(np.diff(cone.a.indptr)))
+    def rows_kept(a):
+        return int(np.count_nonzero(np.diff(a.indptr)))
 
     # of the rows with a coefficient on the block, the all-zero ones store nothing
-    assert cones["rho"].a.shape == (770, 16) and rows_kept(cones["rho"]) == 257 - 192
-    assert cones["S"].a.shape == (770, 16) and rows_kept(cones["S"]) == 512 - 384
-    assert cones["W"].a.shape == (770, 256) and cones["W"].a.nnz == 785
+    assert cols["rho"].shape == (770, 16) and rows_kept(cols["rho"]) == 257 - 192
+    assert cols["S"].shape == (770, 16) and rows_kept(cols["S"]) == 512 - 384
+    # W <= rho (x) I and the box store one entry per coordinate, and the
+    # fidelity row the 256 of the dense Choi matrix
+    assert cols["W"].shape == (770, 256) and cols["W"].nnz == 3 * 256 + 256
+    # the fidelity row's slack, rho and S, and W and its three slacks, each
+    # side-16 cone in a stack of its own as its kernel fills _STACK_KERNEL
+    assert [(st.side, st.count) for st in data.stacks] == [(1, 1), (4, 2)] + [(16, 1)] * 4
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 16])

@@ -1,0 +1,134 @@
+"""Phase sectors, and the one-shot programs stated on them.
+
+Amplitude damping is phase-covariant, so its one-shot programs split into
+small sectors; a channel with no phase symmetry keeps one sector per
+grading and so today's dense program.  The sector programs must reach the
+dense programs' values, and a wrong grading must fail when the program is
+built.
+"""
+from functools import reduce
+from itertools import product
+
+import numpy as np
+import pytest
+
+import qcap.oneshot as oneshot
+from qcap.channels import amplitude_damping, choi, random_channel, tensor
+from qcap.matops import bipartite_maps
+from qcap.symmetry import PhaseSectors, phase_sectors
+
+AD = amplitude_damping(0.09)
+AD2 = tensor(AD, AD)
+RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
+FIG1_R = np.linspace(0.05, 0.1, 11).tolist()
+
+
+def _one_sector(ch):
+    """The grading of a channel with no phase symmetry."""
+    joint = (tuple(range(ch.d_in * ch.d_out)),)
+    return PhaseSectors(joint, joint, (tuple(range(ch.d_in)),), (tuple(range(ch.d_out)),))
+
+
+def _sizes(sectors):
+    return sorted(len(sec) for sec in sectors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_amplitude_damping_uses_have_3_to_the_n_sectors(n):
+    sec = phase_sectors(reduce(tensor, [AD] * n))
+    # sizes (1, 2, 1) on each use, multiplied out
+    want = sorted(int(np.prod(c)) for c in product((1, 2, 1), repeat=n))
+    assert _sizes(sec.joint) == _sizes(sec.transposed) == want
+    assert len(sec.joint) == 3**n
+    assert _sizes(sec.inputs) == _sizes(sec.outputs) == [1] * 2**n
+    for grading, side in ((sec.joint, 4**n), (sec.inputs, 2**n)):
+        assert sorted(i for s in grading for i in s) == list(range(side))
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        random_channel(2, 2, seed=3),
+        RP2,
+        tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4)),
+    ],
+)
+def test_channel_without_phase_symmetry_has_one_sector(ch):
+    assert phase_sectors(ch) == _one_sector(ch)
+
+
+def test_sectors_leave_the_choi_matrix_invariant():
+    j = choi(AD2).mat.data
+    for p in phase_sectors(AD2).joint:
+        q = np.setdiff1d(np.arange(16), p)
+        assert np.max(np.abs(j[np.ix_(p, q)]), initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ch: oneshot.bound_f(ch, 0.01),
+        lambda ch: oneshot.bound_g(ch, 0.01),
+        lambda ch: oneshot.bound_g_tilde(ch, 0.01),
+        lambda ch: oneshot.fidelity_sdp(ch, 2),
+    ],
+)
+def test_wrong_sectors_fail_at_build_time(monkeypatch, build):
+    monkeypatch.setattr(oneshot, "phase_sectors", lambda ch: phase_sectors(AD2))
+    with pytest.raises(ValueError, match="does not vanish off its sectors"):
+        build(RP2)
+
+
+def test_sector_programs_match_one_sector_programs_on_the_fig1_grid(monkeypatch):
+    bounds = (oneshot.bound_f, oneshot.bound_g, oneshot.bound_g_tilde)
+    channels = [tensor(amplitude_damping(r), amplitude_damping(r)) for r in FIG1_R]
+    sectored = [[bound(ch, 0.01) for bound in bounds] for ch in channels]
+    monkeypatch.setattr(oneshot, "phase_sectors", _one_sector)
+    for ch, results in zip(channels, sectored):
+        for bound, res in zip(bounds, results):
+            dense = bound(ch, 0.01)
+            assert res.status == dense.status == "optimal"
+            assert abs(res.value - dense.value) <= 1e-7 * abs(dense.value)
+
+
+def test_bound_g_on_three_uses_of_amplitude_damping():
+    # the value of the dense solve: 89 s and 1.36 GB where this takes a second
+    res = oneshot.bound_g(tensor(AD2, AD), 0.01)
+    assert res.status == "optimal"
+    assert abs(res.value - 0.32633718878) <= 1e-7 * 0.32633718878
+
+
+def _psd_floor(mat):
+    return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+
+
+def _off_sectors(mat, sectors):
+    mask = np.ones(mat.shape, dtype=bool)
+    for p in sectors:
+        mask[np.ix_(p, p)] = False
+    return float(np.max(np.abs(mat[mask]), initial=0.0))
+
+
+@pytest.mark.parametrize("name", ["f", "g"])
+def test_certificates_are_full_size_and_meet_their_rows(name):
+    eps = 0.01
+    res = (oneshot.bound_f if name == "f" else oneshot.bound_g)(AD2, eps)
+    cert, sec = res.certificate, phase_sectors(AD2)
+    lift, pt, _, _ = bipartite_maps((4, 4))
+    assert cert.W.shape == (16, 16) and cert.rho.shape == cert.S.shape == (4, 4)
+    assert _off_sectors(cert.W, sec.joint) == 0.0
+    assert _off_sectors(cert.rho, sec.inputs) == _off_sectors(cert.S, sec.inputs) == 0.0
+    tol = 1e-7
+    assert np.trace(choi(AD2).mat.data @ cert.W).real >= 1.0 - eps - tol
+    assert abs(np.trace(cert.rho).real - 1.0) <= tol
+    assert abs(np.trace(cert.S).real - cert.value) <= tol
+    for mat in (cert.W, cert.rho, cert.S, lift(cert.rho) - cert.W):
+        assert _psd_floor(mat) >= -tol
+    if name == "f":
+        assert cert.Theta.shape == (16, 16)
+        assert _off_sectors(cert.Theta, sec.transposed) == 0.0
+        assert _psd_floor(cert.Theta) >= -tol
+        assert _psd_floor(lift(cert.S) - cert.W - pt(cert.Theta)) >= -tol
+    else:
+        for sign in (1.0, -1.0):
+            assert _psd_floor(lift(cert.S) + sign * pt(cert.W)) >= -tol

@@ -20,17 +20,21 @@ comparison of two census runs.
 
 Each solve is recorded with its status, termination reason, the form it
 was solved in (``eq`` or ``lmi``), iteration count, objective value, gap and
-final residuals, under a key naming the group, the channel, the bound and
-the solve's index within the bound call.  ``run`` prints per-bound status,
-reason and form counts and iteration quartiles.  ``compare`` prints both
-summaries, and per bound the median iterations, the number of solves whose
-iteration count changed, the number that changed form and the largest value
-move;
+final residuals, and the size of what it solved: its PSD cone count, their
+largest side and the rows of the Schur complement it factored; under a key
+naming the group, the channel, the bound and the solve's index within the
+bound call.  ``run`` prints per-bound status, reason and form counts, the
+median cone count, largest side and Schur rows, and iteration quartiles.
+``compare`` prints both summaries, and per bound the median iterations, the
+number of solves whose iteration count changed, the number that changed
+form and the largest value move, and per group and bound the sizes on both
+sides;
 it checks the gate for a change to the solver or to a program builder: every
 solve optimal on both sides, no bound's median iteration count higher, and
 no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
-A census written before solves had a reason reads as reason ``-``, and one
-written before they had a form as form ``eq``, the only form there was.
+A census written before solves had a reason reads as reason ``-``, one
+written before they had a form as form ``eq``, the only form there was, and
+one written before they had sizes shows ``-`` for them.
 
 The census is not part of the test suite: a run takes about two minutes on
 two cores.
@@ -102,6 +106,8 @@ def run(out: str) -> None:
     import qcap.asymptotic
     import qcap.oneshot
     from qcap.conic import SolverError
+    from qcap.conic.lmi import row_counts
+    from qcap.conic.program import HERM_PSD
 
     records = []
     current = {}
@@ -111,6 +117,7 @@ def run(out: str) -> None:
             sol = real(prog, **kwargs)
             where = (current["group"], current["label"], current["bound"], str(current["solves"]))
             current["solves"] += 1
+            sides = [blk.size for blk in prog.blocks if blk.kind == HERM_PSD]
             records.append(
                 {
                     "key": " | ".join(where),
@@ -124,6 +131,9 @@ def run(out: str) -> None:
                     "gap": sol.gap,
                     "primal_residual": sol.primal_residual,
                     "dual_residual": sol.dual_residual,
+                    "psd_cones": len(sides),
+                    "max_side": max(sides, default=0),
+                    "schur_rows": row_counts(prog)[sol.form == "lmi"],
                 }
             )
             return sol
@@ -173,17 +183,29 @@ def _counts(recs, field: str) -> str:
     return ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
 
 
+def _sizes(recs) -> str:
+    """Median PSD cone count, largest side and Schur rows, or ``-``."""
+    if any("psd_cones" not in rec for rec in recs):
+        return "-"
+    return "/".join(
+        f"{np.median([rec[f] for rec in recs]):g}" for f in ("psd_cones", "max_side", "schur_rows")
+    )
+
+
 def _summary(records) -> str:
     head = (
         f"{'bound':16s} {'solves':>6s}  {'status counts':24s} {'reason counts':24s} "
-        f"{'form counts':16s} iterations min/q1/median/q3/max"
+        f"{'form counts':16s} {'cones/side/rows':16s} iterations min/q1/median/q3/max"
     )
     lines = [head]
     for bound, recs in _by_bound(records).items():
         q = np.percentile([rec["iterations"] for rec in recs], [0, 25, 50, 75, 100])
         iters = "/".join(f"{v:g}" for v in q)
         status, reason, form = (_counts(recs, f) for f in ("status", "reason", "form"))
-        lines.append(f"{bound:16s} {len(recs):6d}  {status:24s} {reason:24s} {form:16s} {iters}")
+        lines.append(
+            f"{bound:16s} {len(recs):6d}  {status:24s} {reason:24s} {form:16s} "
+            f"{_sizes(recs):16s} {iters}"
+        )
     return "\n".join(lines)
 
 
@@ -229,6 +251,13 @@ def compare(before_path: str, after_path: str) -> int:
             failures.append(f"{bound}: median iterations rose from {med_old:g} to {med_new:g}")
         if worst > GATE_RTOL:
             failures.append(f"{bound}: a value moved by {worst:.2e} relative")
+    print(f"\n{'group':8s} {'bound':16s} median cones/side/rows, before -> after")
+    groups = defaultdict(list)
+    for rec in after:
+        groups[(rec["group"], rec["bound"])].append(rec)
+    for (group, bound), recs in sorted(groups.items()):
+        olds = [old[rec["key"]] for rec in recs if rec["key"] in old]
+        print(f"{group:8s} {bound:16s} {_sizes(olds)} -> {_sizes(recs)}")
     print("\ngate: " + ("pass" if not failures else "FAIL\n  " + "\n  ".join(failures)))
     return 1 if failures else 0
 
