@@ -21,7 +21,9 @@ Stacks.  Assembly groups the cones into stacks of equal side, each held as
 one (k, s, s) array: the Hermitian blocks of each side, the sectors of a
 sectored block among them, and the entries of all nonnegative blocks as one
 stack of side-1 real cones, which pair by their product and weigh 1 in the
-barrier parameter, as a nonnegative orthant does.  Every piece of cone
+barrier parameter, as a nonnegative orthant does.  A stack stops at
+``_STACK_KERNEL`` Schur-kernel entries, so that a side-16 cone is a stack of
+its own.  Every piece of cone
 algebra runs once per stack: the NT scaling by stacked ``cholesky`` and
 ``svd``, the W R W products, the pairings and the step test.  The step test
 runs in the scaled space, where X and S both read diag(lam): the largest
@@ -200,9 +202,10 @@ class _Assembled:
 
 
 def _stacks(m: int, cones) -> list[_Stack]:
-    """Group cones into stacks, by side with the Hermitian ones, and all
-    nonnegative entries in one.  Each cone is given as (block name, kind,
-    size, rows, coordinates, values, objective coordinates in min sense)."""
+    """Group cones into stacks: the Hermitian ones by side, and all
+    nonnegative entries in one, each stack up to ``_STACK_KERNEL``.  Each
+    cone is given as (block name, kind, size, rows, coordinates, values,
+    objective coordinates in min sense)."""
     groups: dict[tuple[int, float], list] = {}
     for cone in cones:
         kind, size = cone[1], cone[2]
