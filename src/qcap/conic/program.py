@@ -75,10 +75,11 @@ class _Sectors:
             raise ValueError(f"sectors must partition range({side})")
         self.side = side
         self.parts = parts
-        self.key = tuple(tuple(int(i) for i in p) for p in parts)
-        self.off = np.ones((side, side), dtype=bool)  # True off the sectors
-        for p in parts:
-            self.off[np.ix_(p, p)] = False
+        self.key = tuple(tuple(p.tolist()) for p in parts)
+        label = np.empty(side, dtype=np.intp)
+        for k, p in enumerate(parts):
+            label[p] = k
+        self.off = label[:, None] != label[None, :]  # True off the sectors
 
     def check(self, mats: np.ndarray, what: str) -> None:
         """Raise unless each (..., side, side) matrix vanishes off the sectors
@@ -264,9 +265,8 @@ class ConicProgram:
         # the maps run on one BLAS thread, as in the solve: should one call
         # BLAS, a second thread would only spin at these sizes
         with one_blas_thread():
-            images = {}
-            for name, fn in terms.items():
-                images.update(self._images(name, fn))
+            per_term = {name: self._images(name, fn) for name, fn in terms.items()}
+        images = {n: img for imgs in per_term.values() for n, img in imgs.items()}
         sides = sorted({img.shape[-1] for img in images.values()})
         if len(sides) != 1:
             raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
@@ -276,6 +276,9 @@ class ConicProgram:
             raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
         out = _Sectors(side, sectors)
         out.check(r, "rhs")
+        for name, imgs in per_term.items():
+            stack = np.concatenate(list(imgs.values()))
+            out.check(stack, f"an image of the map of block {name!r}")
         sign = -1.0 if relation == ">=" else 1.0
         # Row i of a term is L^dag(B_i).  With t_i(u) = tr(B_i L(e_u)), its
         # coordinate on a vector block's entry j is t_i(j), and on a Hermitian
@@ -286,7 +289,6 @@ class ConicProgram:
         b = sign * out.coords(r)
         coords = {}
         for name, img in images.items():
-            out.check(img, f"an image of the map of block {name!r}")
             blk = self._by_name[name]
             re_t = out.coords(img)  # (units, rows)
             if blk.kind != HERM_PSD:
@@ -332,7 +334,9 @@ class ConicProgram:
             images = [np.asarray(fn(u), dtype=np.complex128) for u in stack]
             shape = images[0].shape
             if len(shape) != 2 or shape[0] != shape[1] or any(im.shape != shape for im in images):
-                raise ValueError(f"the map of block {name!r} must return square matrices of one side")
+                raise ValueError(
+                    f"the map of block {name!r} must return square matrices of one side"
+                )
             img = np.array(images)
             # L(e_ba) must be L(e_ab)^dag, and L(e_j) Hermitian
             k = self._by_name[n].size

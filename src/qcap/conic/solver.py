@@ -638,7 +638,7 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     normc = float(np.sqrt(sq_norm(cobj) + np.linalg.norm(c_f) ** 2))
 
     # state
-    X = [np.broadcast_to(np.eye(st.side, dtype=np.complex128), st.cobj.shape).copy() for st in stacks]
+    X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in stacks]
     Sm = [x.copy() for x in X]
     xf = np.zeros(f)
     y = np.zeros(m)

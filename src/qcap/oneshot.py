@@ -108,10 +108,12 @@ def fidelity_sdp(
         {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
     )
     # -rho (x) I / k <= W^TB <= rho (x) I / k
-    box = {"W": pt, "rho": lambda r: -scale * lift(r)}
-    prog.add_operator_constraint(box, "<=", 0, sec.transposed)
-    box = {"W": pt, "rho": lambda r: scale * lift(r)}
-    prog.add_operator_constraint(box, ">=", 0, sec.transposed)
+    prog.add_operator_constraint(
+        {"W": pt, "rho": lambda r: -scale * lift(r)}, "<=", 0, sec.transposed
+    )
+    prog.add_operator_constraint(
+        {"W": pt, "rho": lambda r: scale * lift(r)}, ">=", 0, sec.transposed
+    )
     if code_class == NS_PPT:
         prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2, sec.outputs)
 
