@@ -67,13 +67,17 @@ class _Sectors:
     """A partition of range(side): the diagonal blocks a matrix may fill."""
 
     def __init__(self, side: int, sectors: Sequence[Sequence[int]] | None) -> None:
-        parts = [np.arange(side)] if sectors is None else [
-            np.sort(np.asarray(sec, dtype=np.intp).reshape(-1)) for sec in sectors
-        ]
+        self.side = side
+        self.parts = [np.arange(side)]
+        self.key = self.off = None  # one sector: the whole matrix
+        if sectors is None:
+            return
+        parts = [np.sort(np.asarray(sec, dtype=np.intp).reshape(-1)) for sec in sectors]
         flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
         if any(p.size == 0 for p in parts) or not np.array_equal(np.sort(flat), np.arange(side)):
             raise ValueError(f"sectors must partition range({side})")
-        self.side = side
+        if len(parts) == 1:
+            return
         self.parts = parts
         self.key = tuple(tuple(p.tolist()) for p in parts)
         label = np.empty(side, dtype=np.intp)
@@ -81,18 +85,18 @@ class _Sectors:
             label[p] = k
         self.off = label[:, None] != label[None, :]  # True off the sectors
 
-    def check(self, mats: np.ndarray, what: str) -> None:
-        """Raise unless each (..., side, side) matrix vanishes off the sectors
-        to 1e-12 of its largest entry."""
-        if not self.off.any():
+    def check(self, stacks, what: str) -> None:
+        """Raise unless each matrix of the (..., side, side) ``stacks``
+        vanishes off the sectors to 1e-12 of its largest entry."""
+        if self.off is None:
             return
-        mags = np.abs(mats).reshape(-1, self.side, self.side)
+        mags = np.abs(np.concatenate([m.reshape(-1, self.side, self.side) for m in stacks]))
         if np.any(np.max(mags[:, self.off], axis=1) > 1e-12 * np.max(mags, axis=(1, 2))):
             raise ValueError(f"{what} does not vanish off its sectors")
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
         """``hermitian_coords`` of each sector's diagonal block, sector by sector."""
-        return hermitian_coords(mats, None if len(self.parts) == 1 else self.key)
+        return hermitian_coords(mats, self.key)
 
 
 class ConicProgram:
@@ -189,7 +193,7 @@ class ConicProgram:
                 )
             if hermiticity_defect(c) > _herm_tol(c):
                 raise ValueError(f"coefficient for Hermitian block {name!r} is not Hermitian")
-            sec.check(c, f"the coefficient for {name!r}")
+            sec.check([c], f"the coefficient for {name!r}")
             return {n: c[np.ix_(p, p)] for p, n in zip(sec.parts, names)}
         blk = self._by_name.get(name)
         if blk is None or blk.kind == HERM_PSD:
@@ -275,10 +279,9 @@ class ConicProgram:
         if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
             raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
         out = _Sectors(side, sectors)
-        out.check(r, "rhs")
+        out.check([r], "rhs")
         for name, imgs in per_term.items():
-            stack = np.concatenate(list(imgs.values()))
-            out.check(stack, f"an image of the map of block {name!r}")
+            out.check(imgs.values(), f"an image of the map of block {name!r}")
         sign = -1.0 if relation == ">=" else 1.0
         # Row i of a term is L^dag(B_i).  With t_i(u) = tr(B_i L(e_u)), its
         # coordinate on a vector block's entry j is t_i(j), and on a Hermitian
@@ -321,10 +324,9 @@ class ConicProgram:
             sec, names = self._sectors[name]
             units = {}
             for p, n in zip(sec.parts, names):
-                k = p.size
-                u = np.zeros((k * k, sec.side, sec.side), dtype=np.complex128)
-                u[np.arange(k * k), np.repeat(p, k), np.tile(p, k)] = 1.0
-                units[n] = u
+                u = np.zeros((p.size**2, sec.side**2), dtype=np.complex128)
+                u[np.arange(p.size**2), (p[:, None] * sec.side + p).ravel()] = 1.0
+                units[n] = u.reshape(-1, sec.side, sec.side)
         elif name in self._by_name and self._by_name[name].kind != HERM_PSD:
             units = {name: np.eye(self._by_name[name].size)}
         else:

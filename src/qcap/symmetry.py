@@ -2,9 +2,10 @@
 forces on the one-shot programs.
 
 Let phases theta act on the input basis and phi on the output basis.  The
-Choi matrix J is invariant under the torus u(theta) (x) v(phi), conjugated
-by it, exactly when every entry J[(a, b), (a', b')] that is not zero joins
-two indices of one charge phi_b - theta_a.  The phases that satisfy these
+Choi matrix J is invariant under conjugation by the torus
+diag(e^{-i theta_a}) (x) diag(e^{i phi_b}) exactly when every entry
+J[(a, b), (a', b')] that is not zero joins two indices of one charge
+phi_b - theta_a.  The phases that satisfy these
 equations form a subspace, whose basis ``phase_sectors`` finds by SVD; an
 index's charge is then a vector, one entry per basis element, and two
 indices share a sector when their charges agree.  The grouping is
