@@ -23,14 +23,14 @@ sectored block among them, and the entries of all nonnegative blocks as one
 stack of side-1 real cones, which pair by their product and weigh 1 in the
 barrier parameter, as a nonnegative orthant does.  A stack stops at
 ``_STACK_KERNEL`` Schur-kernel entries, so that a side-16 cone is a stack of
-its own.  Every piece of cone
-algebra runs once per stack: the NT scaling by stacked ``cholesky`` and
-``svd``, the W R W products, the pairings and the step test.  The step test
-runs in the scaled space, where X and S both read diag(lam): the largest
-step along dX is -1/lambda_min(lam^-1/2 R^-1 dX R^-H lam^-1/2), one stacked
-``eigvalsh`` with no triangular solve (Todd, Toh and Tutuncu, SIAM J. Optim.
-8, 1998); SDPT3 groups its blocks the same way (Toh, Todd and Tutuncu,
-Optim. Methods Softw. 11, 1999).
+its own.  Every piece of cone algebra runs once per stack: the NT scaling by
+stacked ``cholesky`` and ``svd``, the W R W products, the pairings and the
+step test.  The step test runs in the scaled space, where X and S both
+read diag(lam): the largest step along dX is
+-1/lambda_min(lam^-1/2 R^-1 dX R^-H lam^-1/2), one stacked ``eigvalsh``
+with no triangular solve (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998);
+SDPT3 groups its blocks the same way (Toh, Todd and Tutuncu, Optim. Methods
+Softw. 11, 1999).
 
 The program hands over only equality rows, and each block's coefficients as
 nonzero (row, coordinate, value) triples; a PSD block's coordinates are
