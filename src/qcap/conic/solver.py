@@ -119,7 +119,8 @@ _RT2 = np.sqrt(2.0)
 # A stack holds cones of at most this many Schur-kernel entries together
 # (count * side**4): a larger kernel and its temporaries leave the cache and
 # are faulted in afresh each iteration.  Four side-16 cones in one stack took
-# 3.4 ms per kernel, and 1.3 ms in four stacks of one.
+# 3.4 ms per kernel on one core of a 2-core x86-64 host, and 1.3 ms in four
+# stacks of one.
 _STACK_KERNEL = 2**16
 
 
