@@ -116,19 +116,19 @@ class InconsistentRows(ValueError):
         self.y = y
 
 
-def _eliminate(e_mat: np.ndarray, e_rhs: np.ndarray):
-    """Reduced rows of E y = e: pivot columns p and rows R, e' with
-    y[p] = e' - R[:, rest] y[rest].
+def affine_solutions(e_mat: np.ndarray, e_rhs: np.ndarray):
+    """The solutions of E y = e as y = y0 + T z, z the coordinates of y that
+    are not pivots; with the pivot columns p and the kept rows k of E, so
+    that E[k][:, p] is invertible.
 
     Each row, once reduced by the earlier pivots, pivots on its largest
     entry; a row that reduces to zero is dependent and is dropped, unless its
     right-hand side does not, when ``InconsistentRows`` carries the
     combination of E's rows that it came from, scaled to 0 = 1.
     """
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    combs: list[np.ndarray] = []  # each reduced row as a combination of E's rows
-    piv: list[int] = []
+    n = e_mat.shape[1]
+    # the reduced rows, their right-hand sides, each as a combination of E's rows
+    rows, rhs, combs, piv, kept = [], [], [], [], []
     for i, (row, r) in enumerate(zip(e_mat, e_rhs)):
         size = float(np.max(np.abs(row), initial=0.0))
         row, r = row.astype(float), float(r)
@@ -158,9 +158,16 @@ def _eliminate(e_mat: np.ndarray, e_rhs: np.ndarray):
         rhs.append(r)
         combs.append(comb)
         piv.append(k)
-    if not piv:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, e_mat.shape[1])), np.zeros(0)
-    return np.array(piv), np.array(rows), np.array(rhs)
+        kept.append(i)
+    # y[p] = rhs - R[:, rest] z for the reduced rows R, and y[rest] = z
+    piv = np.array(piv, dtype=np.intp)
+    rest = np.setdiff1d(np.arange(n), piv)
+    y0 = np.zeros(n)
+    y0[piv] = rhs
+    tail = sparse.csr_array(-np.array(rows).reshape(-1, n)[:, rest])
+    order = np.argsort(np.concatenate([piv, rest]))  # the rows of [tail; I] in y's order
+    t = sparse.vstack([tail, sparse.eye_array(rest.size)], format="csr")[order]
+    return y0, t, piv, np.array(kept, dtype=np.intp)
 
 
 def compile_lmi(prog: ConicProgram) -> LmiProgram | None:
@@ -200,25 +207,13 @@ def compile_lmi(prog: ConicProgram) -> LmiProgram | None:
     eq_rows = np.flatnonzero(~in_slack)
 
     try:
-        piv, red, red_rhs = _eliminate(a_y[eq_rows].toarray(), b_rows[eq_rows])
+        y0, t, _, _ = affine_solutions(a_y[eq_rows].toarray(), b_rows[eq_rows])
     except InconsistentRows as exc:
         y = np.zeros(m_rows)
         y[eq_rows] = exc.y
         raise InconsistentRows(y) from None
-    rest = np.setdiff1d(np.arange(n_y), piv)
-    if rest.size == 0:
+    if t.shape[1] == 0:
         return None
-    y0 = np.zeros(n_y)
-    y0[piv] = red_rhs
-    tail = -red[:, rest]
-    pr, pc = np.nonzero(tail)
-    t = sparse.csr_array(
-        (
-            np.concatenate([np.ones(rest.size), tail[pr, pc]]),
-            (np.concatenate([rest, piv[pr]]), np.concatenate([np.arange(rest.size), pc])),
-        ),
-        shape=(n_y, rest.size),
-    )
 
     cones = []
     for blk in prog.blocks:

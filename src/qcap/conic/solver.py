@@ -7,7 +7,7 @@ Hermitian matrices throughout, so every iterate, scaling point and search
 direction keeps the complex structure by construction; the Nesterov-Todd
 scaling is computed on the complex block.  Search directions come from a
 Mehrotra predictor-corrector step, reduced to one factorization of the Schur
-complement bordered by the free columns.
+complement.
 
 The iteration is the one of the real symmetric embedding
 [[Re H, -Im H], [Im H, Re H]] of each block.  The embedding pairs two blocks
@@ -44,10 +44,21 @@ has at most two nonzero entries), in the spirit of Fujisawa, Kojima and
 Nakata, Math. Prog. 79 (1997), and all stacks enter the Schur complement
 through one sparse product, A [K A']'.
 
-The equilibrated, shifted Schur block is factored by Cholesky, and the free
-columns are eliminated through the reduced system F' M^-1 F; should Cholesky
-fail, that iteration falls back to LU of the bordered matrix.  Everything
-runs on one BLAS thread, which is faster than several at these sizes.
+The equilibrated, shifted Schur complement is factored by Cholesky; should
+that fail, the solve ends with ``factorization_failed`` and its best
+iterate, as after any other breakdown.  Everything runs on one BLAS thread,
+which is faster than several at these sizes.
+
+Free columns.  The iteration sees cones alone.  Assembly solves the dual
+rows F'y = d of the free columns F, of costs d, as y = y0 + T z (by
+``lmi.affine_solutions``, as the LMI form does its equality rows) and
+iterates on min (c - A'y0).x s.t. T'A x = T'b, b.y0 below the program.  The
+free blocks solve the pivot rows, F_P x_f = (b - A x)_P, which leaves
+T'(b - A x) as the rest's residual: the residuals keep their meaning, read
+relative to the program's |b| and |c|.  A free column that combines earlier
+ones reads 0, or, if its cost disagrees, ends the solve ``unbounded`` before
+any iteration.  Anjos and Burer (SIAM J. Optim. 18, 2007) survey the ways to
+treat free variables.
 
 Two forms.  The iteration above runs on the program as stated (``eq``: one
 Schur row per scalar row) or on its LMI form (``lmi``, see ``lmi.py``: one
@@ -78,17 +89,16 @@ point; three things differ from the equality form:
 from __future__ import annotations
 
 import logging
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve
+from scipy.linalg import cho_solve, cholesky
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
-from .lmi import InconsistentRows, LmiProgram, compile_lmi, row_counts
+from .lmi import InconsistentRows, LmiProgram, affine_solutions, compile_lmi, row_counts
 from .program import FREE, HERM_PSD, NONNEG, ConicProgram
 
 OPTIMAL = "optimal"
@@ -130,9 +140,11 @@ class ConicSolution:
 
     ``reason`` is why the iteration ended: ``converged``, ``iteration_limit``,
     ``inconsistent_rows`` (the equality rows have no solution, and ``y``
-    combines them into 0 = 1), or a breakdown, ``factorization_failed``,
-    ``non_finite`` or ``step_stalled``.  ``form`` is the form the program was
-    solved in, ``eq`` or ``lmi``."""
+    combines them into 0 = 1), ``free_ray`` (``unbounded`` with no
+    iteration: free columns that no row sees combine into a lower objective),
+    or a breakdown, ``factorization_failed`` (of the Schur complement or a
+    cone), ``non_finite`` or ``step_stalled``.  ``form`` is the form the
+    program was solved in, ``eq`` or ``lmi``."""
 
     status: str
     reason: str
@@ -181,25 +193,37 @@ class _Stack:
     a_split: sparse.csr_array
 
 
+# Free columns eliminated at assembly: the rows' duals are y0 + T z, and each
+# free block reads xf[block] @ [1; x] of the cone coordinates x, in A's order.
+_FreeMap = namedtuple("_FreeMap", "y0 t xf")
+
+
 @dataclass
 class _Assembled:
     stacks: list[_Stack]
     a: sparse.csr_array  # the stacks' ``a``, side by side
     at: sparse.csr_array  # its transpose
-    a_f: np.ndarray  # (m, f) free columns
-    c_f: np.ndarray
     b: np.ndarray
-    free_spans: list[tuple[str, int, int]]
     sign: float  # +1 for min programs, -1 when a max program was negated
+    # the program's |b| and |c| (free costs included): the residuals' units
+    normb: float
+    normc: float
+    free: _FreeMap | None = None
     # the LMI form: b is scale times the user's -T'c, the user's objective is
-    # offset - b.y / scale, and each direction is corrected onto A dx = rhs
+    # offset - b.y / scale, and each direction is corrected onto A dx = rhs;
+    # the equality form's user objective is offset + c.x
     lmi: bool = False
     scale: float = 1.0
     offset: float = 0.0
 
     def user_value(self, pobj: float, dobj: float) -> float:
         """The user's objective, in min sense, of the iterate's values."""
-        return self.offset - dobj / self.scale if self.lmi else pobj
+        return self.offset - dobj / self.scale if self.lmi else self.offset + pobj
+
+
+def _cost_norm(costs) -> float:
+    """|c| from each block's (kind, cost coordinates); a Hermitian C pairs as C / 2."""
+    return float(np.sqrt(sum(c @ c / (2.0 if kind == HERM_PSD else 1.0) for kind, c in costs)))
 
 
 def _stacks(m: int, cones) -> list[_Stack]:
@@ -246,35 +270,71 @@ def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, spars
 
 
 def _assemble(prog: ConicProgram) -> _Assembled:
+    """The solver's program for a program's equality form, its free columns
+    eliminated; ``InconsistentRows`` if their dual rows F'y = d fail."""
     m = len(prog.rows)
     sign = 1.0 if prog.sense == "min" else -1.0
-    cones, free_spans, width = [], [], 0
+    cones, free = [], []
     for blk in prog.blocks:
-        if blk.kind == FREE:
-            free_spans.append((blk.name, width, blk.size))
-            width += blk.size
-            continue
         herm = blk.kind == HERM_PSD
         obj = prog.objective.get(blk.name)
         if obj is None:
             c = np.zeros(blk.size * blk.size if herm else blk.size)
         else:
             c = sign * (hermitian_coords(obj) if herm else obj)
-        cones.append((blk.name, blk.kind, blk.size, *prog.coefficients(blk.name), c))
-    a_f, c_f = np.zeros((m, width)), np.zeros(width)
-    for name, off, size in free_spans:
-        rows, k, v = prog.coefficients(name)
-        a_f[rows, off + k] = v
-        if name in prog.objective:
-            c_f[off : off + size] = sign * prog.objective[name]
-    stacks = _stacks(m, cones)
+        block = (blk.name, blk.kind, blk.size, *prog.coefficients(blk.name), c)
+        (free if blk.kind == FREE else cones).append(block)
     b = np.array(prog.rows, dtype=np.float64)
-    return _Assembled(stacks, *_side_by_side(m, stacks), a_f, c_f, b, free_spans, sign)
+    norms = float(np.linalg.norm(b)), _cost_norm((blk[1], blk[-1]) for blk in cones + free)
+    if not free:
+        stacks = _stacks(m, cones)
+        return _Assembled(stacks, *_side_by_side(m, stacks), b, sign, *norms)
+    stacks, b, offset, fmap = _eliminate_free(m, cones, free, b)
+    return _Assembled(stacks, *_side_by_side(b.size, stacks), b, sign, *norms, fmap, offset=offset)
+
+
+def _columns(m: int, blocks: list) -> tuple[sparse.csc_array, np.ndarray]:
+    """The blocks' coefficients side by side, (m, coordinates), and costs."""
+    a = [sparse.csc_array((v, (r, k)), shape=(m, c.size)) for *_, r, k, v, c in blocks]
+    a = sparse.hstack(a + [sparse.csc_array((m, 0))], format="csc")
+    return a, np.concatenate([c for *_, c in blocks] + [np.zeros(0)])
+
+
+def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
+    """The stacks of the cones-only program for free columns F of costs d,
+    as the module docstring states it, its rows T'b, b.y0 and the
+    ``_FreeMap``.  Raises ``InconsistentRows`` if F'y = d has no solution."""
+    f_mat, d = _columns(m, free)
+    y0, t, piv, kept = affine_solutions(f_mat.toarray().T, d)
+    a, c = _columns(m, cones)
+    # y0 orthogonal to A(I), so that the start X = I has the program's own
+    # gap c.I, which shrinks in step with the residuals: the pivots' y0 adds
+    # -y0.A(I), and ended the dual of Q_Gamma at gaps up to 2e-8, not 3e-9.
+    x0 = [hermitian_coords(np.eye(n)) if k == HERM_PSD else np.ones(n) for _, k, n, *_ in cones]
+    a_x0 = a @ np.concatenate(x0 + [np.zeros(0)])
+    tg = t.T @ a_x0
+    if tg @ tg > 0.0:
+        y0 = y0 - (y0 @ a_x0) / (tg @ tg) * (t @ tg)
+    a_red, c_red = (t.T @ a).tocsc(), c - a.T @ y0
+    reduced, cols = [], {}
+    for name, kind, size, *_, cost in cones:
+        cols[name] = sum(len(k) for k in cols.values()) + np.arange(cost.size)
+        coo = a_red[:, cols[name]].tocoo()
+        reduced.append((name, kind, size, coo.row, coo.col, coo.data, c_red[cols[name]]))
+    stacks = _stacks(t.shape[1], reduced)
+    # x_f solves the pivot rows, F_P x_f = (b - A x)_P, on the kept columns,
+    # and reads 0 on the others
+    xf = np.zeros((d.size, 1 + a.shape[1]))
+    rhs = np.column_stack([b[piv], -a[piv].toarray()])
+    xf[kept] = np.linalg.solve(f_mat[piv][:, kept].toarray(), rhs)
+    xf = xf[:, np.concatenate([[0]] + [1 + cols[n] for st in stacks for n, _, _ in st.spans])]
+    xf = dict(zip([blk[0] for blk in free], np.split(xf, np.cumsum([blk[2] for blk in free]))))
+    return stacks, t.T @ b, float(b @ y0), _FreeMap(y0, t, xf)
 
 
 def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
     """The solver's program for a program's LMI form: each cone's multiplier
-    is a primal block, and there are no free columns.  The objective b is
+    is a primal block.  The objective b is
     scaled by 1 / (1 + |b|), so that the solver's primal side, the user's
     multipliers, weighs less than the user's point, whose feasibility
     decides the reported value."""
@@ -285,9 +345,11 @@ def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
         cones.append((cone.name, cone.kind, cone.size, coo.row, coo.col, coo.data, cone.c))
     stacks = _stacks(m, cones)
     scale = 1.0 / (1.0 + float(np.linalg.norm(lmi.b)))
+    b = scale * lmi.b
+    normc = _cost_norm((cone.kind, cone.c) for cone in lmi.cones)
     return _Assembled(
-        stacks, *_side_by_side(m, stacks), np.zeros((m, 0)), np.zeros(0), scale * lmi.b, [],
-        1.0, lmi=True, scale=scale, offset=lmi.offset,
+        stacks, *_side_by_side(m, stacks), b, 1.0, float(np.linalg.norm(b)), normc,
+        lmi=True, scale=scale, offset=lmi.offset,
     )
 
 
@@ -328,82 +390,44 @@ def _schur(data: _Assembled, ws: list[np.ndarray]) -> np.ndarray:
     off = 0
     for st, w in zip(data.stacks, ws):
         k = _basis_kernel(w).reshape(-1, st.side * st.side)
-        width = st.count * st.side * st.side
-        ak = (st.a_split @ k).reshape(st.count, m, -1)
-        gt[off : off + width].reshape(st.count, -1, m)[...] = ak.transpose(0, 2, 1)
+        width = st.count * k.shape[1]
+        ak = (st.a_split @ k).reshape(st.count, m, k.shape[1])
+        gt[off : off + width].reshape(st.count, k.shape[1], m)[...] = ak.transpose(0, 2, 1)
         off += width
     M = data.a @ gt
     return 0.5 * (M + M.T)
 
 
-def _schur_solver(gmat: np.ndarray, m: int):
-    """A solve with the bordered Schur matrix [[M, F], [F', 0]] (M is its
-    leading m x m block), or None when it cannot be factored.
+def _schur_solver(mmat: np.ndarray):
+    """A solve with the Schur complement M, or None when its Cholesky
+    factorization fails.
 
-    The matrix is first equilibrated symmetrically by its diagonal (rows whose
+    M is first equilibrated symmetrically by its diagonal (rows whose
     coefficients live where W is small would otherwise sit orders of magnitude
-    below the rest), and M is shifted by a tiny multiple of the identity: on
+    below the rest), and shifted by a tiny multiple of the identity: on
     degenerate programs M becomes numerically singular near the optimum, and
     an unshifted factor returns garbage along its near-null directions.  Each
     solve takes one refinement step against the unshifted matrix, which
     restores full accuracy everywhere else.
     """
-    diag = np.abs(np.diagonal(gmat)).copy()
+    diag = np.abs(np.diagonal(mmat)).copy()
     diag[diag == 0.0] = 1.0
     eq = 1.0 / np.sqrt(diag)
-    gscaled = gmat * eq[:, None] * eq[None, :]
-    gscaled[np.arange(m), np.arange(m)] += _SCHUR_SHIFT
-    with warnings.catch_warnings():
-        # a collapsed scaling underflows the factorization; treat it as a stall
-        # instead of letting the zero-pivot warning and downstream NaNs escape
-        warnings.simplefilter("ignore")
-        solve_scaled = _cholesky_solver(gscaled, m) or _lu_solver(gscaled)
-    if solve_scaled is None:
-        return None
-
-    def gsolve(rhs: np.ndarray) -> np.ndarray:
-        sol = eq * solve_scaled(eq * rhs)
-        sol += eq * solve_scaled(eq * (rhs - gmat @ sol))
-        return sol
-
-    return gsolve
-
-
-def _cholesky_solver(g: np.ndarray, m: int):
-    """Solve with [[M, F], [F', 0]] from a Cholesky factor of M and, when F has
-    columns, one of the reduced matrix F' M^-1 F; None if either is not
-    positive definite."""
-    fcols = g[:m, m:]
+    scaled = mmat * eq[:, None] * eq[None, :]
+    scaled[np.diag_indices_from(scaled)] += _SCHUR_SHIFT
     try:
-        up = cholesky(g[:m, :m], check_finite=False)  # upper: M = U'U
-        if not np.all(np.isfinite(np.diagonal(up))):
-            return None
-        if fcols.shape[1]:
-            z = cho_solve((up, False), fcols, check_finite=False)
-            up_f = cholesky(fcols.T @ z, check_finite=False)
+        up = cholesky(scaled, check_finite=False)  # upper: M = U'U
     except np.linalg.LinAlgError:
         return None
-
-    def solve_scaled(rhs: np.ndarray) -> np.ndarray:
-        t = cho_solve((up, False), rhs[:m], check_finite=False)
-        if not fcols.shape[1]:
-            return t
-        q = cho_solve((up_f, False), fcols.T @ t - rhs[m:], check_finite=False)
-        return np.concatenate([t - z @ q, q])
-
-    return solve_scaled
-
-
-def _lu_solver(g: np.ndarray):
-    """Solve with g from its LU factors; None if the factorization fails."""
-    try:
-        glu = lu_factor(g, check_finite=False)
-    except Exception:
+    if not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
         return None
-    udiag = np.abs(np.diagonal(glu[0]))
-    if not np.all(np.isfinite(udiag)) or float(udiag.min()) == 0.0:
-        return None
-    return lambda rhs: lu_solve(glu, rhs, check_finite=False)
+
+    def msolve(rhs: np.ndarray) -> np.ndarray:
+        sol = eq * cho_solve((up, False), eq * rhs, check_finite=False)
+        sol += eq * cho_solve((up, False), eq * (rhs - mmat @ sol), check_finite=False)
+        return sol
+
+    return msolve
 
 
 # The NT scaling of a stack: R^H S R = R^-1 X R^-H = diag(lam) and W = R R^H,
@@ -444,7 +468,7 @@ def _max_step(scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray]) 
     return np.inf if lmin >= -1e-300 else -1.0 / lmin
 
 
-_Direction = namedtuple("_Direction", "dX dS dxf dy dtau dkap ok")
+_Direction = namedtuple("_Direction", "dX dS dy dtau dkap ok")
 
 
 def solve(
@@ -497,7 +521,10 @@ def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
     if lmi is not None:
         data = _assemble_lmi(lmi)
         return _lmi_solution(lmi, data, _iterate(data, feas_tol, gap_tol, max_iter))
-    data = _assemble(prog)
+    try:
+        data = _assemble(prog)
+    except InconsistentRows:
+        return _empty(UNBOUNDED, "free_ray", 0, "eq")
     sol = _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
     if sol.status == MAX_ITER:
         # equality rows with no solution stall the equality form; the
@@ -516,7 +543,7 @@ class _Final:
     status: str
     reason: str
     iterations: int
-    best: tuple | None  # (X, xf, y, S, tau, pres, dres, pobj, dobj)
+    best: tuple | None  # (X, y, S, tau, pres, dres, pobj, dobj)
 
 
 def _empty(status: str, reason: str, iterations: int, form: str, y=None) -> ConicSolution:
@@ -541,21 +568,25 @@ def _eq_solution(data: _Assembled, fin: _Final) -> ConicSolution:
     if fin.status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
         # best is None only when the very first iterate was already non-finite
         return _empty(fin.status, fin.reason, fin.iterations, "eq")
-    Xc, xfc, yc, _, tauc, pres, dres, pvalue, dvalue = fin.best
+    Xc, yc, _, tauc, pres, dres, pvalue, dvalue = fin.best
     blocks = _values(data.stacks, Xc, 1.0 / tauc)
-    for name, off, ln in data.free_spans:
-        blocks[name] = np.array(xfc[off : off + ln] / tauc)
+    y = yc / tauc
+    if data.free is not None:
+        y0, t, xf = data.free
+        y = y0 + t @ y
+        x = np.concatenate([[tauc]] + [hermitian_coords(x).ravel() for x in Xc]) / tauc
+        blocks.update((name, xm @ x) for name, xm in xf.items())
     return ConicSolution(
         status=fin.status,
         reason=fin.reason,
-        primal_value=data.sign * pvalue,
-        dual_value=data.sign * dvalue,
+        primal_value=data.sign * (data.offset + pvalue),
+        dual_value=data.sign * (data.offset + dvalue),
         gap=abs(pvalue - dvalue),
         blocks=blocks,
         iterations=fin.iterations,
         primal_residual=pres,
         dual_residual=dres,
-        y=yc / tauc,
+        y=y,
         form="eq",
     )
 
@@ -569,7 +600,7 @@ def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSoluti
     status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(fin.status, fin.status)
     if status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
         return _empty(status, fin.reason, fin.iterations, "lmi")
-    Xc, _, yc, Sc, tauc, pres, dres, pobj, dobj = fin.best
+    Xc, yc, Sc, tauc, pres, dres, pobj, dobj = fin.best
     y = lmi.y0 + lmi.t @ (yc / tauc)
     # the solver's S is the value over gamma; the multipliers are coordinates
     blocks = _values(data.stacks, [st.gamma * s for st, s in zip(data.stacks, Sc)], 1.0 / tauc)
@@ -599,10 +630,8 @@ def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSoluti
 
 def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     debug = _log.isEnabledFor(logging.DEBUG)
-    stacks, a_f, c_f, b = data.stacks, data.a_f, data.c_f, data.b
+    stacks, b = data.stacks, data.b
     m = b.size
-    f = c_f.size
-    have_f = f > 0
     cobj = [st.cobj for st in stacks]
     # each stack's first coordinate in A
     offs = np.cumsum([0] + [st.count * st.side**2 for st in stacks])
@@ -614,16 +643,10 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
     def sq_norm(p) -> float:
         return sum(st.gamma * float(np.vdot(x, x).real) for st, x in zip(stacks, p))
 
-    def apply_cones(mats) -> np.ndarray:
+    def apply_a(mats) -> np.ndarray:
         if not stacks:
             return np.zeros(m)
         return data.a @ np.concatenate([hermitian_coords(x).ravel() for x in mats])
-
-    def apply_a(mats, vf) -> np.ndarray:
-        out = apply_cones(mats)
-        if have_f:
-            out += a_f @ vf
-        return out
 
     def apply_at(vec) -> list[np.ndarray]:
         v = data.at @ vec
@@ -635,36 +658,32 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
 
     # a side-s Hermitian cone counts 2s, as its real symmetric embedding does
     nu = sum(st.gamma * st.side * st.count for st in stacks)
-    normb = float(np.linalg.norm(b))
-    normc = float(np.sqrt(sq_norm(cobj) + np.linalg.norm(c_f) ** 2))
 
     # state
     X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in stacks]
     Sm = [x.copy() for x in X]
-    xf = np.zeros(f)
     y = np.zeros(m)
     tau = 1.0
     kap = 1.0
 
-    best = None  # (score, X, xf, y, S, tau, pres, dres, pobj, dobj)
+    best = None  # (score, X, y, S, tau, pres, dres, pobj, dobj)
     status, reason = MAX_ITER, "iteration_limit"
     it = 0
 
     for it in range(1, max_iter + 1):
         # residuals of the self-dual system
         at_y = apply_at(y)
-        ax = apply_a(X, xf)
+        ax = apply_a(X)
         rp = ax - b * tau
-        rdc = [-aty + c * tau - s for aty, c, s in zip(at_y, cobj, Sm)]
-        rdf = (-(a_f.T @ y) + c_f * tau) if have_f else np.zeros(0)
-        cx = inner(cobj, X) + (float(c_f @ xf) if have_f else 0.0)
+        rd = [-aty + c * tau - s for aty, c, s in zip(at_y, cobj, Sm)]
+        cx = inner(cobj, X)
         by = float(b @ y)
         rg = cx - by + kap
         mu = (inner(X, Sm) + tau * kap) / (nu + 1)
 
         # in the user's units: the LMI form's b and its multipliers carry the scale
-        pres = float(np.linalg.norm(rp)) / tau / (data.scale + normb)
-        dres = float(np.sqrt(sq_norm(rdc) + float(rdf @ rdf))) / tau / (1.0 + normc)
+        pres = float(np.linalg.norm(rp)) / tau / (data.scale + data.normb)
+        dres = float(np.sqrt(sq_norm(rd))) / tau / (1.0 + data.normc)
         pobj = cx / tau
         dobj = by / tau
 
@@ -682,26 +701,23 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
         ref = 1.0 + abs(data.user_value(pobj, dobj))
         if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
             status, reason = OPTIMAL, "converged"
-            best = (0.0, X, xf, y, Sm, tau, pres, dres, pobj, dobj)
+            best = (0.0, X, y, Sm, tau, pres, dres, pobj, dobj)
             break
 
         score = max(pres, dres, gap / ref)
         if best is None or score < best[0]:
-            copies = [x.copy() for x in X], xf.copy(), y.copy(), [s.copy() for s in Sm]
+            copies = [x.copy() for x in X], y.copy(), [s.copy() for s in Sm]
             best = (score, *copies, tau, pres, dres, pobj, dobj)
 
         # Farkas certificate checks for infeasible / unbounded programs
         if it > 1 and by > 0.0:
-            res_sq = sq_norm([aty + s for aty, s in zip(at_y, Sm)])
-            if have_f:
-                v = a_f.T @ y
-                res_sq += float(v @ v)
-            if np.sqrt(res_sq) * max(1.0, normb / data.scale) <= feas_tol * by / data.scale:
+            res = np.sqrt(sq_norm([aty + s for aty, s in zip(at_y, Sm)]))
+            if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
                 status, reason = INFEASIBLE, "converged"
                 break
         if it > 1 and cx < 0.0:
-            res = float(np.linalg.norm(apply_a(X, xf)))
-            if res * max(1.0, normc) <= feas_tol * (-cx):
+            res = float(np.linalg.norm(ax))
+            if res * max(1.0, data.normc) <= feas_tol * (-cx):
                 status, reason = UNBOUNDED, "converged"
                 break
 
@@ -713,24 +729,20 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             def wmw(mats):
                 return [w @ x @ w for w, x in zip(ws, mats)]
 
-            # Schur complement M = A W A' over cone columns, bordered by free columns
-            gmat = _schur(data, ws)
-            if have_f:
-                gmat = np.block([[gmat, a_f], [a_f.T, np.zeros((f, f))]])
-            gsolve = _schur_solver(gmat, m)
-            if gsolve is None:
+            msolve = _schur_solver(_schur(data, ws))
+            if msolve is None:
                 return "factorization_failed"
 
             # pieces independent of the complementarity right-hand side
-            wrd = wmw(rdc)
-            awrd = apply_cones(wrd)
+            wrd = wmw(rd)
+            awrd = apply_a(wrd)
             cwrd = inner(cobj, wrd)
 
             def w_quad(mats) -> float:
                 # <xi, W(xi)> accumulated as sums of squares for stability
                 return sq_norm([_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)])
 
-            # The tau column needs gmat^-1 [A(W c W); c_f], whose right-hand side grows
+            # The tau column needs M^-1 A(W c W), whose right-hand side grows
             # like 1/mu; the residual of solving with it swamps the primal residual
             # near convergence.  Writing dy = dy' + dtau * y / tau moves the column to
             # c_hat = c - A'y / tau (about S / tau), whose image A(W c_hat W) is
@@ -738,15 +750,11 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             # equation holds to the accuracy of the solves.
             wc = wmw(cobj)
             c_hat = [c - aty / tau for c, aty in zip(cobj, at_y)]
-            c_hat_f = c_f - (a_f.T @ y) / tau if have_f else np.zeros(0)
-            u_vec = apply_cones(wmw(c_hat))
-            sol_b = gsolve(np.concatenate([b, np.zeros(f)]))
-            sol_u = gsolve(np.concatenate([u_vec, c_hat_f]))
-            if not (np.all(np.isfinite(sol_b)) and np.all(np.isfinite(sol_u))):
+            pb = msolve(b)
+            pu = msolve(apply_a(wmw(c_hat)))
+            if not (np.all(np.isfinite(pb)) and np.all(np.isfinite(pu))):
                 return "non_finite"
-            pb, pu = sol_b[:m], sol_u[:m]
             p2 = pb + pu
-            q2 = (sol_b[m:] + sol_u[m:]) if have_f else np.zeros(0)
             # Delta-tau denominator, algebraically -(|W^.5 A'pb|^2 + |W^.5 (c_hat - A'pu)|^2
             # + kap/tau); the naive inner-product form cancels catastrophically once
             # the scaling matrices become extreme near convergence.
@@ -758,37 +766,31 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
             )
 
             def direction(rx, dtau_rhs) -> _Direction:
-                h1 = -rp - apply_cones(rx) + awrd
+                h1 = -rp - apply_a(rx) + awrd
                 h3 = -rg - dtau_rhs / tau - inner(cobj, rx) + cwrd
-                sol1 = gsolve(np.concatenate([h1, rdf]))
-                p1, q1 = sol1[:m], sol1[m:]
-                # [A(W c W); c_f] . sol1 taken directly, not through gmat @ sol1 =
-                # [h1; rd_f], so that the gap row holds for the step actually taken
-                u_sol1 = inner(wc, apply_at(p1))
-                if have_f:
-                    u_sol1 += float(c_f @ q1)
-                num = h3 + float(b @ p1) - u_sol1
+                p1 = msolve(h1)
+                # A(W c W) . p1 taken directly, not through M p1 = h1, so that
+                # the gap row holds for the step actually taken
+                num = h3 + float(b @ p1) - inner(wc, apply_at(p1))
                 if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(num):
-                    return _Direction(None, None, None, None, 0.0, 0.0, False)
+                    return _Direction(None, None, None, 0.0, 0.0, False)
                 dtau = num / denom
                 dy_shift = p1 + dtau * p2  # dy' above
                 dy = dy_shift + (dtau / tau) * y
-                dxf = q1 + dtau * q2 if have_f else np.zeros(0)
                 at_dy = apply_at(dy_shift)
-                dS = [-atd + ch * dtau + r for atd, ch, r in zip(at_dy, c_hat, rdc)]
+                dS = [-atd + ch * dtau + r for atd, ch, r in zip(at_dy, c_hat, rd)]
                 dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
                 if data.lmi:
                     # restore A dx - b dtau = -rp, which the back-substitution
                     # above meets only to the accuracy of the Schur solves, by
-                    # the correction of least norm in the scaling's metric (the
-                    # LMI form has no free columns)
-                    v = gsolve(b * dtau - rp - apply_cones(dX))
+                    # the correction of least norm in the scaling's metric
+                    v = msolve(b * dtau - rp - apply_a(dX))
                     dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(apply_at(v)))]
                 dkap = (dtau_rhs - kap * dtau) / tau
                 ok = np.isfinite(dtau) and np.isfinite(dkap) and all(
-                    np.all(np.isfinite(d)) for d in (*dX, *dS, dxf, dy)
+                    np.all(np.isfinite(d)) for d in (*dX, *dS, dy)
                 )
-                return _Direction(dX, dS, dxf, dy, dtau, dkap, ok)
+                return _Direction(dX, dS, dy, dtau, dkap, ok)
 
             def max_step(d: _Direction) -> float:
                 t = _max_step(scal, d.dX, d.dS)
@@ -843,8 +845,6 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
 
         X = [_herm(x + alpha * dx) for x, dx in zip(X, step.dX)]
         Sm = [_herm(s + alpha * ds) for s, ds in zip(Sm, step.dS)]
-        if have_f:
-            xf = xf + alpha * step.dxf
         y = y + alpha * step.dy
         tau = tau + alpha * step.dtau
         kap = kap + alpha * step.dkap

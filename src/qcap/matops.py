@@ -8,7 +8,9 @@ vector ``|i1, i2>`` lives at row ``i1 * d2 + i2``.
 Conic programs state coefficients in the coordinates of ``hermitian_basis``,
 to and from which ``hermitian_coords`` and ``from_hermitian_coords`` convert.
 
-All operations are pure functions; inputs are never mutated.
+All operations are pure functions; inputs are never mutated.  ``herm``,
+``permute_factors`` and ``trace_norm`` have no caller in the package: they are
+public API, which the tests use as references independent of the solver.
 """
 from __future__ import annotations
 

@@ -122,6 +122,55 @@ def test_free_variables():
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 2.0) < 1e-7
     assert abs(sol.blocks["f"][0] - 1.0) < 1e-6
+    # the rows' duals meet the free column's dual row F'y = c_f, and leave
+    # the cone a nonnegative reduced cost c - A'y
+    assert abs(np.dot([-1.0, 1.0], sol.y) - 0.0) <= 1e-9
+    assert 1.0 - np.dot([1.0, 1.0], sol.y) >= -1e-9
+
+
+def _degenerate_free(case):
+    """A free block in no row, or two free columns that are equal."""
+    prog = ConicProgram("min")
+    prog.nonneg_block("x", 1)
+    if case == "in_no_row":
+        prog.free_block("g", 2)
+        prog.set_objective({"x": [1.0]})
+        prog.add_constraint({"x": [1.0]}, "==", 2.0)
+        return prog
+    prog.free_block("f", 1)
+    prog.free_block("g", 1)
+    costs = {"x": [1.0], "f": [1.0], "g": [1.0]}
+    if case == "costs_disagree":
+        del costs["g"]
+    prog.set_objective(costs)
+    prog.add_constraint({"x": [1.0], "f": [1.0], "g": [1.0]}, "==", 2.0)
+    if case == "costs_agree":
+        prog.add_constraint({"x": [1.0]}, "<=", 5.0)
+    return prog
+
+
+@pytest.mark.parametrize(
+    "case, status, reason",
+    [
+        ("in_no_row", "optimal", "converged"),
+        ("costs_agree", "optimal", "converged"),
+        # g - f lowers the objective and no row sees it
+        ("costs_disagree", "unbounded", "free_ray"),
+    ],
+)
+def test_degenerate_free_columns(case, status, reason):
+    sol = solve(_degenerate_free(case))
+    assert (sol.status, sol.reason) == (status, reason)
+    if status == "unbounded":
+        assert sol.iterations == 0 and sol.primal_value is None
+        return
+    assert abs(sol.primal_value - 2.0) < 1e-7
+    if case == "in_no_row":
+        assert np.all(sol.blocks["g"] == 0.0)
+    else:
+        # a column that combines earlier ones reads 0, and the rows still hold
+        assert sol.blocks["g"][0] == 0.0
+        assert abs(sol.blocks["x"][0] + sol.blocks["f"][0] - 2.0) < 1e-7
 
 
 def test_infeasible_lp_detected():
@@ -233,19 +282,22 @@ def _box_program():
     return prog
 
 
-# one NT scaling of all stacks per iteration; two step-length tests per iteration
-@pytest.mark.parametrize("target, healthy_calls", [("_nt_scaling", 3), ("_max_step", 6)])
+# one NT scaling of all stacks and one Cholesky factorization of the Schur
+# complement per iteration; two step-length tests per iteration
+@pytest.mark.parametrize(
+    "target, healthy_calls", [("_nt_scaling", 3), ("_max_step", 6), ("cholesky", 3)]
+)
 def test_breakdown_returns_status_instead_of_raising(monkeypatch, target, healthy_calls):
     clean = solve(_box_program())
     assert clean.status == "optimal" and clean.iterations > 4
     real = getattr(solver_mod, target)
     calls = []
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) > healthy_calls:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, target, failing)
     sol = solve(_box_program())
