@@ -52,13 +52,13 @@ which is faster than several at these sizes.
 Free columns.  The iteration sees cones alone.  Assembly solves the dual
 rows F'y = d of the free columns F, of costs d, as y = y0 + T z (by
 ``lmi.affine_solutions``, as the LMI form does its equality rows) and
-iterates on min (c - A'y0).x s.t. T'A x = T'b, b.y0 below the program.  The
+iterates on min (c - A'y0).x s.t. T'A x = T'b, the program less b.y0.  The
 free blocks solve the pivot rows, F_P x_f = (b - A x)_P, which leaves
-T'(b - A x) as the rest's residual: the residuals keep their meaning, read
-relative to the program's |b| and |c|.  A free column that combines earlier
-ones reads 0, or, if its cost disagrees, ends the solve ``unbounded`` before
-any iteration.  Anjos and Burer (SIAM J. Optim. 18, 2007) survey the ways to
-treat free variables.
+T'(b - A x) as the other rows' residual, so the residuals keep their
+meaning, relative to the program's |b| and |c|.  A free column that combines
+earlier ones reads 0, or, if its cost disagrees, ends the solve
+``unbounded`` before any iteration.  Anjos and Burer (SIAM J. Optim. 18,
+2007) survey the ways to treat free variables.
 
 Two forms.  The iteration above runs on the program as stated (``eq``: one
 Schur row per scalar row) or on its LMI form (``lmi``, see ``lmi.py``: one
@@ -210,8 +210,7 @@ class _Assembled:
     normc: float
     free: _FreeMap | None = None
     # the LMI form: b is scale times the user's -T'c, the user's objective is
-    # offset - b.y / scale, and each direction is corrected onto A dx = rhs;
-    # the equality form's user objective is offset + c.x
+    # offset - b.y / scale, and each direction is corrected onto A dx = rhs
     lmi: bool = False
     scale: float = 1.0
     offset: float = 0.0
@@ -271,7 +270,7 @@ def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, spars
 
 def _assemble(prog: ConicProgram) -> _Assembled:
     """The solver's program for a program's equality form, its free columns
-    eliminated; ``InconsistentRows`` if their dual rows F'y = d fail."""
+    eliminated.  Raises ``InconsistentRows`` if F'y = d has no solution."""
     m = len(prog.rows)
     sign = 1.0 if prog.sense == "min" else -1.0
     cones, free = [], []
@@ -301,10 +300,12 @@ def _columns(m: int, blocks: list) -> tuple[sparse.csc_array, np.ndarray]:
 
 
 def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
-    """The stacks of the cones-only program for free columns F of costs d,
-    as the module docstring states it, its rows T'b, b.y0 and the
-    ``_FreeMap``.  Raises ``InconsistentRows`` if F'y = d has no solution."""
+    """The module docstring's cones-only program for free columns F of costs
+    d: its stacks, rows T'b, b.y0 and ``_FreeMap``.  Raises ``InconsistentRows``
+    if F'y = d has no solution, ``FloatingPointError`` if F, d or b is not finite."""
     f_mat, d = _columns(m, free)
+    if not all(np.all(np.isfinite(v)) for v in (f_mat.data, d, b)):
+        raise FloatingPointError("non-finite data")  # the iteration would not see it
     y0, t, piv, kept = affine_solutions(f_mat.toarray().T, d)
     a, c = _columns(m, cones)
     # y0 orthogonal to A(I), so that the start X = I has the program's own
@@ -322,8 +323,7 @@ def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
         coo = a_red[:, cols[name]].tocoo()
         reduced.append((name, kind, size, coo.row, coo.col, coo.data, c_red[cols[name]]))
     stacks = _stacks(t.shape[1], reduced)
-    # x_f solves the pivot rows, F_P x_f = (b - A x)_P, on the kept columns,
-    # and reads 0 on the others
+    # x_f solves the pivot rows, F_P x_f = (b - A x)_P, and reads 0 off the kept columns
     xf = np.zeros((d.size, 1 + a.shape[1]))
     rhs = np.column_stack([b[piv], -a[piv].toarray()])
     xf[kept] = np.linalg.solve(f_mat[piv][:, kept].toarray(), rhs)
@@ -525,6 +525,8 @@ def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
         data = _assemble(prog)
     except InconsistentRows:
         return _empty(UNBOUNDED, "free_ray", 0, "eq")
+    except FloatingPointError:
+        return _empty(MAX_ITER, "non_finite", 0, "eq")
     sol = _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
     if sol.status == MAX_ITER:
         # equality rows with no solution stall the equality form; the
@@ -572,10 +574,9 @@ def _eq_solution(data: _Assembled, fin: _Final) -> ConicSolution:
     blocks = _values(data.stacks, Xc, 1.0 / tauc)
     y = yc / tauc
     if data.free is not None:
-        y0, t, xf = data.free
-        y = y0 + t @ y
-        x = np.concatenate([[tauc]] + [hermitian_coords(x).ravel() for x in Xc]) / tauc
-        blocks.update((name, xm @ x) for name, xm in xf.items())
+        y = data.free.y0 + data.free.t @ y
+        x = np.concatenate([[tauc]] + [hermitian_coords(mat).ravel() for mat in Xc]) / tauc
+        blocks.update((name, xm @ x) for name, xm in data.free.xf.items())
     return ConicSolution(
         status=fin.status,
         reason=fin.reason,

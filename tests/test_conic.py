@@ -432,6 +432,15 @@ def test_non_finite_data_returns_status():
     sol = solve(prog)
     assert sol.status == MAX_ITER and sol.reason == "non_finite"
     assert sol.primal_value is None and sol.blocks == {}
+    # in a row that the free columns' elimination takes out of the iteration
+    prog = ConicProgram("min")
+    prog.nonneg_block("x", 1)
+    prog.free_block("f", 1)
+    prog.set_objective({"x": [1.0], "f": [1.0]})
+    prog.add_constraint({"x": [1.0], "f": [1.0]}, "==", np.inf)
+    prog.add_constraint({"x": [1.0]}, "<=", 5.0)
+    sol = solve(prog)
+    assert sol.status == MAX_ITER and sol.reason == "non_finite"
 
 
 def test_solver_error_carries_status():
