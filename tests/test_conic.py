@@ -129,9 +129,16 @@ def test_free_variables():
 
 
 def _degenerate_free(case):
-    """A free block in no row, or two free columns that are equal."""
+    """A free block in no row, one in every row, or two free columns that
+    are equal."""
     prog = ConicProgram("min")
     prog.nonneg_block("x", 1)
+    if case == "in_every_row":
+        # the elimination leaves the cone no row
+        prog.free_block("f", 1)
+        prog.set_objective({"x": [1.0], "f": [1.0]})
+        prog.add_constraint({"x": [1.0], "f": [1.0]}, "==", 2.0)
+        return prog
     if case == "in_no_row":
         prog.free_block("g", 2)
         prog.set_objective({"x": [1.0]})
@@ -153,6 +160,7 @@ def _degenerate_free(case):
     "case, status, reason",
     [
         ("in_no_row", "optimal", "converged"),
+        ("in_every_row", "optimal", "converged"),
         ("costs_agree", "optimal", "converged"),
         # g - f lowers the objective and no row sees it
         ("costs_disagree", "unbounded", "free_ray"),
@@ -167,6 +175,8 @@ def test_degenerate_free_columns(case, status, reason):
     assert abs(sol.primal_value - 2.0) < 1e-7
     if case == "in_no_row":
         assert np.all(sol.blocks["g"] == 0.0)
+    elif case == "in_every_row":
+        assert abs(sol.blocks["x"][0] + sol.blocks["f"][0] - 2.0) < 1e-7
     else:
         # a column that combines earlier ones reads 0, and the rows still hold
         assert sol.blocks["g"][0] == 0.0
