@@ -193,8 +193,7 @@ class _Stack:
     a_split: sparse.csr_array
 
 
-# Free columns eliminated at assembly: the rows' duals are y0 + T z, and each
-# free block reads xf[block] @ [1; x] of the cone coordinates x, in A's order.
+# Free columns eliminated: rows' duals y0 + T z, free blocks xf[block] @ [1; x in A's order]
 _FreeMap = namedtuple("_FreeMap", "y0 t xf")
 
 
@@ -285,49 +284,50 @@ def _assemble(prog: ConicProgram) -> _Assembled:
         (free if blk.kind == FREE else cones).append(block)
     b = np.array(prog.rows, dtype=np.float64)
     norms = float(np.linalg.norm(b)), _cost_norm((blk[1], blk[-1]) for blk in cones + free)
-    if not free:
-        stacks = _stacks(m, cones)
-        return _Assembled(stacks, *_side_by_side(m, stacks), b, sign, *norms)
-    stacks, b, offset, fmap = _eliminate_free(m, cones, free, b)
+    elim = _eliminate_free(m, cones, free, b) if free else (_stacks(m, cones), b, 0.0, None)
+    stacks, b, offset, fmap = elim
     return _Assembled(stacks, *_side_by_side(b.size, stacks), b, sign, *norms, fmap, offset=offset)
 
 
-def _columns(m: int, blocks: list) -> tuple[sparse.csc_array, np.ndarray]:
-    """The blocks' coefficients side by side, (m, coordinates), and costs."""
-    a = [sparse.csc_array((v, (r, k)), shape=(m, c.size)) for *_, r, k, v, c in blocks]
-    a = sparse.hstack(a + [sparse.csc_array((m, 0))], format="csc")
-    return a, np.concatenate([c for *_, c in blocks] + [np.zeros(0)])
+def _columns(m: int, blocks: list):
+    """The blocks' coefficients side by side, their costs and first columns."""
+    starts = np.cumsum([0] + [blk[-1].size for blk in blocks])
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0))]
+    parts += [(r, k + first, v, c) for (*_, r, k, v, c), first in zip(blocks, starts)]
+    r, k, v, c = (np.concatenate(part) for part in zip(*parts))
+    return sparse.csc_array((v, (r, k)), shape=(m, starts[-1])), c, starts
 
 
 def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
     """The module docstring's cones-only program for free columns F of costs
     d: its stacks, rows T'b, b.y0 and ``_FreeMap``.  Raises ``InconsistentRows``
     if F'y = d has no solution, ``FloatingPointError`` if F, d or b is not finite."""
-    f_mat, d = _columns(m, free)
+    f_mat, d, _ = _columns(m, free)
     if not all(np.all(np.isfinite(v)) for v in (f_mat.data, d, b)):
         raise FloatingPointError("non-finite data")  # the iteration would not see it
     y0, t, piv, kept = affine_solutions(f_mat.toarray().T, d)
-    a, c = _columns(m, cones)
-    # y0 orthogonal to A(I), so that the start X = I has the program's own
-    # gap c.I, which shrinks in step with the residuals: the pivots' y0 adds
-    # -y0.A(I), and ended the dual of Q_Gamma at gaps up to 2e-8, not 3e-9.
+    a, c, starts = _columns(m, cones)
+    # y0 orthogonal to A(I): the start X = I keeps the program's gap c.I, which shrinks with the
+    # residuals; the pivots' y0 added -y0.A(I) and ended Q_Gamma's dual at gaps of 2e-8, not 3e-9
     x0 = [hermitian_coords(np.eye(n)) if k == HERM_PSD else np.ones(n) for _, k, n, *_ in cones]
     a_x0 = a @ np.concatenate(x0 + [np.zeros(0)])
     tg = t.T @ a_x0
     if tg @ tg > 0.0:
         y0 = y0 - (y0 @ a_x0) / (tg @ tg) * (t @ tg)
-    a_red, c_red = (t.T @ a).tocsc(), c - a.T @ y0
-    reduced, cols = [], {}
-    for name, kind, size, *_, cost in cones:
-        cols[name] = sum(len(k) for k in cols.values()) + np.arange(cost.size)
-        coo = a_red[:, cols[name]].tocoo()
-        reduced.append((name, kind, size, coo.row, coo.col, coo.data, c_red[cols[name]]))
+    a_red, c_red = (t.T @ a).tocsc().tocoo(), c - a.T @ y0  # entries in column order
+    ends = np.searchsorted(a_red.col, starts)
+    reduced = [
+        (name, kind, size, a_red.row[i:j], a_red.col[i:j] - lo, a_red.data[i:j], c_red[lo:hi])
+        for (name, kind, size, *_), lo, hi, i, j in zip(cones, starts, starts[1:], ends, ends[1:])
+    ]
     stacks = _stacks(t.shape[1], reduced)
     # x_f solves the pivot rows, F_P x_f = (b - A x)_P, and reads 0 off the kept columns
     xf = np.zeros((d.size, 1 + a.shape[1]))
     rhs = np.column_stack([b[piv], -a[piv].toarray()])
     xf[kept] = np.linalg.solve(f_mat[piv][:, kept].toarray(), rhs)
-    xf = xf[:, np.concatenate([[0]] + [1 + cols[n] for st in stacks for n, _, _ in st.spans])]
+    first = {blk[0]: lo for blk, lo in zip(cones, starts)}
+    order = [1 + first[n] + np.arange(k * st.side**2) for st in stacks for n, _, k in st.spans]
+    xf = xf[:, np.concatenate([[0]] + order)]
     xf = dict(zip([blk[0] for blk in free], np.split(xf, np.cumsum([blk[2] for blk in free]))))
     return stacks, t.T @ b, float(b @ y0), _FreeMap(y0, t, xf)
 
