@@ -304,7 +304,7 @@ def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
     if F'y = d has no solution, ``FloatingPointError`` if F, d or b is not finite."""
     f_mat, d, _ = _columns(m, free)
     if not all(np.all(np.isfinite(v)) for v in (f_mat.data, d, b)):
-        raise FloatingPointError("non-finite data")  # the iteration would not see it
+        raise FloatingPointError("non-finite data")  # these rows leave the iteration
     y0, t, piv, kept = affine_solutions(f_mat.toarray().T, d)
     a, c, starts = _columns(m, cones)
     # y0 orthogonal to A(I): the start X = I keeps the program's gap c.I, which shrinks with the
@@ -334,10 +334,9 @@ def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
 
 def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
     """The solver's program for a program's LMI form: each cone's multiplier
-    is a primal block.  The objective b is
-    scaled by 1 / (1 + |b|), so that the solver's primal side, the user's
-    multipliers, weighs less than the user's point, whose feasibility
-    decides the reported value."""
+    is a primal block.  The objective b is scaled by 1 / (1 + |b|), so that
+    the solver's primal side, the user's multipliers, weighs less than the
+    user's point, whose feasibility decides the reported value."""
     m = lmi.b.size
     cones = []
     for cone in lmi.cones:
