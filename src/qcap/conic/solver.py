@@ -49,28 +49,34 @@ that fail, the solve ends with ``factorization_failed`` and its best
 iterate, as after any other breakdown.  Everything runs on one BLAS thread,
 which is faster than several at these sizes.
 
-Free columns.  The iteration sees cones alone.  Assembly solves the dual
-rows F'y = d of the free columns F, of costs d, as y = y0 + T z (by
-``lmi.affine_solutions``, as the LMI form does its equality rows) and
-iterates on min (c - A'y0).x s.t. T'A x = T'b, the program less b.y0.  The
-free blocks solve the pivot rows, F_P x_f = (b - A x)_P, which leaves
-T'(b - A x) as the other rows' residual, so the residuals keep their
-meaning, relative to the program's |b| and |c|.  A free column that combines
-earlier ones reads 0, or, if its cost disagrees, ends the solve
-``unbounded`` before any iteration.  Anjos and Burer (SIAM J. Optim. 18,
-2007) survey the ways to treat free variables.
-
-Two forms.  The iteration above runs on the program as stated (``eq``: one
-Schur row per scalar row) or on its LMI form (``lmi``, see ``lmi.py``: one
-row per free coordinate of the user's blocks, the program's equality rows
-eliminated by pivoting, one cone per block and per inequality).  ``solve``
+Two forms, one reduction.  The iteration sees cones alone: min c.x s.t.
+A x = b, with the dual max b.z s.t. c - A'z in K.  A program reaches it as
+one of two dual programs, each reduced by ``lmi.reduce_dual``, which solves
+the dual program's equality rows E y = e as y = y0 + T z and leaves the cones
+A = T'G (see ``lmi.py``).  In the equality form (``eq``) y is the rows' duals
+and E y = e the dual rows F'y = d of the free columns F, of costs d: one
+Schur row per scalar row, less the free columns.  In the LMI form (``lmi``)
+y is the user's point and E y = e the program's equality rows: one Schur row
+per coordinate of the user's blocks, less the equality rows.  ``solve``
 takes the LMI form when its Schur complement is smaller by at least
 ``_LMI_MIN_FLOPS`` of Cholesky per iteration, as for the g family on two
 uses of a qubit channel with no phase symmetry (770 rows against 287); a
 small program keeps the equality form, since its iterations cost per-cone
-work that both forms share.  In the LMI form the solver's primal blocks are
-the multipliers of the user's cones and its dual iterate is the user's
-point; three things differ from the equality form:
+work that both forms share.
+
+One fact reads the solution back: the program is the solver's primal in the
+equality form, and its dual in the LMI form.  So in the LMI form the user's
+blocks are the cones' values S, the user's value is the solver's dual one,
+an infeasible solver program reads ``unbounded`` and an unbounded one
+``infeasible``, and equality rows with no solution read ``infeasible``
+(``inconsistent_rows``, with their Farkas y) before any iteration; in the
+equality form free columns whose costs disagree read ``unbounded``
+(``free_ray``).  The multipliers of E y = e, the free blocks in the equality
+form and the equality rows' duals in the LMI form, solve the pivot rows of
+the dual program's stationarity, which leaves the other rows as the
+residual, so the residuals keep their meaning, relative to the program's
+|b| and |c|.  Anjos and Burer (SIAM J. Optim. 18, 2007) survey the ways to
+treat free variables.  Two more things differ in the LMI form:
 
 - the objective b = -T'c is scaled by 1 / (1 + |b|), and every stopping and
   certificate test reads residuals, gap and values in the user's units;
@@ -80,11 +86,7 @@ point; three things differ from the equality form:
   scaling's metric.  Without it the solves' error builds up in the primal
   residual until the step stalls near 1e-8; the Euclidean least-norm
   correction through the constant A A' ignores how near each cone is to its
-  boundary, and stalled g_tilde on AD(0.0708) x AD(0.0708) at step 1e-10;
-- the solution is mapped back: the user's blocks are the cones' values (and
-  y for free blocks), the values swap sides, the rows' duals come from the
-  multipliers, and an infeasible multiplier program reads ``unbounded`` and
-  an unbounded one ``infeasible``.
+  boundary, and stalled g_tilde on AD(0.0708) x AD(0.0708) at step 1e-10.
 """
 from __future__ import annotations
 
@@ -98,8 +100,11 @@ from scipy.linalg import cho_solve, cholesky
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
-from .lmi import InconsistentRows, LmiProgram, affine_solutions, compile_lmi, row_counts
-from .program import FREE, HERM_PSD, NONNEG, ConicProgram
+from .lmi import (
+    InconsistentRows, LmiRows, Reduction, check_equalities, eq_form, lmi_form, row_counts,
+    stated_blocks,
+)
+from .program import HERM_PSD, NONNEG, ConicProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -121,7 +126,7 @@ _STEP_BACKOFF = 0.99
 _STALL_ALPHA = 1e-9
 _SCHUR_SHIFT = 1e-14
 # Below this many flops of Cholesky saved per iteration (about 1 ms on one
-# core), compiling the LMI form and correcting its steps costs more than its
+# core), the LMI form's assembly and corrected steps cost more than its
 # smaller Schur complement saves: an iteration of a small program is per-cone
 # work that both forms share.
 _LMI_MIN_FLOPS = 1e7
@@ -193,10 +198,6 @@ class _Stack:
     a_split: sparse.csr_array
 
 
-# Free columns eliminated: rows' duals y0 + T z, free blocks xf[block] @ [1; x in A's order]
-_FreeMap = namedtuple("_FreeMap", "y0 t xf")
-
-
 @dataclass
 class _Assembled:
     stacks: list[_Stack]
@@ -207,16 +208,18 @@ class _Assembled:
     # the program's |b| and |c| (free costs included): the residuals' units
     normb: float
     normc: float
-    free: _FreeMap | None = None
-    # the LMI form: b is scale times the user's -T'c, the user's objective is
-    # offset - b.y / scale, and each direction is corrected onto A dx = rhs
-    lmi: bool = False
+    red: Reduction
+    free: list  # each free block's (name, first, count) in -lam (eq) or in y (lmi)
+    # the LMI form: its rows, b is scale times the reduction's, the user's
+    # objective is offset - b.y / scale, and each direction is corrected onto A dx = rhs
+    lmi: LmiRows | None = None
     scale: float = 1.0
-    offset: float = 0.0
 
     def user_value(self, pobj: float, dobj: float) -> float:
         """The user's objective, in min sense, of the iterate's values."""
-        return self.offset - dobj / self.scale if self.lmi else self.offset + pobj
+        if self.lmi is None:
+            return pobj - self.red.offset
+        return self.red.offset - dobj / self.scale
 
 
 def _cost_norm(costs) -> float:
@@ -267,89 +270,25 @@ def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, spars
     return a, a.T.tocsr()
 
 
-def _assemble(prog: ConicProgram) -> _Assembled:
-    """The solver's program for a program's equality form, its free columns
-    eliminated.  Raises ``InconsistentRows`` if F'y = d has no solution."""
-    m = len(prog.rows)
+def _assemble(prog: ConicProgram, form: str) -> _Assembled:
+    """The solver's program for ``prog`` in ``form``: the form's dual program,
+    reduced by ``lmi.reduce_dual``, whose errors it raises."""
     sign = 1.0 if prog.sense == "min" else -1.0
-    cones, free = [], []
-    for blk in prog.blocks:
-        herm = blk.kind == HERM_PSD
-        obj = prog.objective.get(blk.name)
-        if obj is None:
-            c = np.zeros(blk.size * blk.size if herm else blk.size)
-        else:
-            c = sign * (hermitian_coords(obj) if herm else obj)
-        block = (blk.name, blk.kind, blk.size, *prog.coefficients(blk.name), c)
-        (free if blk.kind == FREE else cones).append(block)
-    b = np.array(prog.rows, dtype=np.float64)
-    norms = float(np.linalg.norm(b)), _cost_norm((blk[1], blk[-1]) for blk in cones + free)
-    elim = _eliminate_free(m, cones, free, b) if free else (_stacks(m, cones), b, 0.0, None)
-    stacks, b, offset, fmap = elim
-    return _Assembled(stacks, *_side_by_side(b.size, stacks), b, sign, *norms, fmap, offset=offset)
-
-
-def _columns(m: int, blocks: list):
-    """The blocks' coefficients side by side, their costs and first columns."""
-    starts = np.cumsum([0] + [blk[-1].size for blk in blocks])
-    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0))]
-    parts += [(r, k + first, v, c) for (*_, r, k, v, c), first in zip(blocks, starts)]
-    r, k, v, c = (np.concatenate(part) for part in zip(*parts))
-    return sparse.csc_array((v, (r, k)), shape=(m, starts[-1])), c, starts
-
-
-def _eliminate_free(m: int, cones: list, free: list, b: np.ndarray):
-    """The module docstring's cones-only program for free columns F of costs
-    d: its stacks, rows T'b, b.y0 and ``_FreeMap``.  Raises ``InconsistentRows``
-    if F'y = d has no solution, ``FloatingPointError`` if F, d or b is not finite."""
-    f_mat, d, _ = _columns(m, free)
-    if not all(np.all(np.isfinite(v)) for v in (f_mat.data, d, b)):
-        raise FloatingPointError("non-finite data")  # these rows leave the iteration
-    y0, t, piv, kept = affine_solutions(f_mat.toarray().T, d)
-    a, c, starts = _columns(m, cones)
-    # y0 orthogonal to A(I): the start X = I keeps the program's gap c.I, which shrinks with the
-    # residuals; the pivots' y0 added -y0.A(I) and ended Q_Gamma's dual at gaps of 2e-8, not 3e-9
-    x0 = [hermitian_coords(np.eye(n)) if k == HERM_PSD else np.ones(n) for _, k, n, *_ in cones]
-    a_x0 = a @ np.concatenate(x0 + [np.zeros(0)])
-    tg = t.T @ a_x0
-    if tg @ tg > 0.0:
-        y0 = y0 - (y0 @ a_x0) / (tg @ tg) * (t @ tg)
-    a_red, c_red = (t.T @ a).tocsc().tocoo(), c - a.T @ y0  # entries in column order
-    ends = np.searchsorted(a_red.col, starts)
-    reduced = [
-        (name, kind, size, a_red.row[i:j], a_red.col[i:j] - lo, a_red.data[i:j], c_red[lo:hi])
-        for (name, kind, size, *_), lo, hi, i, j in zip(cones, starts, starts[1:], ends, ends[1:])
-    ]
-    stacks = _stacks(t.shape[1], reduced)
-    # x_f solves the pivot rows, F_P x_f = (b - A x)_P, and reads 0 off the kept columns
-    xf = np.zeros((d.size, 1 + a.shape[1]))
-    rhs = np.column_stack([b[piv], -a[piv].toarray()])
-    xf[kept] = np.linalg.solve(f_mat[piv][:, kept].toarray(), rhs)
-    first = {blk[0]: lo for blk, lo in zip(cones, starts)}
-    order = [1 + first[n] + np.arange(k * st.side**2) for st in stacks for n, _, k in st.spans]
-    xf = xf[:, np.concatenate([[0]] + order)]
-    xf = dict(zip([blk[0] for blk in free], np.split(xf, np.cumsum([blk[2] for blk in free]))))
-    return stacks, t.T @ b, float(b @ y0), _FreeMap(y0, t, xf)
-
-
-def _assemble_lmi(lmi: LmiProgram) -> _Assembled:
-    """The solver's program for a program's LMI form: each cone's multiplier
-    is a primal block.  The objective b is scaled by 1 / (1 + |b|), so that
-    the solver's primal side, the user's multipliers, weighs less than the
-    user's point, whose feasibility decides the reported value."""
-    m = lmi.b.size
-    cones = []
-    for cone in lmi.cones:
-        coo = cone.a.tocoo()
-        cones.append((cone.name, cone.kind, cone.size, coo.row, coo.col, coo.data, cone.c))
-    stacks = _stacks(m, cones)
-    scale = 1.0 / (1.0 + float(np.linalg.norm(lmi.b)))
-    b = scale * lmi.b
-    normc = _cost_norm((cone.kind, cone.c) for cone in lmi.cones)
-    return _Assembled(
-        stacks, *_side_by_side(m, stacks), b, 1.0, float(np.linalg.norm(b)), normc,
-        lmi=True, scale=scale, offset=lmi.offset,
-    )
+    blocks = stated_blocks(prog)
+    if form == "lmi":
+        red, rows, free = lmi_form(prog, blocks)
+        # the solver's primal side, the user's multipliers, then weighs less
+        # than the user's point, whose feasibility decides the reported value
+        scale = 1.0 / (1.0 + float(np.linalg.norm(red.b)))
+        b = scale * red.b
+        norms = float(np.linalg.norm(b)), _cost_norm((cone[1], cone[-1]) for cone in red.cones)
+    else:
+        (red, free), rows, scale = eq_form(prog, blocks), None, 1.0
+        b = red.b
+        norms = float(np.linalg.norm(prog.rows)), _cost_norm((blk[1], blk[-1]) for blk in blocks)
+    stacks = _stacks(b.size, red.cones)
+    a, at = _side_by_side(b.size, stacks)
+    return _Assembled(stacks, a, at, b, sign, *norms, red, free, rows, scale)
 
 
 def _basis_kernel(w: np.ndarray) -> np.ndarray:
@@ -514,26 +453,22 @@ def _form(prog: ConicProgram) -> str:
 
 def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
     try:
-        lmi = compile_lmi(prog) if form == "lmi" else None
+        data = _assemble(prog, form)
     except InconsistentRows as exc:
-        return _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
-    if lmi is not None:
-        data = _assemble_lmi(lmi)
-        return _lmi_solution(lmi, data, _iterate(data, feas_tol, gap_tol, max_iter))
-    try:
-        data = _assemble(prog)
-    except InconsistentRows:
-        return _empty(UNBOUNDED, "free_ray", 0, "eq")
+        # E y = e is the LMI form's equality rows, and the equality form's free columns
+        if form == "lmi":
+            return _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
+        return _empty(UNBOUNDED, "free_ray", 0, form)
     except FloatingPointError:
-        return _empty(MAX_ITER, "non_finite", 0, "eq")
-    sol = _eq_solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
-    if sol.status == MAX_ITER:
-        # equality rows with no solution stall the equality form; the
-        # elimination of the LMI form finds the combination that shows it
+        return _empty(MAX_ITER, "non_finite", 0, form)
+    sol = _solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
+    if sol.status == MAX_ITER and form == "eq":
+        # equality rows with no solution stall the equality form; their
+        # elimination finds the combination that shows it
         try:
-            compile_lmi(prog)
+            check_equalities(prog)
         except InconsistentRows as exc:
-            return _empty(INFEASIBLE, "inconsistent_rows", sol.iterations, "eq", exc.y)
+            return _empty(INFEASIBLE, "inconsistent_rows", sol.iterations, form, exc.y)
     return sol
 
 
@@ -565,66 +500,59 @@ def _values(stacks: list[_Stack], mats: list[np.ndarray], scale: float) -> dict[
     return out
 
 
-def _eq_solution(data: _Assembled, fin: _Final) -> ConicSolution:
-    if fin.status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
-        # best is None only when the very first iterate was already non-finite
-        return _empty(fin.status, fin.reason, fin.iterations, "eq")
-    Xc, yc, _, tauc, pres, dres, pvalue, dvalue = fin.best
-    blocks = _values(data.stacks, Xc, 1.0 / tauc)
-    y = yc / tauc
-    if data.free is not None:
-        y = data.free.y0 + data.free.t @ y
-        x = np.concatenate([[tauc]] + [hermitian_coords(mat).ravel() for mat in Xc]) / tauc
-        blocks.update((name, xm @ x) for name, xm in data.free.xf.items())
-    return ConicSolution(
-        status=fin.status,
-        reason=fin.reason,
-        primal_value=data.sign * (data.offset + pvalue),
-        dual_value=data.sign * (data.offset + dvalue),
-        gap=abs(pvalue - dvalue),
-        blocks=blocks,
-        iterations=fin.iterations,
-        primal_residual=pres,
-        dual_residual=dres,
-        y=y,
-        form="eq",
-    )
-
-
-def _lmi_solution(lmi: LmiProgram, data: _Assembled, fin: _Final) -> ConicSolution:
-    """The program's solution from its LMI form's: the user's blocks are the
-    cones' values and the free coordinates of y, its primal value is the LMI
-    form's dual one, and the cones' multipliers give the rows' duals.  A
-    certificate of infeasibility of the multipliers is one of unboundedness
-    of the program, and the other way round."""
-    status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(fin.status, fin.status)
-    if status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
-        return _empty(status, fin.reason, fin.iterations, "lmi")
-    Xc, yc, Sc, tauc, pres, dres, pobj, dobj = fin.best
-    y = lmi.y0 + lmi.t @ (yc / tauc)
-    # the solver's S is the value over gamma; the multipliers are coordinates
-    blocks = _values(data.stacks, [st.gamma * s for st, s in zip(data.stacks, Sc)], 1.0 / tauc)
-    per_unit = 1.0 / (tauc * data.scale)
-    mult = {}
-    for st, x in zip(data.stacks, Xc):
+def _cone_coords(stacks: list[_Stack], mats: list[np.ndarray], cones: list) -> np.ndarray:
+    """The coordinates of each stack's ``mats``, cone by cone in the order of ``cones``."""
+    by_name = {}
+    for st, x in zip(stacks, mats):
         coords = hermitian_coords(x)
         for name, first, count in st.spans:
-            mult[name] = coords[first : first + count].ravel() * per_unit
-    for name, (off, n) in lmi.spans.items():
-        if name not in blocks:
-            blocks[name] = y[off : off + n].copy()
+            by_name[name] = coords[first : first + count].ravel()
+    return np.concatenate([by_name[cone[0]] for cone in cones] + [np.zeros(0)])
+
+
+def _solution(data: _Assembled, fin: _Final) -> ConicSolution:
+    """The program's solution from the solver's.  The program is the
+    solver's primal in the equality form and its dual in the LMI form, so
+    there the user's blocks are the cones' values S, the user's value is the
+    solver's dual one, and a certificate of infeasibility of the solver's
+    program is one of unboundedness of the user's, and the other way round."""
+    lmi, red = data.lmi is not None, data.red
+    form = "lmi" if lmi else "eq"
+    status = fin.status
+    if lmi:
+        status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(status, status)
+    if status in (INFEASIBLE, UNBOUNDED) or fin.best is None:
+        # best is None only when the very first iterate was already non-finite
+        return _empty(status, fin.reason, fin.iterations, form)
+    Xc, yc, Sc, tauc, pres, dres, pobj, dobj = fin.best
+    y = red.point(yc / tauc)
+    # the cones' multipliers, the solver's primal, in the program's units
+    x = _cone_coords(data.stacks, Xc, red.cones) / (tauc * data.scale)
+    lam = red.multipliers(x)
+    if lmi:
+        # the solver's S is the value over gamma
+        blocks = _values(data.stacks, [st.gamma * s for st, s in zip(data.stacks, Sc)], 1.0 / tauc)
+        free, rows = y, np.zeros(lam.size + data.lmi.slack_rows.size)
+        rows[data.lmi.eq_rows] = lam
+        rows[data.lmi.slack_rows] = -x[data.lmi.slack_cols] / data.lmi.slack_coef
+        values, res = (red.offset - dobj / data.scale, red.offset - pobj / data.scale), (dres, pres)
+    else:
+        blocks = _values(data.stacks, Xc, 1.0 / tauc)
+        free, rows = -lam, y
+        values, res = (pobj - red.offset, dobj - red.offset), (pres, dres)
+    blocks.update((name, free[lo : lo + n].copy()) for name, lo, n in data.free)
     return ConicSolution(
         status=status,
         reason=fin.reason,
-        primal_value=lmi.sign * (lmi.offset - dobj / data.scale),
-        dual_value=lmi.sign * (lmi.offset - pobj / data.scale),
+        primal_value=data.sign * values[0],
+        dual_value=data.sign * values[1],
         gap=abs(pobj - dobj) / data.scale,
         blocks=blocks,
         iterations=fin.iterations,
-        primal_residual=dres,
-        dual_residual=pres,
-        y=lmi.row_duals(mult),
-        form="lmi",
+        primal_residual=res[0],
+        dual_residual=res[1],
+        y=rows,
+        form=form,
     )
 
 
@@ -780,7 +708,7 @@ def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
                 at_dy = apply_at(dy_shift)
                 dS = [-atd + ch * dtau + r for atd, ch, r in zip(at_dy, c_hat, rd)]
                 dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
-                if data.lmi:
+                if data.lmi is not None:
                     # restore A dx - b dtau = -rp, which the back-substitution
                     # above meets only to the accuracy of the Schur solves, by
                     # the correction of least norm in the scaling's metric

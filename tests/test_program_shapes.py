@@ -49,15 +49,16 @@ CASES = {
 }
 
 
-# rows of the equality and the LMI form, and the form ``solve`` picks
+# rows of the Schur complement in the equality form (the program's rows less
+# its free coordinates) and in the LMI form, and the form ``solve`` picks
 FORMS = {
     "bound_f": (514, 543, "eq"),
     "bound_g": (770, 287, "lmi"),
-    "bound_g_tilde": (786, 272, "lmi"),
+    "bound_g_tilde": (785, 272, "lmi"),
     "fidelity_ppt": (769, 271, "lmi"),
     "fidelity_ns_ppt": (785, 255, "lmi"),
     "q_gamma_primal": (73, 44, "eq"),  # fewer rows, but too few to pay for the LMI form
-    "q_gamma_dual": (45, 73, "eq"),
+    "q_gamma_dual": (44, 73, "eq"),
     "q_theta": (74, 88, "eq"),
     "e_w_primal": (72, 36, "eq"),
     "e_w_dual": (36, 72, "eq"),
@@ -102,23 +103,23 @@ def test_row_counts_of_both_forms(monkeypatch, name):
 
 def test_g_hat_row_counts(monkeypatch):
     prog = _built(monkeypatch, oneshot, lambda: oneshot.bound_g_hat(RP2, 0.01, 0.5))
-    assert row_counts(prog) == (787, 272)
+    assert row_counts(prog) == (786, 272)
     assert solver_mod._form(prog) == "lmi"
 
 
 # On AD x AD the joint and transposed gradings have 9 sectors of sides
 # 1, 1, 1, 1, 2, 2, 2, 2, 4, and the input and output ones 4 of side 1: a
 # program's PSD blocks are W, Theta and each operator inequality's slack on 9
-# sectors, and rho and S on 4.  Rows of the equality and the LMI form, the
+# sectors, and rho and S on 4.  Schur rows of the equality and the LMI form, the
 # count of PSD blocks of each side, and the form ``solve`` picks.
 SECTOR_CASES = {
     "bound_f": (lambda: oneshot.bound_f(AD2, 0.01), (74, 79), {1: 24, 2: 16, 4: 4}),
     "bound_g": (lambda: oneshot.bound_g(AD2, 0.01), (110, 43), {1: 24, 2: 16, 4: 4}),
     "bound_g_tilde": (
-        lambda: oneshot.bound_g_tilde(AD2, 0.01), (114, 40), {1: 24, 2: 16, 4: 4}
+        lambda: oneshot.bound_g_tilde(AD2, 0.01), (113, 40), {1: 24, 2: 16, 4: 4}
     ),
     "bound_g_hat": (
-        lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5), (115, 40), {1: 24, 2: 16, 4: 4}
+        lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5), (114, 40), {1: 24, 2: 16, 4: 4}
     ),
     "fidelity_ppt": (lambda: oneshot.fidelity_sdp(AD2, 2), (109, 39), {1: 20, 2: 16, 4: 4}),
     "fidelity_ns_ppt": (

@@ -8,7 +8,7 @@ real embedding pairs blocks by 2 Re tr(AB)) contributes 2 Re tr(W C_i W C_k)
 to M[i, k]; the nonnegative columns, slacks of inequality rows included,
 contribute A diag(w) A'.  The solver builds every block's share from sparse
 Hermitian-basis coordinates instead.  In the LMI form the blocks are the
-cones of the compiled program and the rows its free coordinates.
+cones of the reduced program and the rows its free coordinates.
 """
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ import qcap.asymptotic as asymptotic
 import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import channel_nr, random_channel, tensor
-from qcap.conic.lmi import InconsistentRows, compile_lmi
+from qcap.conic.lmi import InconsistentRows, check_equalities
 from qcap.conic.program import HERM_PSD, NONNEG, ConicProgram
 from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
@@ -79,8 +79,14 @@ def _eq_blocks(prog):
     return {blk.name: (blk.kind, blk.size, _stored(prog, blk)) for blk in prog.blocks}
 
 
-def _lmi_blocks(lmi):
-    return {cone.name: (cone.kind, cone.size, cone.a.toarray()) for cone in lmi.cones}
+def _reduced_blocks(red):
+    """Each cone's coefficients on z, as the reduction returns them, dense."""
+    out = {}
+    for name, kind, size, rows, k, v, _ in red.cones:
+        coeffs = np.zeros((red.b.size, size**2 if kind == HERM_PSD else size))
+        coeffs[rows, k] = v
+        out[name] = (kind, size, coeffs)
+    return out
 
 
 def _random_pd(count, side, rng):
@@ -88,10 +94,11 @@ def _random_pd(count, side, rng):
     return g @ g.conj().transpose(0, 2, 1) / side + 0.1 * np.eye(side)
 
 
-def _check_schur(data, blocks):
+def _check_schur(data, blocks, t=None):
     """The solver's M against the dense formula, with a random scaling per
     cone: a positive definite matrix for a Hermitian block, and for each
-    entry of a nonnegative block a positive number."""
+    entry of a nonnegative block a positive number.  ``t`` maps the rows of
+    ``blocks`` to the solver's: M is T' of theirs."""
     rng = np.random.default_rng(2024)
     ws = [_random_pd(st.count, st.side, rng) for st in data.stacks]
     got = solver_mod._schur(data, ws)
@@ -100,21 +107,23 @@ def _check_schur(data, blocks):
         for st, w in zip(data.stacks, ws)
         for name, first, count in st.spans
     )
-    if data.free is not None:
-        # assembly eliminates the free columns: the solver's rows are T' of the program's
-        want = data.free.t.T @ want @ data.free.t
+    if t is not None:
+        want = t.T @ want @ t
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_schur_matches_dense_formula(monkeypatch, name):
     prog = _program(monkeypatch, name)
-    _check_schur(solver_mod._assemble(prog), _eq_blocks(prog))
+    data = solver_mod._assemble(prog, "eq")
+    # assembly eliminates the free columns: the solver's rows are T' of the program's
+    _check_schur(data, _eq_blocks(prog), data.red.t)
 
 
-def test_lmi_schur_matches_dense_formula(monkeypatch):
-    lmi = compile_lmi(_program(monkeypatch, "bound_g_tilde"))
-    _check_schur(solver_mod._assemble_lmi(lmi), _lmi_blocks(lmi))
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_lmi_schur_matches_dense_formula(monkeypatch, name):
+    data = solver_mod._assemble(_program(monkeypatch, name), "lmi")
+    _check_schur(data, _reduced_blocks(data.red))
 
 
 def _row_residual(prog, blocks):
@@ -126,6 +135,25 @@ def _row_residual(prog, blocks):
         x = blocks[blk.name]
         ax += _stored(prog, blk) @ (hermitian_coords(x) if blk.kind == HERM_PSD else x)
     return float(np.max(np.abs(ax - b))) / (1.0 + float(np.linalg.norm(b)))
+
+
+def _check_row_duals(prog, y):
+    """y meets the program's dual: c - A'y in each cone block, to
+    -1e-7 (1 + |y|) in its least eigenvalue or entry, and F'y = d on each
+    free block, to 1e-7; c and d in the program's min sense."""
+    sign = 1.0 if prog.sense == "min" else -1.0
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(y)))
+    for blk in prog.blocks:
+        at_y = _stored(prog, blk).T @ y
+        if blk.kind == HERM_PSD:
+            at_y = from_hermitian_coords(at_y, blk.size)
+        c = sign * prog.objective.get(blk.name, np.zeros_like(at_y))
+        if blk.kind == HERM_PSD:
+            assert np.linalg.eigvalsh(c - at_y)[0] >= -tol, blk.name
+        elif blk.kind == NONNEG:
+            assert np.min(c - at_y) >= -tol, blk.name
+        else:
+            assert np.max(np.abs(at_y - c)) <= 1e-7, blk.name
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
@@ -140,6 +168,7 @@ def test_both_forms_solve_every_program(monkeypatch, name):
         assert sol.blocks.keys() == {blk.name for blk in prog.blocks}
         assert _row_residual(prog, sol.blocks) <= 1e-7
         assert sol.y.shape == (len(prog.rows),)
+        _check_row_duals(prog, sol.y)
         assert abs(sol.primal_value - sol.dual_value) <= 1e-7 * (1 + abs(sol.primal_value))
         sols[form] = sol
     eq, lmi = sols["eq"].primal_value, sols["lmi"].primal_value
@@ -170,23 +199,29 @@ def test_dependent_equality_rows(monkeypatch):
     assert (sol.status, sol.form) == ("optimal", "lmi")
     assert abs(sol.primal_value - 4.0) <= 1e-7
     # inconsistent ones end infeasible, and y combines them into 0 = 1: the LMI
-    # form's elimination finds them before an iteration, and the equality
+    # form's reduction finds them before an iteration, and the equality
     # form's stalled iteration falls back on the same elimination
     prog = _eigen_program([1.5, 2.0])
-    with pytest.raises(InconsistentRows):
-        compile_lmi(prog)
+
+    def farkas(y):
+        for blk in prog.blocks:
+            assert np.max(np.abs(_stored(prog, blk).T @ y)) <= 1e-12
+        assert abs(np.dot(prog.rows, y) - 1.0) <= 1e-12
+
+    for find in (lambda: solver_mod._assemble(prog, "lmi"), lambda: check_equalities(prog)):
+        with pytest.raises(InconsistentRows) as exc:
+            find()
+        farkas(exc.value.y)
     for form in ("lmi", "eq"):
         monkeypatch.setattr(solver_mod, "_form", lambda prog, form=form: form)
         sol = solver_mod.solve(prog)
         assert (sol.status, sol.reason, sol.form) == ("infeasible", "inconsistent_rows", form)
         assert (sol.iterations == 0) == (form == "lmi") and sol.blocks == {}
-        for blk in prog.blocks:
-            assert np.max(np.abs(_stored(prog, blk).T @ sol.y)) <= 1e-12
-        assert abs(np.dot(prog.rows, sol.y) - 1.0) <= 1e-12
+        farkas(sol.y)
 
 
 def test_assembly_drops_zero_rows_and_stores_basis_coordinates(monkeypatch):
-    data = solver_mod._assemble(_program(monkeypatch, "bound_g"))
+    data = solver_mod._assemble(_program(monkeypatch, "bound_g"), "eq")
     # each block's columns of its stack: contiguous, side**2 per cone
     cols = {
         name: st.a[:, first * st.side**2 : (first + count) * st.side**2]
