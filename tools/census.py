@@ -36,8 +36,8 @@ A census written before solves had a reason reads as reason ``-``, one
 written before they had a form as form ``eq``, the only form there was, and
 one written before they had sizes shows ``-`` for them.
 
-The census is not part of the test suite: a run takes about two minutes on
-two cores.
+The census is not part of the test suite: a run takes about 18 s (17.3 s
+for 540 solves on a 2-core x86-64 host with Python 3.11.7).
 """
 from __future__ import annotations
 
