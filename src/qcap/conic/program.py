@@ -30,10 +30,9 @@ wrong value.  ``full_blocks`` puts a solution's sectors back together.
 
 This is the program's equality form: one scalar row per row above.  The
 solver may instead solve its LMI form, which keeps the user's coordinates
-and reads each slack block as a cone on rhs - L(y).  Either form reaches the
-solver through one reduction (``lmi.py``), which eliminates the free
-columns of the one and the equality rows of the other; ``solve`` picks the
-form from the two Schur row counts, and the solution is stated in this
+and reads each slack block as a cone on rhs - L(y); one reduction
+(``lmi.py``) brings either form to cones alone, ``solve`` picks the form
+from the two Schur row counts, and the solution is stated in this
 program's blocks and rows either way.
 """
 from __future__ import annotations

@@ -50,33 +50,27 @@ iterate, as after any other breakdown.  Everything runs on one BLAS thread,
 which is faster than several at these sizes.
 
 Two forms, one reduction.  The iteration sees cones alone: min c.x s.t.
-A x = b, with the dual max b.z s.t. c - A'z in K.  A program reaches it as
-one of two dual programs, each reduced by ``lmi.reduce_dual``, which solves
-the dual program's equality rows E y = e as y = y0 + T z and leaves the cones
-A = T'G (see ``lmi.py``).  In the equality form (``eq``) y is the rows' duals
-and E y = e the dual rows F'y = d of the free columns F, of costs d: one
-Schur row per scalar row, less the free columns.  In the LMI form (``lmi``)
-y is the user's point and E y = e the program's equality rows: one Schur row
-per coordinate of the user's blocks, less the equality rows.  ``solve``
-takes the LMI form when its Schur complement is smaller by at least
-``_LMI_MIN_FLOPS`` of Cholesky per iteration, as for the g family on two
-uses of a qubit channel with no phase symmetry (770 rows against 287); a
-small program keeps the equality form, since its iterations cost per-cone
-work that both forms share.
-
-One fact reads the solution back: the program is the solver's primal in the
-equality form, and its dual in the LMI form.  So in the LMI form the user's
-blocks are the cones' values S, the user's value is the solver's dual one,
-an infeasible solver program reads ``unbounded`` and an unbounded one
-``infeasible``, and equality rows with no solution read ``infeasible``
-(``inconsistent_rows``, with their Farkas y) before any iteration; in the
-equality form free columns whose costs disagree read ``unbounded``
-(``free_ray``).  The multipliers of E y = e, the free blocks in the equality
-form and the equality rows' duals in the LMI form, solve the pivot rows of
-the dual program's stationarity, which leaves the other rows as the
-residual, so the residuals keep their meaning, relative to the program's
-|b| and |c|.  Anjos and Burer (SIAM J. Optim. 18, 2007) survey the ways to
-treat free variables.  Two more things differ in the LMI form:
+A x = b, with the dual max b.z s.t. c - A'z in K.  A program reaches it
+through ``lmi.reduce_dual``, as one of two dual programs whose equality
+rows E y = e it eliminates (``lmi.py``): in the equality form (``eq``) y is
+the rows' duals and E y = e the free columns' dual rows, and in the LMI
+form (``lmi``) y is the user's point and E y = e the program's equality
+rows.  ``solve`` takes the LMI form when its Schur complement is smaller by
+at least ``_LMI_MIN_FLOPS`` of Cholesky per iteration, as for the g family
+on two uses of a qubit channel with no phase symmetry (770 rows against
+287); a small program keeps the equality form, since its iterations cost
+per-cone work that both forms share.  One fact reads the solution back: the
+program is the solver's primal in the equality form and its dual in the LMI
+form.  So in the LMI form the user's blocks are the cones' values S, the
+user's value is the solver's dual one, an infeasible solver program reads
+``unbounded`` and an unbounded one ``infeasible``, and equality rows with
+no solution read ``infeasible`` (``inconsistent_rows``, with their Farkas
+y) before any iteration; in the equality form, free columns whose costs
+disagree read ``unbounded`` (``free_ray``).  The multipliers of E y = e
+solve the pivot rows of the dual program's stationarity, so the other rows
+are the residual, and the residuals keep their meaning, relative to the
+program's |b| and |c| (Anjos and Burer, SIAM J. Optim. 18, 2007, survey the
+ways to treat free variables).  Two more things differ in the LMI form:
 
 - the objective b = -T'c is scaled by 1 / (1 + |b|), and every stopping and
   certificate test reads residuals, gap and values in the user's units;
@@ -216,7 +210,8 @@ class _Assembled:
     scale: float = 1.0
 
     def user_value(self, pobj: float, dobj: float) -> float:
-        """The user's objective, in min sense, of the iterate's values."""
+        """The user's objective, in min sense, of the iterate's values; with
+        the two swapped, the user's dual objective."""
         if self.lmi is None:
             return pobj - self.red.offset
         return self.red.offset - dobj / self.scale
@@ -535,22 +530,21 @@ def _solution(data: _Assembled, fin: _Final) -> ConicSolution:
         free, rows = y, np.zeros(lam.size + data.lmi.slack_rows.size)
         rows[data.lmi.eq_rows] = lam
         rows[data.lmi.slack_rows] = -x[data.lmi.slack_cols] / data.lmi.slack_coef
-        values, res = (red.offset - dobj / data.scale, red.offset - pobj / data.scale), (dres, pres)
+        pres, dres = dres, pres
     else:
         blocks = _values(data.stacks, Xc, 1.0 / tauc)
         free, rows = -lam, y
-        values, res = (pobj - red.offset, dobj - red.offset), (pres, dres)
     blocks.update((name, free[lo : lo + n].copy()) for name, lo, n in data.free)
     return ConicSolution(
         status=status,
         reason=fin.reason,
-        primal_value=data.sign * values[0],
-        dual_value=data.sign * values[1],
+        primal_value=data.sign * data.user_value(pobj, dobj),
+        dual_value=data.sign * data.user_value(dobj, pobj),
         gap=abs(pobj - dobj) / data.scale,
         blocks=blocks,
         iterations=fin.iterations,
-        primal_residual=res[0],
-        dual_residual=res[1],
+        primal_residual=pres,
+        dual_residual=dres,
         y=rows,
         form=form,
     )

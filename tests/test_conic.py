@@ -434,7 +434,7 @@ def test_blas_limit_is_a_no_op_without_openblas(monkeypatch, tmp_path):
     assert _thread_counts(real) == before
 
 
-def test_non_finite_data_returns_status():
+def test_non_finite_data_returns_status(monkeypatch):
     prog = ConicProgram("min")
     prog.nonneg_block("x", 1)
     prog.set_objective({"x": [np.inf]})
@@ -451,6 +451,10 @@ def test_non_finite_data_returns_status():
     prog.add_constraint({"x": [1.0]}, "<=", 5.0)
     sol = solve(prog)
     assert sol.status == MAX_ITER and sol.reason == "non_finite"
+    # in the LMI form that row is an equality row, which the reduction takes out
+    monkeypatch.setattr(solver_mod, "_form", lambda prog: "lmi")
+    sol = solve(prog)
+    assert (sol.status, sol.reason, sol.form, sol.iterations) == (MAX_ITER, "non_finite", "lmi", 0)
 
 
 def test_solver_error_carries_status():

@@ -18,7 +18,7 @@ import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import channel_nr, random_channel, tensor
 from qcap.conic.lmi import InconsistentRows, check_equalities
-from qcap.conic.program import HERM_PSD, NONNEG, ConicProgram
+from qcap.conic.program import FREE, HERM_PSD, NONNEG, SLACK_PREFIX, ConicProgram
 from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
 # two uses of random qubit channels: no phase symmetry, so every block is dense
@@ -120,10 +120,43 @@ def test_schur_matches_dense_formula(monkeypatch, name):
     _check_schur(data, _eq_blocks(prog), data.red.t)
 
 
+def _lmi_cones(prog, red):
+    """The LMI form's cones on z written out from the program's rows and
+    the reduction's y = y0 + T z: -T_j' of value y0_j for a user block j, and
+    (A_i T)' / e_k of value (b_i - A_i y0) / e_k for the coordinate k of a
+    slack that has coefficient e_k in row i."""
+    user = [blk for blk in prog.blocks if not blk.name.startswith(SLACK_PREFIX)]
+    parts = [_stored(prog, blk) for blk in user]
+    a_y = np.hstack(parts)
+    first = np.cumsum([0] + [part.shape[1] for part in parts])
+    offs = {blk.name: (lo, hi) for blk, lo, hi in zip(user, first, first[1:])}
+    t = np.eye(a_y.shape[1]) if red.t is None else red.t.toarray()
+    b = np.array(prog.rows)
+    out = {}
+    for blk in prog.blocks:
+        if blk.kind == FREE:
+            continue
+        if blk.name in offs:
+            lo, hi = offs[blk.name]
+            out[blk.name] = (-t[lo:hi].T, red.y0[lo:hi])
+        else:
+            rows, k, e = prog.coefficients(blk.name)
+            rows, e = rows[np.argsort(k)], e[np.argsort(k)]
+            out[blk.name] = ((a_y[rows] @ t).T / e, (b[rows] - a_y[rows] @ red.y0) / e)
+    return out
+
+
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_lmi_schur_matches_dense_formula(monkeypatch, name):
-    data = solver_mod._assemble(_program(monkeypatch, name), "lmi")
-    _check_schur(data, _reduced_blocks(data.red))
+    prog = _program(monkeypatch, name)
+    data = solver_mod._assemble(prog, "lmi")
+    blocks = _reduced_blocks(data.red)
+    # the reduction's cones are the LMI form's, written out densely
+    values = {cone[0]: cone[-1] for cone in data.red.cones}
+    for cone, (coeffs, value) in _lmi_cones(prog, data.red).items():
+        assert np.max(np.abs(blocks[cone][2] - coeffs)) <= 1e-13 * max(1.0, np.max(np.abs(coeffs)))
+        assert np.max(np.abs(values[cone] - value)) <= 1e-13 * max(1.0, np.max(np.abs(value)))
+    _check_schur(data, blocks)
 
 
 def _row_residual(prog, blocks):
