@@ -36,19 +36,9 @@ class GammaCertificate:
     mu: float | None = None
 
 
-def q_gamma(
-    ch: Channel,
-    form: str = "primal",
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-) -> BoundResult:
-    """Strong-converse rate bound; ``log_value`` is the rate in qubits.
-
-    ``form='primal'`` maximizes tr(J R) over states rho and operators R with
-    -rho (x) I <= R^TB <= rho (x) I; ``form='dual'`` minimizes mu over PSD
-    V, Y with (V - Y)^TB >= J and tr_B(V + Y) <= mu I.  Both give the same
-    value within solver tolerance, and each carries its own certificate.
-    """
+def q_gamma_program(ch: Channel, form: str = "primal"):
+    """``q_gamma``'s program on ``ch`` in ``form``, and the reader of its
+    result from the program's solution."""
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be 'primal' or 'dual', got {form!r}")
     j = choi(ch)
@@ -65,40 +55,50 @@ def q_gamma(
         prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
         prog.add_operator_constraint({"R": pt, "rho": lambda r: -lift(r)}, "<=", 0)
         prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0)
-        sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
+    else:
+        eye_a = np.eye(ch.d_in)
+        prog = ConicProgram("min")
+        prog.herm_block("V", d)
+        prog.herm_block("Y", d)
+        prog.free_block("mu", 1)
+        prog.set_objective({"mu": [1.0]})
+        prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data)
+        prog.add_operator_constraint(
+            {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0
+        )
+
+    def read(sol) -> BoundResult:
         cert = None
         if sol.blocks:
-            cert = GammaCertificate(
-                value=float("nan") if sol.primal_value is None else float(sol.primal_value),
-                R=sol.blocks["R"],
-                rho=sol.blocks["rho"],
-            )
+            value = float("nan") if sol.primal_value is None else float(sol.primal_value)
+            blk = sol.blocks
+            if form == "primal":
+                cert = GammaCertificate(value, R=blk["R"], rho=blk["rho"])
+            else:
+                cert = GammaCertificate(value, V=blk["V"], Y=blk["Y"], mu=float(blk["mu"][0]))
         return BoundResult.from_optimum(
             "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert,
             iterations=sol.iterations, reason=sol.reason, form=sol.form,
         )
 
-    eye_a = np.eye(ch.d_in)
-    prog = ConicProgram("min")
-    prog.herm_block("V", d)
-    prog.herm_block("Y", d)
-    prog.free_block("mu", 1)
-    prog.set_objective({"mu": [1.0]})
-    prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data)
-    prog.add_operator_constraint({"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    cert = None
-    if sol.blocks:
-        cert = GammaCertificate(
-            value=float("nan") if sol.primal_value is None else float(sol.primal_value),
-            V=sol.blocks["V"],
-            Y=sol.blocks["Y"],
-            mu=float(sol.blocks["mu"][0]),
-        )
-    return BoundResult.from_optimum(
-        "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert,
-        iterations=sol.iterations, reason=sol.reason, form=sol.form,
-    )
+    return prog, read
+
+
+def q_gamma(
+    ch: Channel,
+    form: str = "primal",
+    feas_tol: float = 1e-8,
+    gap_tol: float = 1e-8,
+) -> BoundResult:
+    """Strong-converse rate bound; ``log_value`` is the rate in qubits.
+
+    ``form='primal'`` maximizes tr(J R) over states rho and operators R with
+    -rho (x) I <= R^TB <= rho (x) I; ``form='dual'`` minimizes mu over PSD
+    V, Y with (V - Y)^TB >= J and tr_B(V + Y) <= mu I.  Both give the same
+    value within solver tolerance, and each carries its own certificate.
+    """
+    prog, read = q_gamma_program(ch, form)
+    return read(solve(prog, feas_tol=feas_tol, gap_tol=gap_tol))
 
 
 def e_w(
@@ -199,18 +199,9 @@ def purified_output(ch: Channel, rho_a: np.ndarray) -> HermMat:
     return HermMat(out, (ch.d_in, ch.d_out))
 
 
-def q_theta(
-    ch: Channel,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-) -> BoundResult:
-    """log2 of the completely bounded trace norm of the channel composed
-    with transposition; upper bounds the ``q_gamma`` rate.
-
-    The norm is the SDP maximum of Re tr(J^TB X) over off-diagonal blocks X
-    of a PSD matrix whose diagonal blocks are rho0 (x) I and rho1 (x) I for
-    density matrices rho0, rho1.
-    """
+def q_theta_program(ch: Channel):
+    """``q_theta``'s program on ``ch``, and the reader of its result from
+    the program's solution."""
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
@@ -233,11 +224,30 @@ def q_theta(
     # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
     prog.add_operator_constraint({"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0)
     prog.add_operator_constraint({"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    return BoundResult.from_optimum(
-        "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1,
-        iterations=sol.iterations, reason=sol.reason, form=sol.form,
-    )
+
+    def read(sol) -> BoundResult:
+        return BoundResult.from_optimum(
+            "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1,
+            iterations=sol.iterations, reason=sol.reason, form=sol.form,
+        )
+
+    return prog, read
+
+
+def q_theta(
+    ch: Channel,
+    feas_tol: float = 1e-8,
+    gap_tol: float = 1e-8,
+) -> BoundResult:
+    """log2 of the completely bounded trace norm of the channel composed
+    with transposition; upper bounds the ``q_gamma`` rate.
+
+    The norm is the SDP maximum of Re tr(J^TB X) over off-diagonal blocks X
+    of a PSD matrix whose diagonal blocks are rho0 (x) I and rho1 (x) I for
+    density matrices rho0, rho1.
+    """
+    prog, read = q_theta_program(ch)
+    return read(solve(prog, feas_tol=feas_tol, gap_tol=gap_tol))
 
 
 def strong_converse_error(n_uses: int, rate: float, q_value: float) -> float:

@@ -10,8 +10,14 @@ list over a parameter grid of a named channel family.  Single evaluations
 on serialized channels emit one JSON result.
 
 Each experiment is data for one sweep runner: a grid of keys, a channel
-builder and a bound list.  Rows are computed serially or on a process pool
-and written in grid order, so output is deterministic for a fixed spec.
+builder and a bound list.  The keys are split into contiguous chunks, one
+per worker process (a single chunk with ``--jobs 1``), and each chunk is
+computed bound by bound: a bound that is one conic program (f, g, g_tilde,
+q_gamma, q_theta) has every row's program built and then solved together
+by one ``conic.solve_all``, which iterates the programs of one shape in
+lockstep; each value is the one a solve of that row alone gives, to the
+bit.  ``g_hat`` and the LP bounds are evaluated row by row.  Rows are
+written in grid order, so output is deterministic for a fixed spec.
 Numeric cells are emitted at full precision; rounding is the plot
 consumer's job.
 
@@ -35,10 +41,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .asymptotic import q_gamma, q_theta
+from .asymptotic import q_gamma, q_gamma_program, q_theta, q_theta_program
 from .channels import Channel, amplitude_damping, channel_nr, depolarizing, load_channel, tensor
+from .conic import solve_all
 from .depolarizing_lp import lp_f, lp_g_hat_iterate
-from .oneshot import bound_f, bound_g, bound_g_tilde, g_hat_iterate
+from .oneshot import (
+    bound_f, bound_g, bound_g_tilde, f_program, g_hat_iterate, g_program, g_tilde_program,
+)
 from .results import BoundResult
 
 _FAMILIES = {"ad": amplitude_damping, "depol": depolarizing, "nr": channel_nr}
@@ -111,6 +120,47 @@ def _eval_bound(ch, name, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> Bo
     raise ValueError(f"unknown bound {name!r}")
 
 
+def _program(ch, name, eps=0.01):
+    """The program of bound ``name`` on ``ch`` and its reader, or None when
+    the bound is not one conic program.  As in ``_eval_bound``, the builders
+    are looked up in this module at call time."""
+    if isinstance(ch, tuple):
+        return None
+    if name == "f":
+        return f_program(ch, eps)
+    if name == "g":
+        return g_program(ch, eps)
+    if name == "g_tilde":
+        return g_tilde_program(ch, eps)
+    if name == "q_gamma":
+        return q_gamma_program(ch)
+    if name == "q_theta":
+        return q_theta_program(ch)
+    return None
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
+def _column(name, chans, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> list:
+    """Bound ``name`` on each of ``chans``, as a BoundResult or the exception
+    that its row raised.  Every program is built first, and all of them are
+    solved by one ``solve_all``; a bound that is not one program is
+    evaluated channel by channel."""
+    built = [_attempt(_program, ch, name, eps) for ch in chans]
+    if any(b is None for b in built):
+        opts = {"eps": eps, "rounds": rounds, "feas_tol": feas_tol, "gap_tol": gap_tol}
+        return [_attempt(_eval_bound, ch, name, **opts) for ch in chans]
+    progs = [b[0] for b in built if not isinstance(b, Exception)]
+    sols = iter(solve_all(progs, feas_tol, gap_tol))
+    return [b if isinstance(b, Exception) else _attempt(b[1], next(sols)) for b in built]
+
+
 def _ad_pair(r: float) -> Channel:
     return tensor(amplitude_damping(r), amplitude_damping(r))
 
@@ -119,32 +169,50 @@ def _depol_uses(p: float, n: int) -> tuple[int, float]:
     return n, p
 
 
-def _row(task) -> tuple:
-    """One sweep row: (key, the log-domain value of each bound, status)."""
-    label, key, build, bounds, opts = task
-    try:
-        ch = build(key)
-        results = [_eval_bound(ch, name, **opts) for name in bounds]
-        return (key, *(res.log_value for res in results), _status(*results))
-    except Exception as exc:
-        _log.error("row %s=%s failed: %s: %s", label, _fmt(key), type(exc).__name__, exc)
-        return (key, *([float("nan")] * len(bounds)), "error")
+def _rows(task) -> list[tuple]:
+    """Sweep rows of a chunk of keys, bound column by bound column: (key,
+    the log-domain value of each bound, status).  A row that raised, in its
+    channel build or in any bound, is ``error``; the others are unaffected."""
+    label, keys, build, bounds, opts = task
+    got = [_attempt(build, key) for key in keys]  # each row's channel, or its exception
+    cols = []
+    for name in bounds:
+        live = [i for i, ch in enumerate(got) if not isinstance(ch, Exception)]
+        col = dict(zip(live, _column(name, [got[i] for i in live], **opts)))
+        for i, res in col.items():
+            if isinstance(res, Exception):
+                got[i] = res
+        cols.append(col)
+    rows = []
+    for i, key in enumerate(keys):
+        if isinstance(got[i], Exception):
+            exc = got[i]
+            _log.error("row %s=%s failed: %s: %s", label, _fmt(key), type(exc).__name__, exc)
+            rows.append((key, *([float("nan")] * len(bounds)), "error"))
+        else:
+            results = [col[i] for col in cols]
+            rows.append((key, *(res.log_value for res in results), _status(*results)))
+    return rows
 
 
 def _sweep(label: str, keys, build, bounds, jobs: int | None, **opts) -> list[tuple]:
     """Evaluate ``bounds`` on ``build(key)`` for each key, one row per key in
-    key order, serially or on a process pool of ``jobs`` workers.
+    key order, serially or in contiguous chunks of keys on a process pool of
+    ``jobs`` workers.
 
     ``label`` names the row key in failure logs, e.g. ``"fig2_depol n"``;
     ``build`` must pickle, and ``opts`` go to every bound.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(label, key, build, tuple(bounds), opts) for key in keys]
-    if jobs == 1 or len(tasks) <= 1:
-        return [_row(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs or os.cpu_count() or 1, len(tasks))) as pool:
-        return list(pool.map(_row, tasks))
+    keys = list(keys)
+    workers = 1 if jobs == 1 else min(jobs or os.cpu_count() or 1, len(keys))
+    size = -(-len(keys) // max(workers, 1))
+    tasks = [(label, keys[i : i + size], build, tuple(bounds), opts) for i in range(0, len(keys), size)]
+    if len(tasks) <= 1:
+        return [row for task in tasks for row in _rows(task)]
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return [row for rows in pool.map(_rows, tasks) for row in rows]
 
 
 def run_fig1(

@@ -8,6 +8,7 @@ from .solver import (
     ConicSolution,
     SolverError,
     solve,
+    solve_all,
 )
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "ConicSolution",
     "SolverError",
     "solve",
+    "solve_all",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",

@@ -87,10 +87,12 @@ from __future__ import annotations
 import logging
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrs
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
@@ -186,10 +188,10 @@ class _Stack:
     spans: list[tuple[str, int, int]]  # (block, first cone, cones); a Hermitian block is one cone
     cobj: np.ndarray  # (count, side, side): the objective / gamma, in min sense
     a: sparse.csr_array  # (m, count * side**2), each cone's coordinates contiguous
-    # ``a`` / gamma with its rows split by cone: row c * m + r holds row r's
-    # coefficients on cone c, so that a_split [K_1; ...; K_count] stacks the
-    # a_c K_c / gamma
-    a_split: sparse.csr_array
+    # ``a`` / gamma with its rows split by cone, for the cones lo:hi of each
+    # chunk: row (c - lo) * m + r holds row r's coefficients on cone c, so that
+    # its product with [K_lo; ...; K_hi-1] stacks the a_c K_c / gamma
+    split: list[tuple[int, int, sparse.csr_array]]
 
 
 @dataclass
@@ -256,7 +258,7 @@ def _stacks(m: int, cones) -> list[_Stack]:
         )
         with np.errstate(invalid="ignore"):  # non-finite data ends the solve as non_finite
             cobj = from_hermitian_coords(np.concatenate(objs).reshape(first, n), side) / gamma
-        stacks.append(_Stack(side, gamma, first, spans, cobj, a, split))
+        stacks.append(_Stack(side, gamma, first, spans, cobj, a, [(0, first, split)]))
     return stacks
 
 
@@ -312,28 +314,33 @@ def _basis_kernel(w: np.ndarray) -> np.ndarray:
     return k
 
 
-def _schur(data: _Assembled, ws: list[np.ndarray]) -> np.ndarray:
-    """The symmetric Schur complement M = A W A' of the cone columns, where
-    ``ws`` holds each stack's scalings W: each cone c adds a_c (K_c / gamma)
-    a_c', with K_c its ``_basis_kernel``, and a stack's a_c K_c / gamma all
-    come from one sparse product with its ``a_split``."""
-    m = data.b.size
+def _schur(data, ws: list[np.ndarray]) -> np.ndarray:
+    """The symmetric Schur complement M = A W A' of the cone columns of each
+    program of ``data`` (an ``_Assembled`` or a ``_Batch``), as a (programs,
+    m, m) stack, where ``ws`` holds each stack's scalings W: each cone c adds
+    a_c (K_c / gamma) a_c', with K_c its ``_basis_kernel``, and a chunk of a
+    stack's a_c K_c / gamma come from one sparse product with its ``split``.
+    In a batch, A is block-diagonal, so that one product A [K A']' yields
+    every program's M from its own rows."""
+    b = np.atleast_2d(data.b)
+    m = b.shape[1]
     # [a_c K_c]' of every cone, stacked row-major, the layout the sparse product reads
     gt = np.empty((data.a.shape[1], m))
     off = 0
     for st, w in zip(data.stacks, ws):
-        k = _basis_kernel(w).reshape(-1, st.side * st.side)
-        width = st.count * k.shape[1]
-        ak = (st.a_split @ k).reshape(st.count, m, k.shape[1])
-        gt[off : off + width].reshape(st.count, k.shape[1], m)[...] = ak.transpose(0, 2, 1)
-        off += width
-    M = data.a @ gt
-    return 0.5 * (M + M.T)
+        n = st.side * st.side
+        for lo, hi, a_split in st.split:
+            k = _basis_kernel(w[lo:hi]).reshape(-1, n)
+            ak = (a_split @ k).reshape(hi - lo, m, n)
+            gt[off + lo * n : off + hi * n].reshape(hi - lo, n, m)[...] = ak.transpose(0, 2, 1)
+        off += st.count * n
+    M = (data.a @ gt).reshape(b.shape[0], m, m)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _schur_solver(mmat: np.ndarray):
-    """A solve with the Schur complement M, or None when its Cholesky
-    factorization fails.
+def _schur_solvers(mmats: np.ndarray) -> list:
+    """A solve with each Schur complement M of a (programs, m, m) stack, or
+    None where its Cholesky factorization fails.
 
     M is first equilibrated symmetrically by its diagonal (rows whose
     coefficients live where W is small would otherwise sit orders of magnitude
@@ -343,24 +350,33 @@ def _schur_solver(mmat: np.ndarray):
     solve takes one refinement step against the unshifted matrix, which
     restores full accuracy everywhere else.
     """
-    diag = np.abs(np.diagonal(mmat)).copy()
+    diag = np.abs(np.diagonal(mmats, axis1=1, axis2=2)).copy()
     diag[diag == 0.0] = 1.0
-    eq = 1.0 / np.sqrt(diag)
-    scaled = mmat * eq[:, None] * eq[None, :]
-    scaled[np.diag_indices_from(scaled)] += _SCHUR_SHIFT
-    try:
-        up = cholesky(scaled, check_finite=False)  # upper: M = U'U
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
-        return None
+    eqs = 1.0 / np.sqrt(diag)
+    scaled = mmats * eqs[:, :, None] * eqs[:, None, :]
+    idx = np.arange(mmats.shape[1])
+    scaled[:, idx, idx] += _SCHUR_SHIFT
+    out = []
+    for mmat, eq, sc in zip(mmats, eqs, scaled):
+        try:
+            up = cholesky(sc, check_finite=False)  # upper: M = U'U
+        except np.linalg.LinAlgError:
+            out.append(None)
+            continue
+        if not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
+            out.append(None)
+            continue
+        out.append(partial(_msolve, mmat, eq, up))
+    return out
 
-    def msolve(rhs: np.ndarray) -> np.ndarray:
-        sol = eq * cho_solve((up, False), eq * rhs, check_finite=False)
-        sol += eq * cho_solve((up, False), eq * (rhs - mmat @ sol), check_finite=False)
-        return sol
 
-    return msolve
+def _msolve(mmat: np.ndarray, eq: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs from the factor U'U of the equilibrated, shifted M, refined once against M."""
+    if rhs.size == 0:  # no rows
+        return np.zeros(0)
+    sol = eq * dpotrs(up, eq * rhs)[0]
+    sol += eq * dpotrs(up, eq * (rhs - mmat @ sol))[0]
+    return sol
 
 
 # The NT scaling of a stack: R^H S R = R^-1 X R^-H = diag(lam) and W = R R^H,
@@ -385,8 +401,11 @@ def _nt_scaling(xs: list[np.ndarray], ss: list[np.ndarray]) -> list[_Scaling]:
     return out
 
 
-def _max_step(scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray]) -> float:
-    """Largest t with X + t dX and S + t dS PSD in every stack.
+def _max_step(
+    scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray], programs: int = 1
+) -> np.ndarray:
+    """Largest t with X + t dX and S + t dS PSD in every stack, for each of
+    ``programs`` programs whose cones follow one another in each stack.
 
     The step test runs in the scaled space, where X and S both read
     diag(lam): X + t dX is PSD while I + t lam^-1/2 R^-1 dX R^-H lam^-1/2 is,
@@ -394,11 +413,13 @@ def _max_step(scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray]) 
     lam^-1/2 R^H dS R lam^-1/2 for S.  That is one stacked ``eigvalsh`` per
     stack, and no triangular solve.
     """
-    lmin = np.inf
+    lmin = [np.inf] * programs
     for sc, dx, ds in zip(scal, dX, dS):
-        d = np.concatenate([dx, ds])
-        lmin = min(lmin, float(np.linalg.eigvalsh(_herm(sc.g @ d @ _h(sc.g)))[:, 0].min()))
-    return np.inf if lmin >= -1e-300 else -1.0 / lmin
+        low = np.linalg.eigvalsh(_herm(sc.g @ np.concatenate([dx, ds]) @ _h(sc.g)))[:, 0]
+        # each program's cones of X, then of S
+        low = low.reshape(2, programs, -1).swapaxes(0, 1).reshape(programs, -1).min(axis=1)
+        lmin = [min(lo, float(v)) for lo, v in zip(lmin, low)]
+    return np.array([np.inf if lo >= -1e-300 else -1.0 / lo for lo in lmin])
 
 
 _Direction = namedtuple("_Direction", "dX dS dy dtau dkap ok")
@@ -431,11 +452,50 @@ def solve(
     The solve runs on one OpenBLAS thread, assembly included; each loaded
     OpenBLAS gets its previous thread count back on return.  With the
     ``qcap.conic`` logger at DEBUG, each iteration logs one progress record.
+    This is ``solve_all`` of the one program.
     """
+    return solve_all([prog], feas_tol, gap_tol, max_iter)[0]
+
+
+def solve_all(
+    progs: list[ConicProgram],
+    feas_tol: float = 1e-8,
+    gap_tol: float = 1e-8,
+    max_iter: int = 200,
+) -> list[ConicSolution]:
+    """Solve each program as ``solve`` does, the programs of one assembled
+    shape (form, row count, and each stack's side and count) in lockstep.
+
+    Each solution is the one ``solve`` returns for its program alone, to the
+    bit: every program keeps its own Schur factor, pairings, norms, step
+    lengths and stopping tests, and leaves the batch when it ends.
+    """
+    sols: list[ConicSolution | None] = [None] * len(progs)
     with one_blas_thread():
-        sol = _solve(prog, feas_tol, gap_tol, max_iter, _form(prog))
-    sol.blocks = prog.full_blocks(sol.blocks)
-    return sol
+        groups: dict[tuple, list] = {}
+        for i, prog in enumerate(progs):
+            form = _form(prog)
+            try:
+                data = _assemble(prog, form)
+            except InconsistentRows as exc:
+                # E y = e is the LMI form's equality rows, and the equality form's free columns
+                if form == "lmi":
+                    sols[i] = _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
+                else:
+                    sols[i] = _empty(UNBOUNDED, "free_ray", 0, form)
+                continue
+            except FloatingPointError:
+                sols[i] = _empty(MAX_ITER, "non_finite", 0, form)
+                continue
+            shape = (form, data.b.size, tuple((st.side, st.gamma, st.count) for st in data.stacks))
+            groups.setdefault(shape, []).append((i, data))
+        for members in groups.values():
+            fins = _iterate([data for _, data in members], feas_tol, gap_tol, max_iter)
+            for (i, data), fin in zip(members, fins):
+                sols[i] = _checked(progs[i], _solution(data, fin))
+    for prog, sol in zip(progs, sols):
+        sol.blocks = prog.full_blocks(sol.blocks)
+    return sols
 
 
 def _form(prog: ConicProgram) -> str:
@@ -446,24 +506,15 @@ def _form(prog: ConicProgram) -> str:
     return "lmi" if lmi_rows > 0 and saved >= _LMI_MIN_FLOPS else "eq"
 
 
-def _solve(prog, feas_tol, gap_tol, max_iter, form) -> ConicSolution:
-    try:
-        data = _assemble(prog, form)
-    except InconsistentRows as exc:
-        # E y = e is the LMI form's equality rows, and the equality form's free columns
-        if form == "lmi":
-            return _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
-        return _empty(UNBOUNDED, "free_ray", 0, form)
-    except FloatingPointError:
-        return _empty(MAX_ITER, "non_finite", 0, form)
-    sol = _solution(data, _iterate(data, feas_tol, gap_tol, max_iter))
-    if sol.status == MAX_ITER and form == "eq":
-        # equality rows with no solution stall the equality form; their
-        # elimination finds the combination that shows it
+def _checked(prog: ConicProgram, sol: ConicSolution) -> ConicSolution:
+    """``sol``, or ``infeasible``/``inconsistent_rows`` where equality rows
+    with no solution stalled the equality form; their elimination finds the
+    combination that shows it."""
+    if sol.status == MAX_ITER and sol.form == "eq":
         try:
             check_equalities(prog)
         except InconsistentRows as exc:
-            return _empty(INFEASIBLE, "inconsistent_rows", sol.iterations, form, exc.y)
+            return _empty(INFEASIBLE, "inconsistent_rows", sol.iterations, sol.form, exc.y)
     return sol
 
 
@@ -550,225 +601,450 @@ def _solution(data: _Assembled, fin: _Final) -> ConicSolution:
     )
 
 
-def _iterate(data: _Assembled, feas_tol, gap_tol, max_iter) -> _Final:
-    debug = _log.isEnabledFor(logging.DEBUG)
-    stacks, b = data.stacks, data.b
-    m = b.size
-    cobj = [st.cobj for st in stacks]
-    # each stack's first coordinate in A
-    offs = np.cumsum([0] + [st.count * st.side**2 for st in stacks])
+def _block_diag(mats: list[sparse.csr_array]) -> sparse.csr_array:
+    """The CSR matrices on the diagonal of one, each row's entries in their order."""
+    if len(mats) == 1:
+        return mats[0]
+    cols = np.cumsum([0] + [mat.shape[1] for mat in mats])
+    nnz = np.cumsum([0] + [mat.nnz for mat in mats])
+    indptr = np.concatenate([mats[0].indptr[:1]] + [mat.indptr[1:] + n for mat, n in zip(mats, nnz)])
+    indices = np.concatenate([mat.indices + c for mat, c in zip(mats, cols)])
+    data = np.concatenate([mat.data for mat in mats])
+    return sparse.csr_array((data, indices, indptr), shape=(sum(m.shape[0] for m in mats), cols[-1]))
 
-    def inner(p, q) -> float:
-        """<P, Q> over all stacks, in each stack's pairing."""
-        return sum(st.gamma * float(np.vdot(x, z).real) for st, x, z in zip(stacks, p, q))
 
-    def sq_norm(p) -> float:
-        return sum(st.gamma * float(np.vdot(x, x).real) for st, x in zip(stacks, p))
+def _chunks(stacks: list[_Stack]) -> list[tuple[int, int, sparse.csr_array]]:
+    """The ``split`` of one stack of each of the programs joined, by as many
+    programs at a time as keep a chunk's Schur kernel within ``_STACK_KERNEL``."""
+    st = stacks[0]
+    per = max(1, _STACK_KERNEL // (st.count * st.side**4))
+    return [
+        (lo * st.count, (lo + len(group)) * st.count, _block_diag([g.split[0][2] for g in group]))
+        for lo in range(0, len(stacks), per)
+        for group in [stacks[lo : lo + per]]
+    ]
 
-    def apply_a(mats) -> np.ndarray:
-        if not stacks:
-            return np.zeros(m)
-        return data.a @ np.concatenate([hermitian_coords(x).ravel() for x in mats])
 
-    def apply_at(vec) -> list[np.ndarray]:
-        v = data.at @ vec
+class _Batch:
+    """Programs of one assembled shape as one: each stack holds every
+    program's cones, program after program, and A is block-diagonal, with
+    its columns stack by stack, so that the cone algebra and A, A' run once
+    for all of them.  What belongs to one program -- its pairings, norms and
+    scalars -- runs on its slices, in the order of a solve of it alone."""
+
+    def __init__(self, members: list[_Assembled]) -> None:
+        first = members[0]
+        self.members = members
+        self.size = len(members)
+        self.lmi = first.lmi is not None
+        self.b = np.stack([d.b for d in members])
+        self.counts = [st.count for st in first.stacks]
+        if self.size == 1:
+            self.stacks, self.a, self.at = first.stacks, first.a, first.at
+        else:
+            self.stacks = [
+                _Stack(
+                    st.side, st.gamma, st.count * self.size, [],
+                    np.concatenate([d.stacks[j].cobj for d in members]),
+                    _block_diag([d.stacks[j].a for d in members]),
+                    _chunks([d.stacks[j] for d in members]),
+                )
+                for j, st in enumerate(first.stacks)
+            ]
+            self.a, self.at = _side_by_side(self.b.size, self.stacks)
+        self.offs = np.cumsum([0] + [st.count * st.side**2 for st in self.stacks])
+        # each program's cones in each stack
+        self.parts = [[slice(i * c, (i + 1) * c) for c in self.counts] for i in range(self.size)]
+
+    def apply_a(self, mats: list[np.ndarray]) -> np.ndarray:
+        if not self.stacks:
+            return np.zeros(self.b.shape)
+        coords = np.concatenate([hermitian_coords(x).ravel() for x in mats])
+        return (self.a @ coords).reshape(self.b.shape)
+
+    def apply_at(self, vec: np.ndarray) -> list[np.ndarray]:
+        v = self.at @ vec.ravel()
         return [
             from_hermitian_coords(v[o : o + st.count * st.side**2].reshape(st.count, -1), st.side)
             / st.gamma
-            for st, o in zip(stacks, offs)
+            for st, o in zip(self.stacks, self.offs)
         ]
 
+    def inner(self, p: list[np.ndarray], q: list[np.ndarray]) -> list[float]:
+        """<P, Q> of each program over all stacks, in each stack's pairing."""
+        return [
+            sum(st.gamma * float(np.vdot(x[sl], z[sl]).real) for st, x, z, sl in zip(self.stacks, p, q, part))
+            for part in self.parts
+        ]
+
+    def sq_norm(self, p: list[np.ndarray]) -> list[float]:
+        return self.inner(p, p)
+
+    def per_cone(self, vals: list[float]) -> list[np.ndarray]:
+        """One value per program, repeated over its cones of each stack, to
+        broadcast over the stack."""
+        arr = np.array(vals, dtype=np.float64)
+        return [np.repeat(arr, c)[:, None, None] for c in self.counts]
+
+    def finite(self, mats: list[np.ndarray], rows: np.ndarray) -> list[bool]:
+        """Whether each program's entries of the stacks ``mats`` and of its row of ``rows`` are finite."""
+        ok = np.isfinite(rows).all(axis=1)
+        for x in mats:
+            ok &= np.isfinite(x).reshape(self.size, -1).all(axis=1)
+        return ok.tolist()
+
+
+@dataclass
+class _Lockstep:
+    """Programs that iterate together: their batch, each one's index among
+    the programs of the solve, and their iterate."""
+
+    bat: _Batch
+    ids: list[int]
+    X: list[np.ndarray]
+    S: list[np.ndarray]
+    y: np.ndarray  # (programs, m)
+    tau: list[float]
+    kap: list[float]
+
+    @classmethod
+    def start(cls, members: list[_Assembled]) -> _Lockstep:
+        bat = _Batch(members)
+        X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in bat.stacks]
+        ones = [1.0] * bat.size
+        return cls(bat, list(range(bat.size)), X, [x.copy() for x in X], np.zeros(bat.b.shape), ones, ones)
+
+    def iterate_of(self, i: int) -> tuple:
+        """Copies of program i's X, y and S."""
+        part = self.bat.parts[i]
+        return [x[sl].copy() for x, sl in zip(self.X, part)], self.y[i].copy(), [
+            s[sl].copy() for s, sl in zip(self.S, part)
+        ]
+
+
+def _gather(parts: list[tuple[_Lockstep, list[int]]]) -> _Lockstep | None:
+    """The programs at the given positions of each run, as one run; None if there are none."""
+    parts = [(run, keep) for run, keep in parts if keep]
+    if not parts:
+        return None
+    if len(parts) == 1 and len(parts[0][1]) == parts[0][0].bat.size:
+        return parts[0][0]
+
+    def cones(name: str, j: int) -> np.ndarray:
+        return np.concatenate([
+            getattr(run, name)[j].reshape(run.bat.size, run.bat.counts[j], *getattr(run, name)[j].shape[1:])[keep]
+            .reshape(-1, *getattr(run, name)[j].shape[1:])
+            for run, keep in parts
+        ])
+
+    stacks = range(len(parts[0][0].X))
+    return _Lockstep(
+        _Batch([run.bat.members[i] for run, keep in parts for i in keep]),
+        [run.ids[i] for run, keep in parts for i in keep],
+        [cones("X", j) for j in stacks],
+        [cones("S", j) for j in stacks],
+        np.concatenate([run.y[keep] for run, keep in parts]),
+        [run.tau[i] for run, keep in parts for i in keep],
+        [run.kap[i] for run, keep in parts for i in keep],
+    )
+
+
+def _residuals(run: _Lockstep) -> tuple:
+    """A'y, A X, and the primal and dual residuals of the self-dual system."""
+    bat = run.bat
+    at_y = bat.apply_at(run.y)
+    ax = bat.apply_a(run.X)
+    rp = ax - bat.b * np.array(run.tau)[:, None]
+    rd = [
+        -aty + st.cobj * t - s
+        for aty, st, t, s in zip(at_y, bat.stacks, bat.per_cone(run.tau), run.S)
+    ]
+    return at_y, ax, rp, rd
+
+
+def _breakdown(exc: Exception) -> str:
+    # e.g. Cholesky of a block that lost definiteness
+    return "factorization_failed" if isinstance(exc, np.linalg.LinAlgError) else "non_finite"
+
+
+def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Final]:
+    """Iterate programs of one assembled shape in lockstep, each to the end
+    and the best iterate that it reaches alone.
+
+    A program that converges, certifies infeasibility or breaks down leaves
+    the batch, and the others go on.  Should an iteration's step raise, each
+    program takes that step alone, so that only the program at fault breaks
+    down, and those that go on rejoin one batch.
+    """
+    debug = _log.isEnabledFor(logging.DEBUG)
     # a side-s Hermitian cone counts 2s, as its real symmetric embedding does
-    nu = sum(st.gamma * st.side * st.count for st in stacks)
+    nu = sum(st.gamma * st.side * st.count for st in members[0].stacks)
+    best: list = [None] * len(members)  # (score, X, y, S, tau, pres, dres, pobj, dobj)
+    finals: list[_Final | None] = [None] * len(members)
 
-    # state
-    X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in stacks]
-    Sm = [x.copy() for x in X]
-    y = np.zeros(m)
-    tau = 1.0
-    kap = 1.0
+    def end(k: int, status: str, reason: str, it: int) -> None:
+        finals[k] = _Final(status, reason, it, None if best[k] is None else best[k][1:])
 
-    best = None  # (score, X, y, S, tau, pres, dres, pobj, dobj)
-    status, reason = MAX_ITER, "iteration_limit"
+    runs = [_Lockstep.start(members)]
     it = 0
-
     for it in range(1, max_iter + 1):
-        # residuals of the self-dual system
-        at_y = apply_at(y)
-        ax = apply_a(X)
-        rp = ax - b * tau
-        rd = [-aty + c * tau - s for aty, c, s in zip(at_y, cobj, Sm)]
-        cx = inner(cobj, X)
-        by = float(b @ y)
-        rg = cx - by + kap
-        mu = (inner(X, Sm) + tau * kap) / (nu + 1)
+        nxt = []
+        for run in runs:
+            bat = run.bat
+            at_y, ax, rp, rd = _residuals(run)
+            cobj = [st.cobj for st in bat.stacks]
+            cx, xs, rdn = bat.inner(cobj, run.X), bat.inner(run.X, run.S), bat.sq_norm(rd)
+            go, rgs, mus = [], [], []
+            for i, (k, data) in enumerate(zip(run.ids, bat.members)):
+                tau, kap = run.tau[i], run.kap[i]
+                by = float(bat.b[i] @ run.y[i])
+                rg = cx[i] - by + kap
+                mu = (xs[i] + tau * kap) / (nu + 1)
 
-        # in the user's units: the LMI form's b and its multipliers carry the scale
-        pres = float(np.linalg.norm(rp)) / tau / (data.scale + data.normb)
-        dres = float(np.sqrt(sq_norm(rd))) / tau / (1.0 + data.normc)
-        pobj = cx / tau
-        dobj = by / tau
+                # in the user's units: the LMI form's b and its multipliers carry the scale
+                pres = float(np.linalg.norm(rp[i])) / tau / (data.scale + data.normb)
+                dres = float(np.sqrt(rdn[i])) / tau / (1.0 + data.normc)
+                pobj = cx[i] / tau
+                dobj = by / tau
 
-        if debug:
-            _log.debug(
-                "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
-                it, mu, pres, dres, abs(pobj - dobj), tau, kap,
-            )
+                if debug:
+                    _log.debug(
+                        "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
+                        it, mu, pres, dres, abs(pobj - dobj), tau, kap,
+                    )
 
-        if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
-            reason = "non_finite"
-            break  # breakdown: fall through to best-iterate return
+                if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
+                    end(k, MAX_ITER, "non_finite", it)  # breakdown: the best iterate returns
+                    continue
 
-        gap = abs(pobj - dobj) / data.scale
-        ref = 1.0 + abs(data.user_value(pobj, dobj))
-        if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
-            status, reason = OPTIMAL, "converged"
-            best = (0.0, X, y, Sm, tau, pres, dres, pobj, dobj)
+                gap = abs(pobj - dobj) / data.scale
+                ref = 1.0 + abs(data.user_value(pobj, dobj))
+                if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
+                    best[k] = (0.0, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
+                    end(k, OPTIMAL, "converged", it)
+                    continue
+
+                score = max(pres, dres, gap / ref)
+                if best[k] is None or score < best[k][0]:
+                    best[k] = (score, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
+
+                # Farkas certificate checks for infeasible / unbounded programs
+                if it > 1 and by > 0.0:
+                    part = bat.parts[i]
+                    res = np.sqrt(sum(
+                        st.gamma * float(np.vdot(v, v).real)
+                        for st, v in zip(bat.stacks, (aty[sl] + s[sl] for aty, s, sl in zip(at_y, run.S, part)))
+                    ))
+                    if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
+                        end(k, INFEASIBLE, "converged", it)
+                        continue
+                if it > 1 and cx[i] < 0.0:
+                    res = float(np.linalg.norm(ax[i]))
+                    if res * max(1.0, data.normc) <= feas_tol * (-cx[i]):
+                        end(k, UNBOUNDED, "converged", it)
+                        continue
+                go.append(i)
+                rgs.append(rg)
+                mus.append(mu)
+
+            run = _gather([(run, go)])
+            if run is None:
+                continue
+            if run.bat is not bat:
+                at_y, ax, rp, rd = _residuals(run)
+            try:
+                steps = [(run, _newton(run, (at_y, rp, rd), rgs, mus, nu))]
+            except (np.linalg.LinAlgError, ArithmeticError) as exc:
+                if run.bat.size == 1:
+                    steps = [(run, ([_breakdown(exc)], None, None))]
+                else:
+                    steps = []
+                    for i in range(run.bat.size):
+                        one = _gather([(run, [i])])
+                        try:
+                            res1 = _residuals(one)
+                            steps.append((one, _newton(one, (res1[0], *res1[2:]), [rgs[i]], [mus[i]], nu)))
+                        except (np.linalg.LinAlgError, ArithmeticError) as exc1:
+                            steps.append((one, ([_breakdown(exc1)], None, None)))
+            for one, (reasons, step, alphas) in steps:
+                for k, why in zip(one.ids, reasons):
+                    if why is not None:
+                        end(k, MAX_ITER, why, it)  # breakdown: the best iterate returns
+                if step is not None:
+                    nxt.append((_stepped(one, step, alphas, reasons), [
+                        i for i, why in enumerate(reasons) if why is None
+                    ]))
+        runs = [run for run in [_gather(nxt)] if run is not None]
+        if not runs:
             break
 
-        score = max(pres, dres, gap / ref)
-        if best is None or score < best[0]:
-            copies = [x.copy() for x in X], y.copy(), [s.copy() for s in Sm]
-            best = (score, *copies, tau, pres, dres, pobj, dobj)
+    for k, fin in enumerate(finals):
+        if fin is None:
+            end(k, MAX_ITER, "iteration_limit", it)
+    return finals
 
-        # Farkas certificate checks for infeasible / unbounded programs
-        if it > 1 and by > 0.0:
-            res = np.sqrt(sq_norm([aty + s for aty, s in zip(at_y, Sm)]))
-            if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
-                status, reason = INFEASIBLE, "converged"
-                break
-        if it > 1 and cx < 0.0:
-            res = float(np.linalg.norm(ax))
-            if res * max(1.0, data.normc) <= feas_tol * (-cx):
-                status, reason = UNBOUNDED, "converged"
-                break
 
-        def newton_step():
-            """Predictor-corrector direction and step length, or the reason of a breakdown."""
-            scal = _nt_scaling(X, Sm)
-            ws = [sc.w for sc in scal]
+def _stepped(run: _Lockstep, step: _Direction, alphas: list[float], reasons: list) -> _Lockstep:
+    """The run after each program's step; a program that broke down takes none."""
+    alphas = [0.0 if why is not None else a for a, why in zip(alphas, reasons)]
+    with np.errstate(invalid="ignore", over="ignore"):  # a broken-down program's entries are dropped
+        return _Lockstep(
+            run.bat,
+            run.ids,
+            [_herm(x + a * dx) for x, a, dx in zip(run.X, run.bat.per_cone(alphas), step.dX)],
+            [_herm(s + a * ds) for s, a, ds in zip(run.S, run.bat.per_cone(alphas), step.dS)],
+            run.y + np.array(alphas)[:, None] * step.dy,
+            [t + a * d for t, a, d in zip(run.tau, alphas, step.dtau)],
+            [k + a * d for k, a, d in zip(run.kap, alphas, step.dkap)],
+        )
 
-            def wmw(mats):
-                return [w @ x @ w for w, x in zip(ws, mats)]
 
-            msolve = _schur_solver(_schur(data, ws))
-            if msolve is None:
-                return "factorization_failed"
+def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: float):
+    """Each program's predictor-corrector direction and step length, as
+    (reasons, step, alphas): a program whose step broke down has its reason,
+    and its entries of the step are not used."""
+    bat = run.bat
+    X, Sm, y, tau, kap = run.X, run.S, run.y, run.tau, run.kap
+    at_y, rp, rd = res
+    cobj = [st.cobj for st in bat.stacks]
+    reasons: list[str | None] = [None] * bat.size
 
-            # pieces independent of the complementarity right-hand side
-            wrd = wmw(rd)
-            awrd = apply_a(wrd)
-            cwrd = inner(cobj, wrd)
+    def fail(i: int, why: str) -> None:
+        if reasons[i] is None:
+            reasons[i] = why
 
-            def w_quad(mats) -> float:
-                # <xi, W(xi)> accumulated as sums of squares for stability
-                return sq_norm([_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)])
+    scal = _nt_scaling(X, Sm)
+    ws = [sc.w for sc in scal]
 
-            # The tau column needs M^-1 A(W c W), whose right-hand side grows
-            # like 1/mu; the residual of solving with it swamps the primal residual
-            # near convergence.  Writing dy = dy' + dtau * y / tau moves the column to
-            # c_hat = c - A'y / tau (about S / tau), whose image A(W c_hat W) is
-            # moderate.  dS below is built from the same c_hat, so the primal
-            # equation holds to the accuracy of the solves.
-            wc = wmw(cobj)
-            c_hat = [c - aty / tau for c, aty in zip(cobj, at_y)]
-            pb = msolve(b)
-            pu = msolve(apply_a(wmw(c_hat)))
-            if not (np.all(np.isfinite(pb)) and np.all(np.isfinite(pu))):
-                return "non_finite"
-            p2 = pb + pu
-            # Delta-tau denominator, algebraically -(|W^.5 A'pb|^2 + |W^.5 (c_hat - A'pu)|^2
-            # + kap/tau); the naive inner-product form cancels catastrophically once
-            # the scaling matrices become extreme near convergence.
-            at_pu = apply_at(pu)
-            denom = -(
-                w_quad(apply_at(pb))
-                + w_quad([c - atp for c, atp in zip(c_hat, at_pu)])
-                + kap / tau
-            )
+    def wmw(mats):
+        return [w @ x @ w for w, x in zip(ws, mats)]
 
-            def direction(rx, dtau_rhs) -> _Direction:
-                h1 = -rp - apply_a(rx) + awrd
-                h3 = -rg - dtau_rhs / tau - inner(cobj, rx) + cwrd
-                p1 = msolve(h1)
-                # A(W c W) . p1 taken directly, not through M p1 = h1, so that
-                # the gap row holds for the step actually taken
-                num = h3 + float(b @ p1) - inner(wc, apply_at(p1))
-                if denom == 0.0 or not np.isfinite(denom) or not np.isfinite(num):
-                    return _Direction(None, None, None, 0.0, 0.0, False)
-                dtau = num / denom
-                dy_shift = p1 + dtau * p2  # dy' above
-                dy = dy_shift + (dtau / tau) * y
-                at_dy = apply_at(dy_shift)
-                dS = [-atd + ch * dtau + r for atd, ch, r in zip(at_dy, c_hat, rd)]
-                dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
-                if data.lmi is not None:
-                    # restore A dx - b dtau = -rp, which the back-substitution
-                    # above meets only to the accuracy of the Schur solves, by
-                    # the correction of least norm in the scaling's metric
-                    v = msolve(b * dtau - rp - apply_a(dX))
-                    dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(apply_at(v)))]
-                dkap = (dtau_rhs - kap * dtau) / tau
-                ok = np.isfinite(dtau) and np.isfinite(dkap) and all(
-                    np.all(np.isfinite(d)) for d in (*dX, *dS, dy)
-                )
-                return _Direction(dX, dS, dy, dtau, dkap, ok)
+    solvers = _schur_solvers(_schur(bat, ws))
+    for i, solver in enumerate(solvers):
+        if solver is None:
+            fail(i, "factorization_failed")
+            solvers[i] = np.zeros_like  # its directions are not used
 
-            def max_step(d: _Direction) -> float:
-                t = _max_step(scal, d.dX, d.dS)
-                if d.dtau < 0:
-                    t = min(t, -tau / d.dtau)
-                if d.dkap < 0:
-                    t = min(t, -kap / d.dkap)
-                return t
+    def msolve(rhs: np.ndarray) -> np.ndarray:
+        return np.stack([solver(r) for solver, r in zip(solvers, rhs)])
 
-            aff = direction([-x for x in X], -tau * kap)
-            if not aff.ok:
-                return "non_finite"
+    # pieces independent of the complementarity right-hand side
+    wrd = wmw(rd)
+    awrd = bat.apply_a(wrd)
+    cwrd = bat.inner(cobj, wrd)
 
-            a_aff = min(1.0, max_step(aff))
-            compl_aff = inner(
-                [x + a_aff * dx for x, dx in zip(X, aff.dX)],
-                [s + a_aff * ds for s, ds in zip(Sm, aff.dS)],
-            )
-            mu_aff = (compl_aff + (tau + a_aff * aff.dtau) * (kap + a_aff * aff.dkap)) / (nu + 1)
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+    def w_quad(mats) -> list[float]:
+        # <xi, W(xi)> accumulated as sums of squares for stability
+        return bat.sq_norm([_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)])
 
-            # the corrector's complementarity right-hand side, in the scaled space
-            rx = []
-            for sc, st, dx, ds in zip(scal, stacks, aff.dX, aff.dS):
-                dxt = sc.rinv @ dx @ _h(sc.rinv)
-                dst = _h(sc.r) @ ds @ sc.r
-                d = -0.5 * (dxt @ dst + dst @ dxt)
-                diag = np.arange(st.side)
-                d[:, diag, diag] += sigma * mu - sc.lam**2
-                d *= 2.0 / (sc.lam[:, :, None] + sc.lam[:, None, :])
-                rx.append(_herm(sc.r @ d @ _h(sc.r)))
-            dtau_rhs = sigma * mu - tau * kap - aff.dtau * aff.dkap
-            step = direction(rx, dtau_rhs)
-            if not step.ok:
-                step = aff
+    # The tau column needs M^-1 A(W c W), whose right-hand side grows
+    # like 1/mu; the residual of solving with it swamps the primal residual
+    # near convergence.  Writing dy = dy' + dtau * y / tau moves the column to
+    # c_hat = c - A'y / tau (about S / tau), whose image A(W c_hat W) is
+    # moderate.  dS below is built from the same c_hat, so the primal
+    # equation holds to the accuracy of the solves.
+    wc = wmw(cobj)
+    c_hat = [c - aty / t for c, aty, t in zip(cobj, at_y, bat.per_cone(tau))]
+    pb = msolve(bat.b)
+    pu = msolve(bat.apply_a(wmw(c_hat)))
+    for i in range(bat.size):
+        if not (np.all(np.isfinite(pb[i])) and np.all(np.isfinite(pu[i]))):
+            fail(i, "non_finite")
+    p2 = pb + pu
+    # Delta-tau denominator, algebraically -(|W^.5 A'pb|^2 + |W^.5 (c_hat - A'pu)|^2
+    # + kap/tau); the naive inner-product form cancels catastrophically once
+    # the scaling matrices become extreme near convergence.
+    at_pu = bat.apply_at(pu)
+    quads = zip(w_quad(bat.apply_at(pb)), w_quad([c - atp for c, atp in zip(c_hat, at_pu)]))
+    denom = [-(q1 + q2 + k / t) for (q1, q2), k, t in zip(quads, kap, tau)]
 
-            alpha = min(1.0, _STEP_BACKOFF * max_step(step))
-            if not alpha >= _STALL_ALPHA:  # also rejects a NaN step length
-                return "step_stalled"
-            return step, alpha
+    def direction(rx, dtau_rhs: list[float]) -> _Direction:
+        h1 = -rp - bat.apply_a(rx) + awrd
+        crx = bat.inner(cobj, rx)
+        p1 = msolve(h1)
+        # A(W c W) . p1 taken directly, not through M p1 = h1, so that
+        # the gap row holds for the step actually taken
+        wcp = bat.inner(wc, bat.apply_at(p1))
+        ok, dtau, dkap = [], [], []
+        for i in range(bat.size):
+            h3 = -rg[i] - dtau_rhs[i] / tau[i] - crx[i] + cwrd[i]
+            num = h3 + float(bat.b[i] @ p1[i]) - wcp[i]
+            good = denom[i] != 0.0 and np.isfinite(denom[i]) and np.isfinite(num)
+            ok.append(good)
+            dtau.append(num / denom[i] if good else 0.0)
+        dy_shift = p1 + np.array(dtau)[:, None] * p2  # dy' above
+        dy = dy_shift + np.array([d / t for d, t in zip(dtau, tau)])[:, None] * y
+        at_dy = bat.apply_at(dy_shift)
+        dt = bat.per_cone(dtau)
+        dS = [-atd + ch * d + r for atd, ch, d, r in zip(at_dy, c_hat, dt, rd)]
+        dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
+        if bat.lmi:
+            # restore A dx - b dtau = -rp, which the back-substitution
+            # above meets only to the accuracy of the Schur solves, by
+            # the correction of least norm in the scaling's metric
+            v = msolve(bat.b * np.array(dtau)[:, None] - rp - bat.apply_a(dX))
+            dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(bat.apply_at(v)))]
+        for i in range(bat.size):
+            dkap.append((dtau_rhs[i] - kap[i] * dtau[i]) / tau[i])
+        finite = bat.finite([*dX, *dS], dy)
+        ok = [o and np.isfinite(dt) and np.isfinite(dk) and f for o, dt, dk, f in zip(ok, dtau, dkap, finite)]
+        return _Direction(dX, dS, dy, dtau, dkap, ok)
 
-        try:
-            found = newton_step()
-        except np.linalg.LinAlgError:
-            found = "factorization_failed"  # e.g. Cholesky of a block that lost definiteness
-        except ArithmeticError:
-            found = "non_finite"
-        if isinstance(found, str):
-            reason = found
-            break  # fall through to best-iterate return
-        step, alpha = found
+    def max_step(d: _Direction) -> list[float]:
+        out = []
+        for t, dtau, dkap, ta, ka in zip(_max_step(scal, d.dX, d.dS, bat.size), d.dtau, d.dkap, tau, kap):
+            t = float(t)
+            if dtau < 0:
+                t = min(t, -ta / dtau)
+            if dkap < 0:
+                t = min(t, -ka / dkap)
+            out.append(t)
+        return out
 
-        X = [_herm(x + alpha * dx) for x, dx in zip(X, step.dX)]
-        Sm = [_herm(s + alpha * ds) for s, ds in zip(Sm, step.dS)]
-        y = y + alpha * step.dy
-        tau = tau + alpha * step.dtau
-        kap = kap + alpha * step.dkap
+    aff = direction([-x for x in X], [-t * k for t, k in zip(tau, kap)])
+    for i, ok in enumerate(aff.ok):
+        if not ok:
+            fail(i, "non_finite")
 
-    return _Final(status, reason, it, None if best is None else best[1:])
+    a_aff = [min(1.0, t) for t in max_step(aff)]
+    compl_aff = bat.inner(
+        [x + a * dx for x, a, dx in zip(X, bat.per_cone(a_aff), aff.dX)],
+        [s + a * ds for s, a, ds in zip(Sm, bat.per_cone(a_aff), aff.dS)],
+    )
+    sigma = []
+    for i in range(bat.size):
+        mu_aff = (compl_aff[i] + (tau[i] + a_aff[i] * aff.dtau[i]) * (kap[i] + a_aff[i] * aff.dkap[i])) / (nu + 1)
+        sigma.append(min(1.0, max(0.0, (mu_aff / mu[i]) ** 3)))
+
+    # the corrector's complementarity right-hand side, in the scaled space
+    rx = []
+    target = bat.per_cone([s * m for s, m in zip(sigma, mu)])
+    for sc, st, dx, ds, tc in zip(scal, bat.stacks, aff.dX, aff.dS, target):
+        dxt = sc.rinv @ dx @ _h(sc.rinv)
+        dst = _h(sc.r) @ ds @ sc.r
+        d = -0.5 * (dxt @ dst + dst @ dxt)
+        diag = np.arange(st.side)
+        d[:, diag, diag] += tc[:, 0] - sc.lam**2
+        d *= 2.0 / (sc.lam[:, :, None] + sc.lam[:, None, :])
+        rx.append(_herm(sc.r @ d @ _h(sc.r)))
+    dtau_rhs = [
+        s * m - t * k - dt * dk for s, m, t, k, dt, dk in zip(sigma, mu, tau, kap, aff.dtau, aff.dkap)
+    ]
+    step = direction(rx, dtau_rhs)
+    if not all(step.ok):
+        # where the corrector is not finite, the predictor is the step
+        use = [not ok for ok in step.ok]
+        step = _Direction(
+            [np.where(u > 0, a, s) for u, a, s in zip(bat.per_cone(use), aff.dX, step.dX)],
+            [np.where(u > 0, a, s) for u, a, s in zip(bat.per_cone(use), aff.dS, step.dS)],
+            np.where(np.array(use)[:, None], aff.dy, step.dy),
+            [a if u else s for u, a, s in zip(use, aff.dtau, step.dtau)],
+            [a if u else s for u, a, s in zip(use, aff.dkap, step.dkap)],
+            [True] * bat.size,
+        )
+
+    alphas = [min(1.0, _STEP_BACKOFF * t) for t in max_step(step)]
+    for i, alpha in enumerate(alphas):
+        if not alpha >= _STALL_ALPHA:  # also rejects a NaN step length
+            fail(i, "step_stalled")
+    return reasons, step, alphas

@@ -162,15 +162,29 @@ def _certificate(sol, with_theta: bool, with_t: bool) -> OneShotCertificate | No
     )
 
 
-def bound_f(
-    ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8
-) -> BoundResult:
-    """Converse bound without any partial-transpose box on the code operator.
+def _solved(built, feas_tol: float, gap_tol: float) -> BoundResult:
+    """Solve a builder's program and read its result."""
+    prog, read = built
+    return read(solve(prog, feas_tol=feas_tol, gap_tol=gap_tol))
 
-    Minimizes tr S over 0 <= W <= rho (x) I meeting the fidelity target,
-    with S (x) I >= W + Theta^TB for some PSD witness Theta.  -log2 of the
-    optimum upper bounds the one-shot capacity.
-    """
+
+def _reader(name: str, t0: float, with_theta: bool, with_t: bool):
+    """Reads a one-shot bound's ``BoundResult`` from its program's solution;
+    the program was built from ``time.perf_counter() == t0``."""
+
+    def read(sol) -> BoundResult:
+        cert = _certificate(sol, with_theta=with_theta, with_t=with_t)
+        return BoundResult.from_optimum(
+            name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
+            iterations=sol.iterations, reason=sol.reason, form=sol.form,
+        )
+
+    return read
+
+
+def f_program(ch: Channel, eps: float):
+    """``bound_f``'s program on ``ch``, and the reader of its result from
+    the program's solution."""
     eps = check_eps(eps)
     j = choi(ch)
     lift, pt, _, _ = bipartite_maps((ch.d_in, ch.d_out))
@@ -192,27 +206,25 @@ def bound_f(
     prog.add_operator_constraint(
         {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.joint
     )
-
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    cert = _certificate(sol, with_theta=True, with_t=False)
-    return BoundResult.from_optimum(
-        "f", sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
-        iterations=sol.iterations, reason=sol.reason, form=sol.form,
-    )
+    return prog, _reader("f", t0, with_theta=True, with_t=False)
 
 
-def _g_bound(
-    name: str,
-    ch: Channel,
-    eps: float,
-    with_t: bool,
-    m_hat: float | None,
-    feas_tol: float,
-    gap_tol: float,
+def bound_f(
+    ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8
 ) -> BoundResult:
-    """Solve the g-family program: W^TB boxed by +-S (x) I, plus the marginal
-    rows tr_A W = t I_B when ``with_t``, plus t >= m_hat**2 when ``m_hat`` is
-    given."""
+    """Converse bound without any partial-transpose box on the code operator.
+
+    Minimizes tr S over 0 <= W <= rho (x) I meeting the fidelity target,
+    with S (x) I >= W + Theta^TB for some PSD witness Theta.  -log2 of the
+    optimum upper bounds the one-shot capacity.
+    """
+    return _solved(f_program(ch, eps), feas_tol, gap_tol)
+
+
+def _g_program(name: str, ch: Channel, eps: float, with_t: bool, m_hat: float | None):
+    """The g-family program: W^TB boxed by +-S (x) I, plus the marginal rows
+    tr_A W = t I_B when ``with_t``, plus t >= m_hat**2 when ``m_hat`` is
+    given; and the reader of its result."""
     t0 = time.perf_counter()
     j = choi(ch)
     lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
@@ -238,26 +250,29 @@ def _g_bound(
         )
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    cert = _certificate(sol, with_theta=False, with_t=with_t)
-    return BoundResult.from_optimum(
-        name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
-        iterations=sol.iterations, reason=sol.reason, form=sol.form,
-    )
+    return prog, _reader(name, t0, with_theta=False, with_t=with_t)
+
+
+def g_program(ch: Channel, eps: float):
+    """``bound_g``'s program and its reader."""
+    return _g_program("g", ch, check_eps(eps), False, None)
+
+
+def g_tilde_program(ch: Channel, eps: float):
+    """``bound_g_tilde``'s program and its reader."""
+    return _g_program("g_tilde", ch, check_eps(eps), True, None)
 
 
 def bound_g(ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8) -> BoundResult:
     """Converse bound boxing W^TB by +-S (x) I; tighter than ``f``."""
-    eps = check_eps(eps)
-    return _g_bound("g", ch, eps, False, None, feas_tol, gap_tol)
+    return _solved(g_program(ch, eps), feas_tol, gap_tol)
 
 
 def bound_g_tilde(
     ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8
 ) -> BoundResult:
     """``g`` plus the no-signalling marginal relaxation tr_A W = t I_B."""
-    eps = check_eps(eps)
-    return _g_bound("g_tilde", ch, eps, True, None, feas_tol, gap_tol)
+    return _solved(g_tilde_program(ch, eps), feas_tol, gap_tol)
 
 
 def bound_g_hat(
@@ -275,7 +290,7 @@ def bound_g_hat(
     eps = check_eps(eps)
     if m_hat <= 0.0:
         raise ValueError(f"m_hat must be positive, got {m_hat}")
-    return _g_bound("g_hat", ch, eps, True, m_hat, feas_tol, gap_tol)
+    return _solved(_g_program("g_hat", ch, eps, True, m_hat), feas_tol, gap_tol)
 
 
 def g_hat_iterate(

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qcap.asymptotic import q_gamma, q_theta
 from qcap.channels import depolarizing, identity_channel, save_channel
 import qcap.cli as cli
 from qcap.cli import _fmt, main, run_custom, run_fig1, run_fig2, run_fig3
@@ -212,7 +213,7 @@ def test_failed_row_reports_exception_on_stderr(monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "q_theta", broken)
+    monkeypatch.setattr(cli, "q_theta_program", broken)
     # logging left unconfigured, as in a shell run: the record reaches stderr
     monkeypatch.setattr(logging.getLogger(), "handlers", [])
     out = tmp_path / "rows.csv"
@@ -227,7 +228,7 @@ def test_failed_custom_row_uses_the_patched_bound(monkeypatch, tmp_path, capsys)
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "bound_g", broken)
+    monkeypatch.setattr(cli, "g_program", broken)
     monkeypatch.setattr(logging.getLogger(), "handlers", [])
     out = tmp_path / "rows.csv"
     argv = ["--experiment", "custom", "--family", "depol", "--bound", "g",
@@ -248,3 +249,33 @@ def test_failed_row_reports_exception_from_pool_workers():
     assert run.stdout == "r,g,status\n0.10000000000000001,nan,error\n0.20000000000000001,nan,error\n"
     for r in ("0.10000000000000001", "0.20000000000000001"):
         assert f"row custom ad r={r} failed: ValueError: " in run.stderr
+
+
+def test_batched_row_whose_build_raises_leaves_its_neighbours(monkeypatch, tmp_path, capsys):
+    # every row's q_theta program is solved in one batch; the row whose
+    # build raised is an error, and every other row has its solo values
+    grid = [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
+    made = {}
+
+    def build(r):
+        made[r] = ch = cli.channel_nr(r)
+        return ch
+
+    real = cli.q_theta_program
+
+    def flaky(ch):
+        if ch is made[grid[2]]:
+            raise RuntimeError("boom")
+        return real(ch)
+
+    monkeypatch.setattr(cli, "q_theta_program", flaky)
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    rows = cli._sweep("fig3_nr r", grid, build, ("q_gamma", "q_theta"), 1)
+    assert "row fig3_nr r=0.20000000000000001 failed: RuntimeError: boom" in capsys.readouterr().err
+    assert [row[0] for row in rows] == grid
+    for r, qg, qt, status in rows:
+        if r == grid[2]:
+            assert math.isnan(qg) and math.isnan(qt) and status == "error"
+            continue
+        ch = made[r]
+        assert (qg, qt, status) == (q_gamma(ch).log_value, q_theta(ch).log_value, "optimal")

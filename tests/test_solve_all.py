@@ -1,0 +1,153 @@
+"""``solve_all`` iterates same-shaped programs in lockstep, and each result is
+the one ``solve`` gives for that program alone, to the bit: status, reason,
+form, iterations, values, residuals, row duals and blocks.
+
+The mixed batch holds programs of several assembled shapes in both forms,
+and next to them programs that end without converging: infeasible,
+inconsistent equality rows, a free ray, non-finite data, and a breakdown
+forced in one program of a batch."""
+import math
+
+import numpy as np
+import pytest
+
+import qcap.conic.solver as solver_mod
+from qcap.asymptotic import q_gamma_program, q_theta_program
+from qcap.channels import channel_nr
+from qcap.conic import ConicProgram, solve, solve_all
+
+_SCHUR = solver_mod._schur
+
+
+def _box(seed: int, trace: float = 1.0) -> ConicProgram:
+    """max <C, X> over PSD X of trace ``trace``, plus a boxed LP part: one
+    assembled shape for every seed and trace."""
+    g = np.random.default_rng(seed).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    prog = ConicProgram("max")
+    prog.herm_block("X", 3)
+    prog.nonneg_block("v", 2)
+    prog.set_objective({"X": g + g.conj().T, "v": [1.0, 0.5]})
+    prog.add_constraint({"X": np.eye(3)}, "==", trace)
+    prog.add_constraint({"v": [1.0, 1.0]}, "<=", 1.0)
+    return prog
+
+
+def _lp(cost: float, rhs: float) -> ConicProgram:
+    """min cost * x over x >= 0 with x = rhs: infeasible for rhs < 0."""
+    prog = ConicProgram("min")
+    prog.nonneg_block("x", 1)
+    prog.set_objective({"x": [cost]})
+    prog.add_constraint({"x": [1.0]}, "==", rhs)
+    return prog
+
+
+def _inconsistent() -> ConicProgram:
+    prog = ConicProgram("max")
+    prog.herm_block("X", 2)
+    prog.set_objective({"X": np.diag([1.0, 2.0])})
+    prog.add_constraint({"X": np.eye(2)}, "==", 1.5)
+    prog.add_constraint({"X": np.eye(2)}, "==", 2.0)
+    return prog
+
+
+def _free_ray() -> ConicProgram:
+    # g - f lowers the objective, and no row sees it
+    prog = ConicProgram("min")
+    prog.nonneg_block("x", 1)
+    prog.free_block("f", 1)
+    prog.free_block("g", 1)
+    prog.set_objective({"x": [1.0], "f": [1.0]})
+    prog.add_constraint({"x": [1.0], "f": [1.0], "g": [1.0]}, "==", 2.0)
+    return prog
+
+
+def _programs():
+    """(name, program, solved in the LMI form, expected status, reason)."""
+    nr = {r: channel_nr(r) for r in (0.1, 0.15, 0.2, 0.3, 0.35)}
+    return [
+        ("box1", _box(1), False, "optimal", "converged"),
+        ("box2", _box(2), False, "optimal", "converged"),
+        ("broken", _box(4, trace=2.0), False, "max_iter", "factorization_failed"),
+        ("box3", _box(3), False, "optimal", "converged"),
+        ("q_gamma.1", q_gamma_program(nr[0.1])[0], False, "optimal", "converged"),
+        ("q_gamma_lmi.15", q_gamma_program(nr[0.15])[0], True, "optimal", "converged"),
+        ("q_theta.2", q_theta_program(nr[0.2])[0], False, "optimal", "converged"),
+        ("q_gamma.3", q_gamma_program(nr[0.3])[0], False, "optimal", "converged"),
+        ("q_gamma_lmi.35", q_gamma_program(nr[0.35])[0], True, "optimal", "converged"),
+        ("infeasible", _lp(1.0, -1.0), False, "infeasible", "converged"),
+        ("feasible", _lp(1.0, 1.0), False, "optimal", "converged"),
+        ("non_finite", _lp(np.inf, 1.0), False, "max_iter", "non_finite"),
+        ("inconsistent", _inconsistent(), False, "infeasible", "inconsistent_rows"),
+        ("free_ray", _free_ray(), False, "unbounded", "free_ray"),
+    ]
+
+
+def _break_at_third_schur(mode: str):
+    """``_schur`` that fails for the program whose rows read tr X = 2 from
+    its third Schur complement on: a NaN complement, whose factorization
+    fails in its own program, or an exception out of the batched step."""
+    seen = []
+
+    def schur(data, ws):
+        mats = _SCHUR(data, ws)
+        for i, b in enumerate(np.atleast_2d(data.b)):
+            if b.size == 2 and b[0] == 2.0:
+                seen.append(i)
+                if len(seen) > 2:
+                    if mode == "raise":
+                        raise np.linalg.LinAlgError("forced")
+                    mats[i] = np.nan
+        return mats
+
+    return schur
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
+
+
+@pytest.mark.parametrize("mode", ["nan", "raise"])
+def test_mixed_batch_matches_solo_solves(monkeypatch, mode):
+    cases = _programs()
+    lmi = [prog for _, prog, in_lmi, *_ in cases if in_lmi]
+    form = solver_mod._form
+    monkeypatch.setattr(
+        solver_mod, "_form", lambda prog: "lmi" if any(prog is p for p in lmi) else form(prog)
+    )
+    groups = []
+    iterate = solver_mod._iterate
+
+    def spy(members, *args):
+        groups.append(len(members))
+        return iterate(members, *args)
+
+    monkeypatch.setattr(solver_mod, "_iterate", spy)
+    solo = []
+    for _, prog, *_ in cases:
+        monkeypatch.setattr(solver_mod, "_schur", _break_at_third_schur(mode))
+        solo.append(solve(prog))
+    groups.clear()
+    monkeypatch.setattr(solver_mod, "_schur", _break_at_third_schur(mode))
+    batch = solve_all([prog for _, prog, *_ in cases])
+
+    # the four boxes, two q_gamma in each form, q_theta, and the three LPs
+    # on one nonnegative entry (the free ray ends at assembly)
+    assert sorted(groups) == [1, 1, 2, 2, 3, 4]
+    for (name, _, in_lmi, status, reason), one, both in zip(cases, solo, batch):
+        assert (one.status, one.reason, one.form) == (status, reason, "lmi" if in_lmi else "eq"), name
+        for field in ("status", "reason", "form", "iterations", "primal_value", "dual_value",
+                      "gap", "primal_residual", "dual_residual", "y"):
+            assert _same(getattr(one, field), getattr(both, field)), (name, field)
+        assert one.blocks.keys() == both.blocks.keys(), name
+        for key in one.blocks:
+            assert np.array_equal(one.blocks[key], both.blocks[key]), (name, key)
+    broken = solo[[c[0] for c in cases].index("broken")]
+    assert broken.iterations == 3 and np.isfinite(broken.primal_value)
+
+
+def test_empty_batch():
+    assert solve_all([]) == []
