@@ -607,10 +607,11 @@ def _block_diag(mats: list[sparse.csr_array]) -> sparse.csr_array:
         return mats[0]
     cols = np.cumsum([0] + [mat.shape[1] for mat in mats])
     nnz = np.cumsum([0] + [mat.nnz for mat in mats])
-    indptr = np.concatenate([mats[0].indptr[:1]] + [mat.indptr[1:] + n for mat, n in zip(mats, nnz)])
-    indices = np.concatenate([mat.indices + c for mat, c in zip(mats, cols)])
+    indptr = [mats[0].indptr[:1]] + [mat.indptr[1:] + n for mat, n in zip(mats, nnz)]
+    indices = [mat.indices + c for mat, c in zip(mats, cols)]
     data = np.concatenate([mat.data for mat in mats])
-    return sparse.csr_array((data, indices, indptr), shape=(sum(m.shape[0] for m in mats), cols[-1]))
+    shape = (sum(mat.shape[0] for mat in mats), cols[-1])
+    return sparse.csr_array((data, np.concatenate(indices), np.concatenate(indptr)), shape=shape)
 
 
 def _chunks(stacks: list[_Stack]) -> list[tuple[int, int, sparse.csr_array]]:
@@ -670,12 +671,16 @@ class _Batch:
             for st, o in zip(self.stacks, self.offs)
         ]
 
+    def pairing(self, i: int, p: list[np.ndarray], q: list[np.ndarray]) -> float:
+        """<P, Q> of program i over all stacks, in each stack's pairing."""
+        return sum(
+            st.gamma * float(np.vdot(x[sl], z[sl]).real)
+            for st, x, z, sl in zip(self.stacks, p, q, self.parts[i])
+        )
+
     def inner(self, p: list[np.ndarray], q: list[np.ndarray]) -> list[float]:
-        """<P, Q> of each program over all stacks, in each stack's pairing."""
-        return [
-            sum(st.gamma * float(np.vdot(x[sl], z[sl]).real) for st, x, z, sl in zip(self.stacks, p, q, part))
-            for part in self.parts
-        ]
+        """<P, Q> of each program."""
+        return [self.pairing(i, p, q) for i in range(self.size)]
 
     def sq_norm(self, p: list[np.ndarray]) -> list[float]:
         return self.inner(p, p)
@@ -687,7 +692,8 @@ class _Batch:
         return [np.repeat(arr, c)[:, None, None] for c in self.counts]
 
     def finite(self, mats: list[np.ndarray], rows: np.ndarray) -> list[bool]:
-        """Whether each program's entries of the stacks ``mats`` and of its row of ``rows`` are finite."""
+        """Whether each program's entries of the stacks ``mats`` and its row
+        of ``rows`` are finite."""
         ok = np.isfinite(rows).all(axis=1)
         for x in mats:
             ok &= np.isfinite(x).reshape(self.size, -1).all(axis=1)
@@ -711,38 +717,40 @@ class _Lockstep:
     def start(cls, members: list[_Assembled]) -> _Lockstep:
         bat = _Batch(members)
         X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in bat.stacks]
+        S = [x.copy() for x in X]
         ones = [1.0] * bat.size
-        return cls(bat, list(range(bat.size)), X, [x.copy() for x in X], np.zeros(bat.b.shape), ones, ones)
+        return cls(bat, list(range(bat.size)), X, S, np.zeros(bat.b.shape), ones, list(ones))
 
     def iterate_of(self, i: int) -> tuple:
         """Copies of program i's X, y and S."""
         part = self.bat.parts[i]
-        return [x[sl].copy() for x, sl in zip(self.X, part)], self.y[i].copy(), [
-            s[sl].copy() for s, sl in zip(self.S, part)
-        ]
+        X = [x[sl].copy() for x, sl in zip(self.X, part)]
+        return X, self.y[i].copy(), [s[sl].copy() for s, sl in zip(self.S, part)]
 
 
 def _gather(parts: list[tuple[_Lockstep, list[int]]]) -> _Lockstep | None:
-    """The programs at the given positions of each run, as one run; None if there are none."""
+    """The programs at the given positions of each run, as one run; None if
+    there are none."""
     parts = [(run, keep) for run, keep in parts if keep]
     if not parts:
         return None
     if len(parts) == 1 and len(parts[0][1]) == parts[0][0].bat.size:
         return parts[0][0]
 
-    def cones(name: str, j: int) -> np.ndarray:
-        return np.concatenate([
-            getattr(run, name)[j].reshape(run.bat.size, run.bat.counts[j], *getattr(run, name)[j].shape[1:])[keep]
-            .reshape(-1, *getattr(run, name)[j].shape[1:])
-            for run, keep in parts
-        ])
+    def cones(mats: list[np.ndarray], run: _Lockstep, keep: list[int]) -> list[np.ndarray]:
+        return [
+            x.reshape(run.bat.size, c, *x.shape[1:])[keep].reshape(-1, *x.shape[1:])
+            for x, c in zip(mats, run.bat.counts)
+        ]
 
-    stacks = range(len(parts[0][0].X))
+    def joined(pieces: list[list[np.ndarray]]) -> list[np.ndarray]:
+        return [np.concatenate(stack) for stack in zip(*pieces)]
+
     return _Lockstep(
         _Batch([run.bat.members[i] for run, keep in parts for i in keep]),
         [run.ids[i] for run, keep in parts for i in keep],
-        [cones("X", j) for j in stacks],
-        [cones("S", j) for j in stacks],
+        joined([cones(run.X, run, keep) for run, keep in parts]),
+        joined([cones(run.S, run, keep) for run, keep in parts]),
         np.concatenate([run.y[keep] for run, keep in parts]),
         [run.tau[i] for run, keep in parts for i in keep],
         [run.kap[i] for run, keep in parts for i in keep],
@@ -772,9 +780,7 @@ def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Fi
     and the best iterate that it reaches alone.
 
     A program that converges, certifies infeasibility or breaks down leaves
-    the batch, and the others go on.  Should an iteration's step raise, each
-    program takes that step alone, so that only the program at fault breaks
-    down, and those that go on rejoin one batch.
+    the batch, and the others go on.
     """
     debug = _log.isEnabledFor(logging.DEBUG)
     # a side-s Hermitian cone counts 2s, as its real symmetric embedding does
@@ -785,97 +791,80 @@ def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Fi
     def end(k: int, status: str, reason: str, it: int) -> None:
         finals[k] = _Final(status, reason, it, None if best[k] is None else best[k][1:])
 
-    runs = [_Lockstep.start(members)]
+    run = _Lockstep.start(members)
     it = 0
     for it in range(1, max_iter + 1):
-        nxt = []
-        for run in runs:
-            bat = run.bat
-            at_y, ax, rp, rd = _residuals(run)
-            cobj = [st.cobj for st in bat.stacks]
-            cx, xs, rdn = bat.inner(cobj, run.X), bat.inner(run.X, run.S), bat.sq_norm(rd)
-            go, rgs, mus = [], [], []
-            for i, (k, data) in enumerate(zip(run.ids, bat.members)):
-                tau, kap = run.tau[i], run.kap[i]
-                by = float(bat.b[i] @ run.y[i])
-                rg = cx[i] - by + kap
-                mu = (xs[i] + tau * kap) / (nu + 1)
+        bat = run.bat
+        at_y, ax, rp, rd = _residuals(run)
+        cobj = [st.cobj for st in bat.stacks]
+        cx, xs, rdn = bat.inner(cobj, run.X), bat.inner(run.X, run.S), bat.sq_norm(rd)
+        ray = None  # A'y + S, for the infeasibility certificate
+        go, rgs, mus = [], [], []
+        for i, (k, data) in enumerate(zip(run.ids, bat.members)):
+            tau, kap = run.tau[i], run.kap[i]
+            by = float(bat.b[i] @ run.y[i])
+            rg = cx[i] - by + kap
+            mu = (xs[i] + tau * kap) / (nu + 1)
 
-                # in the user's units: the LMI form's b and its multipliers carry the scale
-                pres = float(np.linalg.norm(rp[i])) / tau / (data.scale + data.normb)
-                dres = float(np.sqrt(rdn[i])) / tau / (1.0 + data.normc)
-                pobj = cx[i] / tau
-                dobj = by / tau
+            # in the user's units: the LMI form's b and its multipliers carry the scale
+            pres = float(np.linalg.norm(rp[i])) / tau / (data.scale + data.normb)
+            dres = float(np.sqrt(rdn[i])) / tau / (1.0 + data.normc)
+            pobj = cx[i] / tau
+            dobj = by / tau
 
-                if debug:
-                    _log.debug(
-                        "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
-                        it, mu, pres, dres, abs(pobj - dobj), tau, kap,
-                    )
+            if debug:
+                _log.debug(
+                    "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
+                    it, mu, pres, dres, abs(pobj - dobj), tau, kap,
+                )
 
-                if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
-                    end(k, MAX_ITER, "non_finite", it)  # breakdown: the best iterate returns
-                    continue
-
-                gap = abs(pobj - dobj) / data.scale
-                ref = 1.0 + abs(data.user_value(pobj, dobj))
-                if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
-                    best[k] = (0.0, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
-                    end(k, OPTIMAL, "converged", it)
-                    continue
-
-                score = max(pres, dres, gap / ref)
-                if best[k] is None or score < best[k][0]:
-                    best[k] = (score, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
-
-                # Farkas certificate checks for infeasible / unbounded programs
-                if it > 1 and by > 0.0:
-                    part = bat.parts[i]
-                    res = np.sqrt(sum(
-                        st.gamma * float(np.vdot(v, v).real)
-                        for st, v in zip(bat.stacks, (aty[sl] + s[sl] for aty, s, sl in zip(at_y, run.S, part)))
-                    ))
-                    if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
-                        end(k, INFEASIBLE, "converged", it)
-                        continue
-                if it > 1 and cx[i] < 0.0:
-                    res = float(np.linalg.norm(ax[i]))
-                    if res * max(1.0, data.normc) <= feas_tol * (-cx[i]):
-                        end(k, UNBOUNDED, "converged", it)
-                        continue
-                go.append(i)
-                rgs.append(rg)
-                mus.append(mu)
-
-            run = _gather([(run, go)])
-            if run is None:
+            if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
+                end(k, MAX_ITER, "non_finite", it)  # breakdown: the best iterate returns
                 continue
-            if run.bat is not bat:
-                at_y, ax, rp, rd = _residuals(run)
-            try:
-                steps = [(run, _newton(run, (at_y, rp, rd), rgs, mus, nu))]
-            except (np.linalg.LinAlgError, ArithmeticError) as exc:
-                if run.bat.size == 1:
-                    steps = [(run, ([_breakdown(exc)], None, None))]
-                else:
-                    steps = []
-                    for i in range(run.bat.size):
-                        one = _gather([(run, [i])])
-                        try:
-                            res1 = _residuals(one)
-                            steps.append((one, _newton(one, (res1[0], *res1[2:]), [rgs[i]], [mus[i]], nu)))
-                        except (np.linalg.LinAlgError, ArithmeticError) as exc1:
-                            steps.append((one, ([_breakdown(exc1)], None, None)))
-            for one, (reasons, step, alphas) in steps:
-                for k, why in zip(one.ids, reasons):
-                    if why is not None:
-                        end(k, MAX_ITER, why, it)  # breakdown: the best iterate returns
-                if step is not None:
-                    nxt.append((_stepped(one, step, alphas, reasons), [
-                        i for i, why in enumerate(reasons) if why is None
-                    ]))
-        runs = [run for run in [_gather(nxt)] if run is not None]
-        if not runs:
+
+            gap = abs(pobj - dobj) / data.scale
+            ref = 1.0 + abs(data.user_value(pobj, dobj))
+            if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
+                best[k] = (0.0, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
+                end(k, OPTIMAL, "converged", it)
+                continue
+
+            score = max(pres, dres, gap / ref)
+            if best[k] is None or score < best[k][0]:
+                best[k] = (score, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
+
+            # Farkas certificate checks for infeasible / unbounded programs
+            if it > 1 and by > 0.0:
+                if ray is None:
+                    ray = [aty + s for aty, s in zip(at_y, run.S)]
+                res = np.sqrt(bat.pairing(i, ray, ray))
+                if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
+                    end(k, INFEASIBLE, "converged", it)
+                    continue
+            if it > 1 and cx[i] < 0.0:
+                res = float(np.linalg.norm(ax[i]))
+                if res * max(1.0, data.normc) <= feas_tol * (-cx[i]):
+                    end(k, UNBOUNDED, "converged", it)
+                    continue
+            go.append(i)
+            rgs.append(rg)
+            mus.append(mu)
+
+        run = _gather([(run, go)])
+        if run is None:
+            break
+        if run.bat is not bat:
+            at_y, _, rp, rd = _residuals(run)
+        stepped = []
+        for one, (reasons, step, alphas) in _steps(run, (at_y, rp, rd), rgs, mus, nu):
+            for k, why in zip(one.ids, reasons):
+                if why is not None:
+                    end(k, MAX_ITER, why, it)  # breakdown: the best iterate returns
+            if step is not None:
+                alive = [i for i, why in enumerate(reasons) if why is None]
+                stepped.append((_stepped(one, step, alphas, reasons), alive))
+        run = _gather(stepped)
+        if run is None:
             break
 
     for k, fin in enumerate(finals):
@@ -884,10 +873,28 @@ def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Fi
     return finals
 
 
+def _steps(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: float) -> list:
+    """``_newton`` of the run, as (run, its result) pairs.  Should the
+    batch's step raise, each program takes its step alone, so that only the
+    program at fault breaks down."""
+    try:
+        return [(run, _newton(run, res, rg, mu, nu))]
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        if run.bat.size == 1:
+            return [(run, ([_breakdown(exc)], None, None))]
+    out = []
+    for i in range(run.bat.size):
+        one = _gather([(run, [i])])
+        at_y, _, rp, rd = _residuals(one)
+        out += _steps(one, (at_y, rp, rd), [rg[i]], [mu[i]], nu)
+    return out
+
+
 def _stepped(run: _Lockstep, step: _Direction, alphas: list[float], reasons: list) -> _Lockstep:
     """The run after each program's step; a program that broke down takes none."""
     alphas = [0.0 if why is not None else a for a, why in zip(alphas, reasons)]
-    with np.errstate(invalid="ignore", over="ignore"):  # a broken-down program's entries are dropped
+    # a broken-down program's entries are dropped, whatever they hold
+    with np.errstate(invalid="ignore", over="ignore"):
         return _Lockstep(
             run.bat,
             run.ids,
@@ -984,20 +991,18 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
             # the correction of least norm in the scaling's metric
             v = msolve(bat.b * np.array(dtau)[:, None] - rp - bat.apply_a(dX))
             dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(bat.apply_at(v)))]
-        for i in range(bat.size):
+        for i, finite in enumerate(bat.finite([*dX, *dS], dy)):
             dkap.append((dtau_rhs[i] - kap[i] * dtau[i]) / tau[i])
-        finite = bat.finite([*dX, *dS], dy)
-        ok = [o and np.isfinite(dt) and np.isfinite(dk) and f for o, dt, dk, f in zip(ok, dtau, dkap, finite)]
+            ok[i] = ok[i] and np.isfinite(dtau[i]) and np.isfinite(dkap[i]) and finite
         return _Direction(dX, dS, dy, dtau, dkap, ok)
 
     def max_step(d: _Direction) -> list[float]:
         out = []
-        for t, dtau, dkap, ta, ka in zip(_max_step(scal, d.dX, d.dS, bat.size), d.dtau, d.dkap, tau, kap):
-            t = float(t)
-            if dtau < 0:
-                t = min(t, -ta / dtau)
-            if dkap < 0:
-                t = min(t, -ka / dkap)
+        for i, t in enumerate(_max_step(scal, d.dX, d.dS, bat.size).tolist()):
+            if d.dtau[i] < 0:
+                t = min(t, -tau[i] / d.dtau[i])
+            if d.dkap[i] < 0:
+                t = min(t, -kap[i] / d.dkap[i])
             out.append(t)
         return out
 
@@ -1012,8 +1017,9 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
         [s + a * ds for s, a, ds in zip(Sm, bat.per_cone(a_aff), aff.dS)],
     )
     sigma = []
-    for i in range(bat.size):
-        mu_aff = (compl_aff[i] + (tau[i] + a_aff[i] * aff.dtau[i]) * (kap[i] + a_aff[i] * aff.dkap[i])) / (nu + 1)
+    for i, a in enumerate(a_aff):
+        tk_aff = (tau[i] + a * aff.dtau[i]) * (kap[i] + a * aff.dkap[i])
+        mu_aff = (compl_aff[i] + tk_aff) / (nu + 1)
         sigma.append(min(1.0, max(0.0, (mu_aff / mu[i]) ** 3)))
 
     # the corrector's complementarity right-hand side, in the scaled space
@@ -1028,7 +1034,7 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
         d *= 2.0 / (sc.lam[:, :, None] + sc.lam[:, None, :])
         rx.append(_herm(sc.r @ d @ _h(sc.r)))
     dtau_rhs = [
-        s * m - t * k - dt * dk for s, m, t, k, dt, dk in zip(sigma, mu, tau, kap, aff.dtau, aff.dkap)
+        sigma[i] * mu[i] - tau[i] * kap[i] - aff.dtau[i] * aff.dkap[i] for i in range(bat.size)
     ]
     step = direction(rx, dtau_rhs)
     if not all(step.ok):

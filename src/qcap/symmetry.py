@@ -56,18 +56,32 @@ class PhaseSectors:
 
 
 def _group(charges: np.ndarray) -> Sectors:
-    """Indices of equal charge rows, in order of their first index."""
-    reps: list[np.ndarray] = []
-    members: list[list[int]] = []
-    for i, q in enumerate(charges):
-        for rep, mem in zip(reps, members):
-            if np.max(np.abs(q - rep), initial=0.0) <= _CHARGE_ATOL:
-                mem.append(i)
-                break
-        else:
-            reps.append(q)
-            members.append([i])
-    return tuple(tuple(mem) for mem in members)
+    """Indices of equal charge rows, in order of their first index.
+
+    One lexsort brings equal rows together, and the sorted rows split where
+    neighbours differ by more than ``_CHARGE_ATOL``.  Noise below that in a
+    sort key can still put rows of one charge on both sides of another
+    charge, so each run joins the first run of equal charge.
+    """
+    n = len(charges)
+    if n == 0:
+        return ()
+    order = np.lexsort(charges.T[::-1])  # the first column is the primary key
+    rows = charges[order]
+    cut = np.max(np.abs(np.diff(rows, axis=0)), axis=1, initial=0.0) > _CHARGE_ATOL
+    starts = np.flatnonzero(np.concatenate([[True], cut]))
+    heads = rows[starts]
+    same = np.max(np.abs(heads[:, None, :] - heads[None, :, :]), axis=2, initial=0.0)
+    run_label = np.argmax(same <= _CHARGE_ATOL, axis=1)
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.repeat(run_label, np.diff(np.append(starts, n)))
+    # sectors by first index, each in index order
+    _, first = np.unique(label, return_index=True)
+    rank = np.empty(label.max() + 1, dtype=np.intp)
+    rank[label[np.sort(first)]] = np.arange(first.size)
+    members = np.argsort(rank[label], kind="stable")
+    sizes = np.bincount(rank[label])
+    return tuple(tuple(sec.tolist()) for sec in np.split(members, np.cumsum(sizes)[:-1]))
 
 
 def phase_sectors(ch: Channel) -> PhaseSectors:

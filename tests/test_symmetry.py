@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import qcap.oneshot as oneshot
-from qcap.channels import amplitude_damping, choi, random_channel, tensor
+import qcap.symmetry as symmetry
+from qcap.channels import amplitude_damping, channel_nr, choi, random_channel, tensor
 from qcap.matops import bipartite_maps
 from qcap.symmetry import PhaseSectors, phase_sectors
 
@@ -132,3 +133,50 @@ def test_certificates_are_full_size_and_meet_their_rows(name):
     else:
         for sign in (1.0, -1.0):
             assert _psd_floor(lift(cert.S) + sign * pt(cert.W)) >= -tol
+
+
+def _greedy_group(charges):
+    """Each index joins the first earlier sector whose first charge row is
+    within the tolerance of its own: the grouping by pairwise comparison."""
+    reps, members = [], []
+    for i, q in enumerate(charges):
+        for rep, mem in zip(reps, members):
+            if np.max(np.abs(q - rep), initial=0.0) <= symmetry._CHARGE_ATOL:
+                mem.append(i)
+                break
+        else:
+            reps.append(q)
+            members.append([i])
+    return tuple(tuple(mem) for mem in members)
+
+
+def _census_channels():
+    dims = ((2, 2), (2, 3), (3, 2))
+    for seed in range(24):
+        yield random_channel(*dims[seed % 3], seed=seed)
+    for i in range(8):
+        yield tensor(random_channel(2, 2, seed=1000 + 2 * i), random_channel(2, 2, seed=1001 + 2 * i))
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        pytest.param(lambda: [reduce(tensor, [AD] * n) for n in (1, 2, 3, 4)], id="ad_uses"),
+        pytest.param(lambda: [channel_nr(r) for r in (0.0, 0.22, 0.38)], id="nr"),
+        pytest.param(lambda: list(_census_channels()), id="census_random"),
+    ],
+)
+def test_sorted_grouping_matches_pairwise_grouping(monkeypatch, channels):
+    for ch in channels():
+        got = phase_sectors(ch)
+        with monkeypatch.context() as m:
+            m.setattr(symmetry, "_group", _greedy_group)
+            assert got == phase_sectors(ch)
+
+
+def test_grouping_joins_rows_that_noise_sorts_apart():
+    # one sorted run per row: each charge's two rows differ by roundoff in the
+    # first column, which the sort reads before the second
+    eps = 2.0**-53
+    charges = np.array([[0.5, 1.0], [0.5 + eps, 0.0], [0.5 + 2 * eps, 1.0], [0.5, 0.0]])
+    assert symmetry._group(charges) == _greedy_group(charges) == ((0, 2), (1, 3))

@@ -11,13 +11,15 @@ even pairs and the change first in odd ones, so that a drift of the host
 weighs on both sides alike.  Each run gets a fresh process, as in the
 benchmark.  For every end-to-end metric of BENCHMARK.json the output records
 both sides' runs, medians and quartiles, the relative change of the medians,
-and in how many pairs the change was better.  ``--traced N`` adds N traced
-runs per side and records the medians of their per-layer metrics.  A traced
-run covers as many rows as fit in its time, so a faster side covers more of
-them; the per-layer medians, ``conic.iters_per_solve`` among them, compare
-two commits only when both sides' runs cover the same rows.  The
-checkouts are plain source trees (``git archive``), so their commits are
-given as arguments.
+and in how many pairs the change was better.  Each run also records the
+host's load averages (``os.getloadavg``) as it started, so that drift can be
+read beside the medians.  ``--traced N`` adds N traced runs per side, in
+alternating order as the pairs, and records the medians of their per-layer
+metrics.  A traced run covers as many rows as fit in its time, so a faster
+side covers more of them; the per-layer medians, ``conic.iters_per_solve``
+among them, compare two commits only when both sides' runs cover the same
+rows.  The checkouts are plain source trees (``git archive``), so their
+commits are given as arguments.
 
 Every ``conic.solve`` runs on one OpenBLAS thread, whatever the process
 default; ``blas_threads`` records that, and ``default_blas_threads`` the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,12 +41,23 @@ ROOT = Path(__file__).resolve().parent.parent
 def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    load = list(os.getloadavg())
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=300)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return {**json.loads(lines[-1]), "run": json.loads(lines[-2])["run"]}
+    return {**json.loads(lines[-1]), "run": json.loads(lines[-2])["run"], "loadavg": load}
+
+
+def alternating(sides: dict[str, Path], n: int, run) -> dict[str, list[dict]]:
+    """n runs per side, ``run(side, i)``, the parent first in even rounds and
+    the change first in odd ones."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(n):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run(side, i))
+    return runs
 
 
 def summary(values: list[float]) -> dict:
@@ -78,18 +92,21 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for wl in args.workloads:
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
         seeds = [args.seed0 + i for i in range(args.pairs)]
-        for i, seed in enumerate(seeds):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(one_run(sides[side], wl, seed, args.seconds, 0))
-                print(wl, seed, side, json.dumps(runs[side][-1]["metrics"]), file=sys.stderr)
+
+        def pair_run(side: str, i: int, wl=wl, seeds=seeds) -> dict:
+            res = one_run(sides[side], wl, seeds[i], args.seconds, 0)
+            print(wl, seeds[i], side, json.dumps(res["metrics"]), res["loadavg"], file=sys.stderr)
+            return res
+
+        runs = alternating(sides, args.pairs, pair_run)
         entry = {
             "pairs": args.pairs,
             "seeds": seeds,
             "default_blas_threads": sorted({r["run"]["blas_threads"] for r in runs["parent"]}),
             "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
             "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+            "loadavg": {s: [r["loadavg"] for r in runs[s]] for s in runs},
             "metrics": {},
         }
         for m in spec["end_to_end"]:
@@ -107,8 +124,11 @@ def main(argv=None) -> int:
                                                                         vals["change"])),
             }
         if args.traced:
-            traced = {s: [one_run(sides[s], wl, args.seed0, args.seconds, 1)
-                          for _ in range(args.traced)] for s in sides}
+            def traced_run(side: str, i: int, wl=wl) -> dict:
+                return one_run(sides[side], wl, args.seed0, args.seconds, 1)
+
+            traced = alternating(sides, args.traced, traced_run)
+            entry["traced_loadavg"] = {s: [r["loadavg"] for r in traced[s]] for s in traced}
             entry["per_layer_medians"] = {
                 s: {m["name"]: statistics.median(r["metrics"][m["name"]]["value"] for r in traced[s])
                     for m in spec["per_layer"]}
