@@ -49,6 +49,21 @@ that fail, the solve ends with ``factorization_failed`` and its best
 iterate, as after any other breakdown.  Everything runs on one BLAS thread,
 which is faster than several at these sizes.
 
+Batches.  ``solve_all`` iterates the programs of one assembled shape (form,
+row count, and each stack's side and count) in lockstep, as OptNet's
+batched interior-point method does (Amos and Kolter, ICML 2017).  Each
+stack holds every program's cones, program after program, and A is
+block-diagonal, so the NT scaling, the W R W products, the Schur kernels,
+the step test and A, A' run once for the whole batch, and one sparse product
+yields every program's Schur complement.  What belongs to one program runs
+on its slices in the order of a solve of it alone: its pairings and norms
+(``np.vdot`` per slice), its Cholesky factor and triangular solves, its tau,
+kappa, mu, sigma and step length, its stopping tests and best iterate.  So
+each program ends on the iterate it reaches alone, to the bit, and ``solve``
+is ``solve_all`` of one program.  A program that ends leaves the batch, and
+the others go on; should a batched step raise, each program takes that step
+alone, so that only the program at fault breaks down.
+
 Two forms, one reduction.  The iteration sees cones alone: min c.x s.t.
 A x = b, with the dual max b.z s.t. c - A'z in K.  A program reaches it
 through ``lmi.reduce_dual``, as one of two dual programs whose equality
@@ -87,7 +102,6 @@ from __future__ import annotations
 import logging
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -338,17 +352,18 @@ def _schur(data, ws: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _schur_solvers(mmats: np.ndarray) -> list:
-    """A solve with each Schur complement M of a (programs, m, m) stack, or
-    None where its Cholesky factorization fails.
+def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, list]:
+    """The factorization of each Schur complement M of a (programs, m, m)
+    stack: the equilibration of each, and the upper Cholesky factor of each
+    equilibrated, shifted M, or None where it fails.
 
     M is first equilibrated symmetrically by its diagonal (rows whose
     coefficients live where W is small would otherwise sit orders of magnitude
     below the rest), and shifted by a tiny multiple of the identity: on
     degenerate programs M becomes numerically singular near the optimum, and
     an unshifted factor returns garbage along its near-null directions.  Each
-    solve takes one refinement step against the unshifted matrix, which
-    restores full accuracy everywhere else.
+    solve (``_msolve``) takes one refinement step against the unshifted
+    matrix, which restores full accuracy everywhere else.
     """
     diag = np.abs(np.diagonal(mmats, axis1=1, axis2=2)).copy()
     diag[diag == 0.0] = 1.0
@@ -356,26 +371,32 @@ def _schur_solvers(mmats: np.ndarray) -> list:
     scaled = mmats * eqs[:, :, None] * eqs[:, None, :]
     idx = np.arange(mmats.shape[1])
     scaled[:, idx, idx] += _SCHUR_SHIFT
-    out = []
-    for mmat, eq, sc in zip(mmats, eqs, scaled):
+    ups = []
+    for sc in scaled:
         try:
             up = cholesky(sc, check_finite=False)  # upper: M = U'U
         except np.linalg.LinAlgError:
-            out.append(None)
-            continue
-        if not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
-            out.append(None)
-            continue
-        out.append(partial(_msolve, mmat, eq, up))
-    return out
+            up = None
+        if up is not None and not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
+            up = None
+        ups.append(up)
+    return eqs, ups
 
 
-def _msolve(mmat: np.ndarray, eq: np.ndarray, up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M^-1 rhs from the factor U'U of the equilibrated, shifted M, refined once against M."""
-    if rhs.size == 0:  # no rows
-        return np.zeros(0)
-    sol = eq * dpotrs(up, eq * rhs)[0]
-    sol += eq * dpotrs(up, eq * (rhs - mmat @ sol))[0]
+def _msolve(mmats: np.ndarray, eqs: np.ndarray, ups: list, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs of each program, with ``_schur_factors``' factors, refined
+    once against M; zero where the factorization failed."""
+    if rhs.shape[1] == 0:  # no rows
+        return np.zeros(rhs.shape)
+
+    def tri(v: np.ndarray) -> np.ndarray:
+        none = np.zeros(v.shape[1])
+        return np.stack([none if up is None else dpotrs(up, r)[0] for up, r in zip(ups, v)])
+
+    with np.errstate(invalid="ignore", over="ignore"):  # in a failed program's rows
+        sol = eqs * tri(eqs * rhs)
+        sol += eqs * tri(eqs * (rhs - (mmats @ sol[..., None])[..., 0]))
+    sol[[up is None for up in ups]] = 0.0
     return sol
 
 
@@ -926,14 +947,14 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
     def wmw(mats):
         return [w @ x @ w for w, x in zip(ws, mats)]
 
-    solvers = _schur_solvers(_schur(bat, ws))
-    for i, solver in enumerate(solvers):
-        if solver is None:
-            fail(i, "factorization_failed")
-            solvers[i] = np.zeros_like  # its directions are not used
+    mmats = _schur(bat, ws)
+    eqs, ups = _schur_factors(mmats)
+    for i, up in enumerate(ups):
+        if up is None:
+            fail(i, "factorization_failed")  # its directions are not used
 
     def msolve(rhs: np.ndarray) -> np.ndarray:
-        return np.stack([solver(r) for solver, r in zip(solvers, rhs)])
+        return _msolve(mmats, eqs, ups, rhs)
 
     # pieces independent of the complementarity right-hand side
     wrd = wmw(rd)
