@@ -147,6 +147,15 @@ _RT2 = np.sqrt(2.0)
 # 3.4 ms per kernel on one core of a 2-core x86-64 host, and 1.3 ms in four
 # stacks of one.
 _STACK_KERNEL = 2**16
+# A batch of programs solved in lockstep holds at most this many Schur
+# entries (programs * rows**2), so that a sweep's peak memory stays near a
+# solo solve's: each program in a batch adds its Schur complement, its factor
+# and its share of every stacked temporary.  Past about ten small programs a
+# batch saves little more: the Fig. 3 sweep (26 points, Q_Gamma and Q_Theta
+# of 73 and 74 rows) in batches of 26, 13 and 9 took 0.44, 0.46 and 0.47 s
+# of CPU on one core of a 2-core x86-64 host, at a peak RSS of 91.5, 88.7
+# and 87.7 MB, where solving each program alone peaked at 82.8 MB.
+_BATCH_SCHUR = 2**16
 
 
 @dataclass
@@ -352,7 +361,7 @@ def _schur(data, ws: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, list]:
+def _schur_factors(mmats: np.ndarray) -> tuple[list, list]:
     """The factorization of each Schur complement M of a (programs, m, m)
     stack: the equilibration of each, and the upper Cholesky factor of each
     equilibrated, shifted M, or None where it fails.
@@ -365,38 +374,40 @@ def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, list]:
     solve (``_msolve``) takes one refinement step against the unshifted
     matrix, which restores full accuracy everywhere else.
     """
-    diag = np.abs(np.diagonal(mmats, axis1=1, axis2=2)).copy()
-    diag[diag == 0.0] = 1.0
-    eqs = 1.0 / np.sqrt(diag)
-    scaled = mmats * eqs[:, :, None] * eqs[:, None, :]
-    idx = np.arange(mmats.shape[1])
-    scaled[:, idx, idx] += _SCHUR_SHIFT
-    ups = []
-    for sc in scaled:
+    eqs, ups = [], []
+    for mmat in mmats:
+        diag = np.abs(np.diagonal(mmat)).copy()
+        diag[diag == 0.0] = 1.0
+        eq = 1.0 / np.sqrt(diag)
+        scaled = mmat * eq[:, None] * eq[None, :]
+        scaled[np.diag_indices_from(scaled)] += _SCHUR_SHIFT
         try:
-            up = cholesky(sc, check_finite=False)  # upper: M = U'U
+            up = cholesky(scaled, check_finite=False)  # upper: M = U'U
         except np.linalg.LinAlgError:
             up = None
         if up is not None and not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
             up = None
+        eqs.append(eq)
         ups.append(up)
     return eqs, ups
 
 
-def _msolve(mmats: np.ndarray, eqs: np.ndarray, ups: list, rhs: np.ndarray) -> np.ndarray:
+def _msolve(mmats: np.ndarray, eqs: list, ups: list, rhs: np.ndarray) -> np.ndarray:
     """M^-1 rhs of each program, with ``_schur_factors``' factors, refined
     once against M; zero where the factorization failed."""
     if rhs.shape[1] == 0:  # no rows
         return np.zeros(rhs.shape)
+    sol = np.zeros(rhs.shape)
+    live = [i for i, up in enumerate(ups) if up is not None]
+    eq = np.array([eqs[i] for i in live])
 
     def tri(v: np.ndarray) -> np.ndarray:
-        none = np.zeros(v.shape[1])
-        return np.stack([none if up is None else dpotrs(up, r)[0] for up, r in zip(ups, v)])
+        return np.stack([dpotrs(ups[i], r)[0] for i, r in zip(live, v)])
 
-    with np.errstate(invalid="ignore", over="ignore"):  # in a failed program's rows
-        sol = eqs * tri(eqs * rhs)
-        sol += eqs * tri(eqs * (rhs - (mmats @ sol[..., None])[..., 0]))
-    sol[[up is None for up in ups]] = 0.0
+    if live:
+        part = eq * tri(eq * rhs[live])
+        part += eq * tri(eq * (rhs[live] - (mmats[live] @ part[..., None])[..., 0]))
+        sol[live] = part
     return sol
 
 
@@ -510,10 +521,11 @@ def solve_all(
                 continue
             shape = (form, data.b.size, tuple((st.side, st.gamma, st.count) for st in data.stacks))
             groups.setdefault(shape, []).append((i, data))
-        for members in groups.values():
-            fins = _iterate([data for _, data in members], feas_tol, gap_tol, max_iter)
-            for (i, data), fin in zip(members, fins):
-                sols[i] = _checked(progs[i], _solution(data, fin))
+        for shape, group in groups.items():
+            for members in _batches(group, shape[1]):
+                fins = _iterate([data for _, data in members], feas_tol, gap_tol, max_iter)
+                for (i, data), fin in zip(members, fins):
+                    sols[i] = _checked(progs[i], _solution(data, fin))
     for prog, sol in zip(progs, sols):
         sol.blocks = prog.full_blocks(sol.blocks)
     return sols
@@ -645,6 +657,14 @@ def _chunks(stacks: list[_Stack]) -> list[tuple[int, int, sparse.csr_array]]:
         for lo in range(0, len(stacks), per)
         for group in [stacks[lo : lo + per]]
     ]
+
+
+def _batches(members: list, m: int) -> list[list]:
+    """Same-shaped programs of m rows in contiguous runs of near-equal size,
+    each of at most ``_BATCH_SCHUR`` Schur entries."""
+    runs = -(-len(members) * m * m // _BATCH_SCHUR)
+    size = -(-len(members) // max(1, runs))
+    return [members[lo : lo + size] for lo in range(0, len(members), size)]
 
 
 class _Batch:
