@@ -150,15 +150,23 @@ def _attempt(fn, *args, **kwargs):
 def _column(name, chans, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> list:
     """Bound ``name`` on each of ``chans``, as a BoundResult or the exception
     that its row raised.  Every program is built first, and all of them are
-    solved by one ``solve_all``; a bound that is not one program is
-    evaluated channel by channel."""
+    solved by one ``solve_all``; should that raise, each program is solved
+    alone, so that the exception falls on its own row.  A bound that is not
+    one program is evaluated channel by channel."""
     built = [_attempt(_program, ch, name, eps) for ch in chans]
     if any(b is None for b in built):
         opts = {"eps": eps, "rounds": rounds, "feas_tol": feas_tol, "gap_tol": gap_tol}
         return [_attempt(_eval_bound, ch, name, **opts) for ch in chans]
     progs = [b[0] for b in built if not isinstance(b, Exception)]
-    sols = iter(solve_all(progs, feas_tol, gap_tol))
-    return [b if isinstance(b, Exception) else _attempt(b[1], next(sols)) for b in built]
+    try:
+        sols = solve_all(progs, feas_tol, gap_tol)
+    except Exception:
+        sols = [_attempt(lambda prog: solve_all([prog], feas_tol, gap_tol)[0], prog) for prog in progs]
+    out, sols = [], iter(sols)
+    for b in built:
+        sol = b if isinstance(b, Exception) else next(sols)
+        out.append(sol if isinstance(sol, Exception) else _attempt(b[1], sol))
+    return out
 
 
 def _ad_pair(r: float) -> Channel:

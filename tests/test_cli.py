@@ -251,30 +251,46 @@ def test_failed_row_reports_exception_from_pool_workers():
         assert f"row custom ad r={r} failed: ValueError: " in run.stderr
 
 
-def test_batched_row_whose_build_raises_leaves_its_neighbours(monkeypatch, tmp_path, capsys):
-    # every row's q_theta program is solved in one batch; the row whose
-    # build raised is an error, and every other row has its solo values
+def test_batched_rows_that_raise_leave_their_neighbours(monkeypatch, capsys):
+    # every row's program of a bound is solved in one batch; the row whose
+    # q_theta build raises and the row whose q_gamma solve raises are errors,
+    # and every other row has its solo values
     grid = [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
-    made = {}
+    made, unsolvable = {}, []
 
     def build(r):
         made[r] = ch = cli.channel_nr(r)
         return ch
 
-    real = cli.q_theta_program
+    real_theta, real_gamma, real_solve_all = cli.q_theta_program, cli.q_gamma_program, cli.solve_all
 
-    def flaky(ch):
+    def flaky_theta(ch):
         if ch is made[grid[2]]:
             raise RuntimeError("boom")
-        return real(ch)
+        return real_theta(ch)
 
-    monkeypatch.setattr(cli, "q_theta_program", flaky)
+    def gamma(ch):
+        built = real_gamma(ch)
+        if ch is made[grid[4]]:
+            unsolvable.append(built[0])
+        return built
+
+    def solve_all(progs, *args):
+        if any(prog is unsolvable[0] for prog in progs):
+            raise ValueError("no solve")
+        return real_solve_all(progs, *args)
+
+    monkeypatch.setattr(cli, "q_theta_program", flaky_theta)
+    monkeypatch.setattr(cli, "q_gamma_program", gamma)
+    monkeypatch.setattr(cli, "solve_all", solve_all)
     monkeypatch.setattr(logging.getLogger(), "handlers", [])
     rows = cli._sweep("fig3_nr r", grid, build, ("q_gamma", "q_theta"), 1)
-    assert "row fig3_nr r=0.20000000000000001 failed: RuntimeError: boom" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "row fig3_nr r=0.20000000000000001 failed: RuntimeError: boom" in err
+    assert "row fig3_nr r=0.40000000000000002 failed: ValueError: no solve" in err
     assert [row[0] for row in rows] == grid
     for r, qg, qt, status in rows:
-        if r == grid[2]:
+        if r in (grid[2], grid[4]):
             assert math.isnan(qg) and math.isnan(qt) and status == "error"
             continue
         ch = made[r]
