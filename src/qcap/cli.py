@@ -161,7 +161,8 @@ def _column(name, chans, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> lis
     try:
         sols = solve_all(progs, feas_tol, gap_tol)
     except Exception:
-        sols = [_attempt(lambda prog: solve_all([prog], feas_tol, gap_tol)[0], prog) for prog in progs]
+        sols = [_attempt(solve_all, [prog], feas_tol, gap_tol) for prog in progs]
+        sols = [sol if isinstance(sol, Exception) else sol[0] for sol in sols]
     out, sols = [], iter(sols)
     for b in built:
         sol = b if isinstance(b, Exception) else next(sols)

@@ -661,7 +661,7 @@ def _chunks(stacks: list[_Stack]) -> list[tuple[int, int, sparse.csr_array]]:
 
 def _batches(members: list, m: int) -> list[list]:
     """Same-shaped programs of m rows in contiguous runs of near-equal size,
-    each of at most ``_BATCH_SCHUR`` Schur entries."""
+    each of at most ``_BATCH_SCHUR`` Schur entries or of one program."""
     runs = -(-len(members) * m * m // _BATCH_SCHUR)
     size = -(-len(members) // max(1, runs))
     return [members[lo : lo + size] for lo in range(0, len(members), size)]
