@@ -6,6 +6,22 @@ equals log2 d on the d-dimensional identity.  ``q_theta`` bounds it from
 above by the completely bounded trace norm of the channel composed with
 transposition.  ``e_w`` is the entanglement witness maximum underpinning the
 max-relative-entropy characterization checked through ``d_max``.
+
+The rate programs are stated on the sectors of the channel's phase symmetry
+(``symmetry.phase_sectors``), as the one-shot programs are: each variable and
+each operator (in)equality is zero off the sectors of its grading.
+
+- ``q_gamma`` primal: R on ``joint``, rho on ``inputs``, and the box
+  -rho (x) I <= R^TB <= rho (x) I on ``transposed``;
+- ``q_gamma`` dual: V and Y on ``transposed``, (V - Y)^TB >= J on ``joint``,
+  and tr_B(V + Y) <= mu I on ``inputs``;
+- ``q_theta``: G's sector k is ``transposed`` sector k of its top half
+  joined with the same sector of its bottom half, rho0 and rho1 are on
+  ``inputs``, and the equalities of G's diagonal blocks on ``transposed``.
+
+A phase-covariant channel, such as ``channel_nr``, so gives small blocks,
+and any other channel the full ones.  ``e_w`` takes a state, not a channel,
+and stays dense.
 """
 from __future__ import annotations
 
@@ -20,6 +36,7 @@ from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, solve
 from .matops import HermMat, bipartite_maps
 from .results import BoundResult
+from .symmetry import phase_sectors
 
 SUPPORT_RTOL = 1e-10
 
@@ -38,33 +55,43 @@ class GammaCertificate:
 
 def q_gamma_program(ch: Channel, form: str = "primal"):
     """``q_gamma``'s program on ``ch`` in ``form``, and the reader of its
-    result from the program's solution."""
+    result from the program's solution.
+
+    The primal puts R on the joint grading, rho on the inputs and the box on
+    the transposed grading; the dual puts V and Y on the transposed grading,
+    (V - Y)^TB >= J on the joint one and tr_B(V + Y) <= mu I on the inputs.
+    """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be 'primal' or 'dual', got {form!r}")
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
     lift, pt, _, tr_b = bipartite_maps(dims)
+    sec = phase_sectors(ch)
     t0 = time.perf_counter()
 
     if form == "primal":
         prog = ConicProgram("max")
-        prog.herm_block("R", d)
-        prog.herm_block("rho", ch.d_in)
+        prog.herm_block("R", d, sec.joint)
+        prog.herm_block("rho", ch.d_in, sec.inputs)
         prog.set_objective({"R": j.mat.data})
         prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-        prog.add_operator_constraint({"R": pt, "rho": lambda r: -lift(r)}, "<=", 0)
-        prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0)
+        prog.add_operator_constraint(
+            {"R": pt, "rho": lambda r: -lift(r)}, "<=", 0, sec.transposed
+        )
+        prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0, sec.transposed)
     else:
         eye_a = np.eye(ch.d_in)
         prog = ConicProgram("min")
-        prog.herm_block("V", d)
-        prog.herm_block("Y", d)
+        prog.herm_block("V", d, sec.transposed)
+        prog.herm_block("Y", d, sec.transposed)
         prog.free_block("mu", 1)
         prog.set_objective({"mu": [1.0]})
-        prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data)
         prog.add_operator_constraint(
-            {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0
+            {"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data, sec.joint
+        )
+        prog.add_operator_constraint(
+            {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0, sec.inputs
         )
 
     def read(sol) -> BoundResult:
@@ -201,11 +228,18 @@ def purified_output(ch: Channel, rho_a: np.ndarray) -> HermMat:
 
 def q_theta_program(ch: Channel):
     """``q_theta``'s program on ``ch``, and the reader of its result from
-    the program's solution."""
+    the program's solution.
+
+    G's sector k is the transposed sector k of its top half joined with the
+    same sector of its bottom half: J^TB, and so G's optimal off-diagonal
+    block, is transposed-graded.  rho0 and rho1 are on the inputs, and the
+    equalities of G's diagonal blocks on the transposed grading.
+    """
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
     lift, pt, _, _ = bipartite_maps(dims)
+    sec = phase_sectors(ch)
     jt = pt(j.mat.data)
     t0 = time.perf_counter()
 
@@ -215,15 +249,19 @@ def q_theta_program(ch: Channel):
     cost[d:, :d] = 0.5 * jt.conj().T
 
     prog = ConicProgram("max")
-    prog.herm_block("G", big)
-    prog.herm_block("rho0", ch.d_in)
-    prog.herm_block("rho1", ch.d_in)
+    prog.herm_block("G", big, [p + tuple(d + i for i in p) for p in sec.transposed])
+    prog.herm_block("rho0", ch.d_in, sec.inputs)
+    prog.herm_block("rho1", ch.d_in, sec.inputs)
     prog.set_objective({"G": cost})
     prog.add_constraint({"rho0": np.eye(ch.d_in)}, "==", 1.0)
     prog.add_constraint({"rho1": np.eye(ch.d_in)}, "==", 1.0)
     # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
-    prog.add_operator_constraint({"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0)
-    prog.add_operator_constraint({"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0)
+    prog.add_operator_constraint(
+        {"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0, sec.transposed
+    )
+    prog.add_operator_constraint(
+        {"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0, sec.transposed
+    )
 
     def read(sol) -> BoundResult:
         return BoundResult.from_optimum(

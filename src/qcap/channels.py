@@ -22,7 +22,10 @@ class Channel:
     """Completely positive trace-preserving map given by Kraus operators.
 
     Each Kraus operator has shape (d_out, d_in); trace preservation
-    (sum K^dag K = I) is checked to 1e-10 on construction.
+    (sum K^dag K = I) is checked to 1e-10 on construction.  The Kraus
+    operators are read-only, so what is computed from them, such as the Choi
+    matrix, is kept on the instance (``cached``) and travels with it when it
+    is pickled.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -48,6 +51,14 @@ class Channel:
             raise ValueError("Kraus operators are not trace preserving")
         object.__setattr__(self, "kraus", tuple(ops))
 
+    def cached(self, key: str, compute):
+        """``compute(self)``, computed on the first call with ``key`` and kept
+        on this channel for the later ones."""
+        memo = self.__dict__.setdefault("_cache", {})
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate the channel on a d_in x d_in matrix."""
         rho = np.asarray(rho, dtype=np.complex128)
@@ -71,7 +82,13 @@ class ChoiMatrix:
 
 
 def choi(ch: Channel) -> ChoiMatrix:
-    """Unnormalized Choi matrix of ``ch``: trace d_in, marginal on input I."""
+    """Unnormalized Choi matrix of ``ch``: trace d_in, marginal on input I.
+
+    Computed once per channel; its entries are read-only."""
+    return ChoiMatrix(ch.cached("choi", _choi_mat), ch)
+
+
+def _choi_mat(ch: Channel) -> HermMat:
     d_in, d_out = ch.d_in, ch.d_out
     j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
     for k in ch.kraus:
@@ -84,7 +101,9 @@ def choi(ch: Channel) -> ChoiMatrix:
     marg = _ptrace_array(j, (d_in, d_out), 1)
     if np.max(np.abs(marg - np.eye(d_in))) > TP_ATOL:
         raise ValueError("Choi marginal on the input factor is not the identity")
-    return ChoiMatrix(HermMat(j, (d_in, d_out)), ch)
+    mat = HermMat(j, (d_in, d_out))
+    mat.data.flags.writeable = False
+    return mat
 
 
 def tensor(a: Channel, b: Channel) -> Channel:

@@ -154,7 +154,9 @@ _STACK_KERNEL = 2**16
 # batch saves little more: the Fig. 3 sweep (26 points, Q_Gamma and Q_Theta
 # of 73 and 74 rows) in batches of 26, 13 and 9 took 0.44, 0.46 and 0.47 s
 # of CPU on one core of a 2-core x86-64 host, at a peak RSS of 91.5, 88.7
-# and 87.7 MB, where solving each program alone peaked at 82.8 MB.
+# and 87.7 MB, where solving each program alone peaked at 82.8 MB.  On the
+# phase sectors these programs have 21 and 22 rows, so each Fig. 3 column
+# fits one batch (its r = 0 point, with 5 joint sectors, is a shape alone).
 _BATCH_SCHUR = 2**16
 
 

@@ -1,5 +1,5 @@
 """Phase sectors: the block structure a channel's diagonal phase symmetry
-forces on the one-shot programs.
+forces on the one-shot and rate programs.
 
 Let phases theta act on the input basis and phi on the output basis.  The
 Choi matrix J is invariant under conjugation by the torus
@@ -16,17 +16,22 @@ Averaging over the torus keeps an optimum of each bound program
 may assume every variable invariant, that is zero off its sectors.  The
 gradings differ by the kind of operator:
 
-- ``joint``: operators on A (x) B, such as W, rho (x) I - W, and f's
-  S (x) I - W - Theta^TB, by the charge phi_b - theta_a;
-- ``transposed``: partially transposed operators, such as the box
-  S (x) I -+ W^TB and Theta, by theta_a + phi_b;
-- ``inputs``: operators on A, rho and S, by theta_a;
+- ``joint``: operators on A (x) B, such as W, rho (x) I - W, f's
+  S (x) I - W - Theta^TB, Q_Gamma's R and its dual's (V - Y)^TB - J, by the
+  charge phi_b - theta_a;
+- ``transposed``: partially transposed operators, such as the boxes
+  S (x) I -+ W^TB and rho (x) I -+ R^TB, Theta, the dual's V and Y, and
+  each half of Q_Theta's G (its sector k joins sector k of both halves), by
+  theta_a + phi_b;
+- ``inputs``: operators on A, such as rho, S, Q_Theta's rho0 and rho1, and
+  mu I - tr_B(V + Y), by theta_a;
 - ``outputs``: operators on B, such as tr_A W = t I, by phi_b.
 
 Amplitude damping is covariant under diag(1, e^{i theta}) on each use, so n
 uses give 3**n joint sectors of sizes (1, 2, 1)**(x)n and 2**n input sectors
-of size 1.  A channel with no phase symmetry, such as a random one, gets one
-sector per grading.
+of size 1.  ``channel_nr(r)`` for r > 0 has joint and transposed sectors
+of sizes 2, 1, 2, 1 and 1, 2, 2, 1, and 3 input sectors of size 1.  A channel
+with no phase symmetry, such as a random one, gets one sector per grading.
 """
 from __future__ import annotations
 
@@ -86,7 +91,12 @@ def _group(charges: np.ndarray) -> Sectors:
 
 def phase_sectors(ch: Channel) -> PhaseSectors:
     """The sectors of the largest diagonal torus that leaves ``ch``'s Choi
-    matrix invariant, in each of the four gradings."""
+    matrix invariant, in each of the four gradings; computed once per
+    channel, so that a sweep row's builders share them."""
+    return ch.cached("phase_sectors", _phase_sectors)
+
+
+def _phase_sectors(ch: Channel) -> PhaseSectors:
     j = choi(ch).mat.data
     d_in, d_out = ch.d_in, ch.d_out
     idx = np.arange(d_in * d_out)

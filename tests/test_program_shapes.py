@@ -3,9 +3,10 @@ count, the sides of its PSD blocks and its vector blocks, the length-1
 nonnegative slack of each scalar inequality among them.  The programs are
 built but not solved.
 
-The dense pins use two uses of random qubit channels, which have no phase
-symmetry and so keep one sector per grading; two uses of amplitude damping
-give the sector programs pinned below them."""
+The dense pins use two uses of random qubit channels and, for the rate
+programs, a random qutrit-to-qubit channel: neither has a phase symmetry, so
+each keeps one sector per grading.  Two uses of amplitude damping and
+``channel_nr(0.22)`` give the sector programs pinned below them."""
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from qcap.conic.program import HERM_PSD
 
 RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
 AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
+R32 = random_channel(3, 2, seed=2)
 NR = channel_nr(0.22)
 RP2_PSD = [4, 4, 16, 16, 16, 16]
 NR_PSD = [3, 6, 6, 6]
@@ -37,11 +39,11 @@ CASES = {
         oneshot, lambda: oneshot.fidelity_sdp(RP2, 2, oneshot.NS_PPT), 785,
         [4, 16, 16, 16, 16], [],
     ),
-    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(NR), 73, NR_PSD, []),
+    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(R32), 73, NR_PSD, []),
     "q_gamma_dual": (
-        asymptotic, lambda: asymptotic.q_gamma(NR, "dual"), 45, NR_PSD, [("free", 1)]
+        asymptotic, lambda: asymptotic.q_gamma(R32, "dual"), 45, NR_PSD, [("free", 1)]
     ),
-    "q_theta": (asymptotic, lambda: asymptotic.q_theta(NR), 74, [3, 3, 12], []),
+    "q_theta": (asymptotic, lambda: asymptotic.q_theta(R32), 74, [3, 3, 12], []),
     "e_w_primal": (asymptotic, lambda: asymptotic.e_w(choi(NR).mat), 72, [6, 6, 6], []),
     "e_w_dual": (
         asymptotic, lambda: asymptotic.e_w(choi(NR).mat, "dual"), 36, [6, 6, 6], []
@@ -110,28 +112,40 @@ def test_g_hat_row_counts(monkeypatch):
 # On AD x AD the joint and transposed gradings have 9 sectors of sides
 # 1, 1, 1, 1, 2, 2, 2, 2, 4, and the input and output ones 4 of side 1: a
 # program's PSD blocks are W, Theta and each operator inequality's slack on 9
-# sectors, and rho and S on 4.  Schur rows of the equality and the LMI form, the
+# sectors, and rho and S on 4.  On channel_nr(0.22) the joint and transposed
+# gradings have 4 sectors of sides 1, 1, 2, 2 and the inputs 3 of side 1:
+# Q_Gamma's R and box slacks, or V, Y and the slack of (V - Y)^TB >= J, are
+# on 4 sectors and rho or the slack of tr_B(V + Y) <= mu I on 3, and Q_Theta's
+# G on 4 of sides 2, 2, 4, 4.  Schur rows of the equality and the LMI form, the
 # count of PSD blocks of each side, and the form ``solve`` picks.
 SECTOR_CASES = {
-    "bound_f": (lambda: oneshot.bound_f(AD2, 0.01), (74, 79), {1: 24, 2: 16, 4: 4}),
-    "bound_g": (lambda: oneshot.bound_g(AD2, 0.01), (110, 43), {1: 24, 2: 16, 4: 4}),
+    "bound_f": (oneshot, lambda: oneshot.bound_f(AD2, 0.01), (74, 79), {1: 24, 2: 16, 4: 4}),
+    "bound_g": (oneshot, lambda: oneshot.bound_g(AD2, 0.01), (110, 43), {1: 24, 2: 16, 4: 4}),
     "bound_g_tilde": (
-        lambda: oneshot.bound_g_tilde(AD2, 0.01), (113, 40), {1: 24, 2: 16, 4: 4}
+        oneshot, lambda: oneshot.bound_g_tilde(AD2, 0.01), (113, 40), {1: 24, 2: 16, 4: 4}
     ),
     "bound_g_hat": (
-        lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5), (114, 40), {1: 24, 2: 16, 4: 4}
+        oneshot, lambda: oneshot.bound_g_hat(AD2, 0.01, 0.5), (114, 40), {1: 24, 2: 16, 4: 4}
     ),
-    "fidelity_ppt": (lambda: oneshot.fidelity_sdp(AD2, 2), (109, 39), {1: 20, 2: 16, 4: 4}),
+    "fidelity_ppt": (
+        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2), (109, 39), {1: 20, 2: 16, 4: 4}
+    ),
     "fidelity_ns_ppt": (
-        lambda: oneshot.fidelity_sdp(AD2, 2, oneshot.NS_PPT), (113, 35), {1: 20, 2: 16, 4: 4}
+        oneshot, lambda: oneshot.fidelity_sdp(AD2, 2, oneshot.NS_PPT), (113, 35),
+        {1: 20, 2: 16, 4: 4},
     ),
+    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(NR), (21, 12), {1: 9, 2: 6}),
+    "q_gamma_dual": (
+        asymptotic, lambda: asymptotic.q_gamma(NR, "dual"), (12, 21), {1: 9, 2: 6}
+    ),
+    "q_theta": (asymptotic, lambda: asymptotic.q_theta(NR), (22, 24), {1: 6, 2: 2, 4: 2}),
 }
 
 
 @pytest.mark.parametrize("name", list(SECTOR_CASES))
 def test_sector_program_shape(monkeypatch, name):
-    build, counts, sides = SECTOR_CASES[name]
-    prog = _built(monkeypatch, oneshot, build)
+    module, build, counts, sides = SECTOR_CASES[name]
+    prog = _built(monkeypatch, module, build)
     assert row_counts(prog) == counts
     assert Counter(b.size for b in prog.blocks if b.kind == HERM_PSD) == sides
     # far under _LMI_MIN_FLOPS saved either way

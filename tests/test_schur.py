@@ -21,8 +21,11 @@ from qcap.conic.lmi import InconsistentRows, check_equalities
 from qcap.conic.program import FREE, HERM_PSD, NONNEG, SLACK_PREFIX, ConicProgram
 from qcap.matops import from_hermitian_coords, hermitian_basis, hermitian_coords
 
-# two uses of random qubit channels: no phase symmetry, so every block is dense
+# two uses of random qubit channels, and a random qutrit-to-qubit channel for
+# the rate programs: no phase symmetry, so every block is dense
 RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
+R32 = random_channel(3, 2, seed=2)
+# phase-covariant: the rate programs on its sectors
 NR = channel_nr(0.22)
 
 # builder, and the module whose ``solve`` it calls
@@ -31,9 +34,12 @@ PROGRAMS = {
     "bound_g": (lambda: oneshot.bound_g(RP2, 0.01), oneshot),
     "bound_g_tilde": (lambda: oneshot.bound_g_tilde(RP2, 0.01), oneshot),
     "fidelity_sdp": (lambda: oneshot.fidelity_sdp(RP2, 2), oneshot),
-    "q_gamma_primal": (lambda: asymptotic.q_gamma(NR), asymptotic),
-    "q_gamma_dual": (lambda: asymptotic.q_gamma(NR, "dual"), asymptotic),
-    "q_theta": (lambda: asymptotic.q_theta(NR), asymptotic),
+    "q_gamma_primal": (lambda: asymptotic.q_gamma(R32), asymptotic),
+    "q_gamma_dual": (lambda: asymptotic.q_gamma(R32, "dual"), asymptotic),
+    "q_theta": (lambda: asymptotic.q_theta(R32), asymptotic),
+    "q_gamma_primal_sectors": (lambda: asymptotic.q_gamma(NR), asymptotic),
+    "q_gamma_dual_sectors": (lambda: asymptotic.q_gamma(NR, "dual"), asymptotic),
+    "q_theta_sectors": (lambda: asymptotic.q_theta(NR), asymptotic),
 }
 
 
@@ -189,6 +195,22 @@ def _check_row_duals(prog, y):
             assert np.max(np.abs(at_y - c)) <= 1e-7, blk.name
 
 
+def _program_blocks(prog, blocks):
+    """The program's own blocks from a solution's, in which each sectored
+    block is one full matrix: its sectors' diagonal blocks, after checking
+    that it is zero off them."""
+    out = dict(blocks)
+    for name, (sec, names) in prog._sectors.items():
+        if len(names) > 1:
+            full = out.pop(name)
+            off = np.ones(full.shape, dtype=bool)
+            for p, n in zip(sec.parts, names):
+                out[n] = full[np.ix_(p, p)]
+                off[np.ix_(p, p)] = False
+            assert not np.any(full[off]), name
+    return out
+
+
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_both_forms_solve_every_program(monkeypatch, name):
     prog = _program(monkeypatch, name)
@@ -198,8 +220,9 @@ def test_both_forms_solve_every_program(monkeypatch, name):
         sol = solver_mod.solve(prog)
         assert (sol.status, sol.reason, sol.form) == ("optimal", "converged", form)
         # the blocks are the program's own, slacks included, and meet its rows
-        assert sol.blocks.keys() == {blk.name for blk in prog.blocks}
-        assert _row_residual(prog, sol.blocks) <= 1e-7
+        blocks = _program_blocks(prog, sol.blocks)
+        assert blocks.keys() == {blk.name for blk in prog.blocks}
+        assert _row_residual(prog, blocks) <= 1e-7
         assert sol.y.shape == (len(prog.rows),)
         _check_row_duals(prog, sol.y)
         assert abs(sol.primal_value - sol.dual_value) <= 1e-7 * (1 + abs(sol.primal_value))

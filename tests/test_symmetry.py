@@ -1,27 +1,41 @@
-"""Phase sectors, and the one-shot programs stated on them.
+"""Phase sectors, and the one-shot and rate programs stated on them.
 
-Amplitude damping is phase-covariant, so its one-shot programs split into
-small sectors; a channel with no phase symmetry keeps one sector per
-grading and so today's dense program.  The sector programs must reach the
+Amplitude damping and ``channel_nr`` are phase-covariant, so their programs
+split into small sectors; a channel with no phase symmetry keeps one sector
+per grading and so the dense program.  The sector programs must reach the
 dense programs' values, and a wrong grading must fail when the program is
 built.
 """
+import pickle
+from collections import Counter
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
+import qcap.asymptotic as asymptotic
+import qcap.channels as channels
 import qcap.oneshot as oneshot
 import qcap.symmetry as symmetry
 from qcap.channels import amplitude_damping, channel_nr, choi, random_channel, tensor
+from qcap.conic import solve_all
 from qcap.matops import bipartite_maps
 from qcap.symmetry import PhaseSectors, phase_sectors
 
 AD = amplitude_damping(0.09)
 AD2 = tensor(AD, AD)
 RP2 = tensor(random_channel(2, 2, seed=1000), random_channel(2, 2, seed=1001))
+R32 = random_channel(3, 2, seed=2)
 FIG1_R = np.linspace(0.05, 0.1, 11).tolist()
+FIG3_R = np.linspace(0.0, 0.5, 26).tolist()
+
+RATE_BUILDERS = {
+    "q_gamma_primal": lambda ch: asymptotic.q_gamma_program(ch),
+    "q_gamma_dual": lambda ch: asymptotic.q_gamma_program(ch, "dual"),
+    "q_theta": asymptotic.q_theta_program,
+}
 
 
 def _one_sector(ch):
@@ -51,11 +65,34 @@ def test_amplitude_damping_uses_have_3_to_the_n_sectors(n):
     [
         random_channel(2, 2, seed=3),
         RP2,
+        R32,
         tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4)),
     ],
 )
 def test_channel_without_phase_symmetry_has_one_sector(ch):
     assert phase_sectors(ch) == _one_sector(ch)
+
+
+def test_a_row_computes_choi_and_sectors_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((channels, "_choi_mat"), (symmetry, "_phase_sectors")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda ch, real=real, name=name: calls.update([name]) or real(ch)
+        )
+    ch = channel_nr(0.3)
+    for build in (*RATE_BUILDERS.values(), lambda ch: oneshot.f_program(ch, 0.01)):
+        build(ch)
+    assert calls == {"_choi_mat": 1, "_phase_sectors": 1}
+    assert not choi(ch).mat.data.flags.writeable
+    # a pickled channel, as a pool worker gets it, brings both along
+    copy = pickle.loads(pickle.dumps(ch))
+    assert phase_sectors(copy) == phase_sectors(ch)
+    assert np.array_equal(choi(copy).mat.data, choi(ch).mat.data)
+    assert calls == {"_choi_mat": 1, "_phase_sectors": 1}
+    # a new instance computes its own
+    phase_sectors(replace(ch))
+    assert calls == {"_choi_mat": 2, "_phase_sectors": 2}
 
 
 def test_sectors_leave_the_choi_matrix_invariant():
@@ -90,6 +127,32 @@ def test_sector_programs_match_one_sector_programs_on_the_fig1_grid(monkeypatch)
             dense = bound(ch, 0.01)
             assert res.status == dense.status == "optimal"
             assert abs(res.value - dense.value) <= 1e-7 * abs(dense.value)
+
+
+@pytest.mark.parametrize("name", list(RATE_BUILDERS))
+def test_wrong_sectors_fail_rate_builders_at_build_time(monkeypatch, name):
+    monkeypatch.setattr(asymptotic, "phase_sectors", lambda ch: phase_sectors(channel_nr(0.22)))
+    with pytest.raises(ValueError, match="does not vanish off its sectors"):
+        RATE_BUILDERS[name](R32)
+
+
+def _rate_results(build, channels):
+    """Each channel's program from ``build``, solved together, and read."""
+    built = [build(ch) for ch in channels]
+    sols = solve_all([prog for prog, _ in built])
+    return [read(sol) for (_, read), sol in zip(built, sols)], [len(p.rows) for p, _ in built]
+
+
+@pytest.mark.parametrize("name", list(RATE_BUILDERS))
+def test_rate_sector_programs_match_one_sector_programs_on_the_fig3_grid(monkeypatch, name):
+    channels = [channel_nr(r) for r in FIG3_R]
+    sectored, sector_rows = _rate_results(RATE_BUILDERS[name], channels)
+    monkeypatch.setattr(asymptotic, "phase_sectors", _one_sector)
+    dense, dense_rows = _rate_results(RATE_BUILDERS[name], channels)
+    for r, res, ref, rows, ref_rows in zip(FIG3_R, sectored, dense, sector_rows, dense_rows):
+        assert rows < ref_rows, r
+        assert res.status == ref.status == "optimal", r
+        assert abs(res.value - ref.value) <= 1e-8 * abs(ref.value), r
 
 
 def test_bound_g_on_three_uses_of_amplitude_damping():
@@ -171,7 +234,8 @@ def test_sorted_grouping_matches_pairwise_grouping(monkeypatch, channels):
         got = phase_sectors(ch)
         with monkeypatch.context() as m:
             m.setattr(symmetry, "_group", _greedy_group)
-            assert got == phase_sectors(ch)
+            # a new instance, as the first one keeps its sectors
+            assert got == phase_sectors(replace(ch))
 
 
 def test_grouping_joins_rows_that_noise_sorts_apart():

@@ -3,7 +3,7 @@
 
     python tools/pairs.py --parent DIR --parent-commit SHA --change DIR \\
         --change-commit SHA --pairs 10 --seed0 401 --out BENCH_x.json \\
-        [--workloads ad2_oneshot nr_rates] [--traced 1]
+        [--workloads ad2_oneshot nr_rates] [--traced 1] [--layers 10 --reps 5]
 
 For each workload and pair i it runs ``perfbench/run.py --workload W --seed
 seed0 + i --seconds S --trace 0`` once in each checkout, the parent first in
@@ -21,6 +21,16 @@ among them, compare two commits only when both sides' runs cover the same
 rows.  The checkouts are plain source trees (``git archive``), so their
 commits are given as arguments.
 
+``--layers N`` adds the in-process A/B mode: for each workload that runs
+conic programs, N runs per side of ``tools/layers.py`` in alternating order,
+each in a fresh process that imports its tree's ``qcap``.  A run times every
+bound column's build, ``_assemble`` and ``solve_all`` by ``process_time``
+over ``--reps`` warm repetitions and reports their medians; the output
+records, per layer, both sides' runs, medians and quartiles, the relative
+change of the medians and in how many runs the change was faster.  These
+layers stay readable where the traced metrics of a batched sweep do not.
+``--pairs 0`` runs the layers alone.
+
 Every ``conic.solve`` runs on one OpenBLAS thread, whatever the process
 default; ``blas_threads`` records that, and ``default_blas_threads`` the
 default the runs reported.
@@ -36,6 +46,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the workloads that tools/layers.py times
+LAYER_WORKLOADS = ("nr_rates", "ad2_oneshot")
 
 
 def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -48,6 +60,36 @@ def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) 
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     return {**json.loads(lines[-1]), "run": json.loads(lines[-2])["run"], "loadavg": load}
+
+
+def layers_run(checkout: Path, workload: str, reps: int) -> dict:
+    """The median seconds of each layer over ``reps`` repetitions of
+    ``tools/layers.py`` with ``checkout``'s ``qcap``."""
+    cmd = [sys.executable, str(ROOT / "tools" / "layers.py"), "--workload", workload,
+           "--reps", str(reps)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    load = list(os.getloadavg())
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    medians = {k: statistics.median(v) for k, v in res["layers"].items()}
+    return {"layers": medians, "default_blas_threads": res["default_blas_threads"],
+            "loadavg": load}
+
+
+def compared(parent: list[float], change: list[float], better) -> dict:
+    """Both sides' summaries, the relative change of the medians, and in how
+    many pairs the change was better."""
+    par_sum, chg_sum = summary(parent), summary(change)
+    return {
+        "parent": par_sum,
+        "change": chg_sum,
+        "change_vs_parent": chg_sum["median"] / par_sum["median"] - 1.0,
+        "change_better_pairs": sum(better(c, p) for p, c in zip(parent, change)),
+    }
 
 
 def alternating(sides: dict[str, Path], n: int, run) -> dict[str, list[dict]]:
@@ -77,10 +119,12 @@ def main(argv=None) -> int:
     par.add_argument("--seed0", type=int, default=401)
     par.add_argument("--seconds", type=int, default=spec["run_seconds"])
     par.add_argument("--traced", type=int, default=0)
+    par.add_argument("--layers", type=int, default=0)
+    par.add_argument("--reps", type=int, default=5)
     par.add_argument("--out", type=Path, required=True)
     args = par.parse_args(argv)
-    if args.pairs < 2:
-        par.error("need --pairs >= 2 for quartiles")
+    if args.pairs == 1 or args.layers == 1:
+        par.error("need --pairs and --layers of 0 or >= 2 for quartiles")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
@@ -91,7 +135,7 @@ def main(argv=None) -> int:
         "blas_threads": 1,
         "workloads": {},
     }
-    for wl in args.workloads:
+    for wl in args.workloads if args.pairs else ():
         seeds = [args.seed0 + i for i in range(args.pairs)]
 
         def pair_run(side: str, i: int, wl=wl, seeds=seeds) -> dict:
@@ -112,16 +156,11 @@ def main(argv=None) -> int:
         for m in spec["end_to_end"]:
             vals = {s: [r["metrics"][m["name"]]["value"] for r in runs[s]] for s in runs}
             better = (lambda c, p: c > p) if m["better"] == "higher" else (lambda c, p: c < p)
-            par_sum, chg_sum = summary(vals["parent"]), summary(vals["change"])
             entry["metrics"][m["name"]] = {
                 "unit": m["unit"],
                 "better": m["better"],
                 "bound": m["bound"],
-                "parent": par_sum,
-                "change": chg_sum,
-                "change_vs_parent": chg_sum["median"] / par_sum["median"] - 1.0,
-                "change_better_pairs": sum(better(c, p) for p, c in zip(vals["parent"],
-                                                                        vals["change"])),
+                **compared(vals["parent"], vals["change"], better),
             }
         if args.traced:
             def traced_run(side: str, i: int, wl=wl) -> dict:
@@ -135,6 +174,25 @@ def main(argv=None) -> int:
                 for s in sides
             }
         report["workloads"][wl] = entry
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for wl in [w for w in args.workloads if w in LAYER_WORKLOADS] if args.layers else ():
+        runs = alternating(sides, args.layers,
+                           lambda side, i, wl=wl: layers_run(sides[side], wl, args.reps))
+        names = runs["parent"][0]["layers"]
+        report.setdefault("layers", {})[wl] = {
+            "command": f"python3 tools/layers.py --workload {wl} --reps {args.reps}",
+            "runs": args.layers,
+            "unit": "s of CPU (process_time), median of the reps in each run",
+            "default_blas_threads": sorted({t for r in runs["parent"]
+                                            for t in r["default_blas_threads"]}),
+            "loadavg": {s: [r["loadavg"] for r in runs[s]] for s in runs},
+            "metrics": {
+                name: compared([r["layers"][name] for r in runs["parent"]],
+                               [r["layers"][name] for r in runs["change"]],
+                               lambda c, p: c < p)
+                for name in names
+            },
+        }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
