@@ -109,12 +109,18 @@ def test_sectors_leave_the_choi_matrix_invariant():
         lambda ch: oneshot.bound_g(ch, 0.01),
         lambda ch: oneshot.bound_g_tilde(ch, 0.01),
         lambda ch: oneshot.fidelity_sdp(ch, 2),
+        *(pytest.param(build, id=name) for name, build in RATE_BUILDERS.items()),
     ],
 )
 def test_wrong_sectors_fail_at_build_time(monkeypatch, build):
-    monkeypatch.setattr(oneshot, "phase_sectors", lambda ch: phase_sectors(AD2))
-    with pytest.raises(ValueError, match="does not vanish off its sectors"):
-        build(RP2)
+    # channels with no phase symmetry, each given the grading of a
+    # phase-covariant channel of its dimensions
+    wrong = {(4, 4): phase_sectors(AD2), (3, 2): phase_sectors(channel_nr(0.22))}
+    for module in (oneshot, asymptotic):
+        monkeypatch.setattr(module, "phase_sectors", lambda ch: wrong[ch.d_in, ch.d_out])
+    for ch in (RP2, R32):
+        with pytest.raises(ValueError, match="does not vanish off its sectors"):
+            build(ch)
 
 
 def test_sector_programs_match_one_sector_programs_on_the_fig1_grid(monkeypatch):
@@ -127,13 +133,6 @@ def test_sector_programs_match_one_sector_programs_on_the_fig1_grid(monkeypatch)
             dense = bound(ch, 0.01)
             assert res.status == dense.status == "optimal"
             assert abs(res.value - dense.value) <= 1e-7 * abs(dense.value)
-
-
-@pytest.mark.parametrize("name", list(RATE_BUILDERS))
-def test_wrong_sectors_fail_rate_builders_at_build_time(monkeypatch, name):
-    monkeypatch.setattr(asymptotic, "phase_sectors", lambda ch: phase_sectors(channel_nr(0.22)))
-    with pytest.raises(ValueError, match="does not vanish off its sectors"):
-        RATE_BUILDERS[name](R32)
 
 
 def _rate_results(build, channels):

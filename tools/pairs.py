@@ -45,9 +45,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from layers import WORKLOADS as LAYER_WORKLOADS  # tools/ is the script's directory
+
 ROOT = Path(__file__).resolve().parent.parent
-# the workloads that tools/layers.py times
-LAYER_WORKLOADS = ("nr_rates", "ad2_oneshot")
 
 
 def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
