@@ -23,7 +23,7 @@ AD2 = tensor(amplitude_damping(0.09), amplitude_damping(0.09))
 R32 = random_channel(3, 2, seed=2)
 NR = channel_nr(0.22)
 RP2_PSD = [4, 4, 16, 16, 16, 16]
-NR_PSD = [3, 6, 6, 6]
+RATE_PSD = [3, 6, 6, 6]
 
 CASES = {
     "bound_f": (oneshot, lambda: oneshot.bound_f(RP2, 0.01), 514, RP2_PSD, [("nonneg", 1)]),
@@ -39,9 +39,9 @@ CASES = {
         oneshot, lambda: oneshot.fidelity_sdp(RP2, 2, oneshot.NS_PPT), 785,
         [4, 16, 16, 16, 16], [],
     ),
-    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(R32), 73, NR_PSD, []),
+    "q_gamma_primal": (asymptotic, lambda: asymptotic.q_gamma(R32), 73, RATE_PSD, []),
     "q_gamma_dual": (
-        asymptotic, lambda: asymptotic.q_gamma(R32, "dual"), 45, NR_PSD, [("free", 1)]
+        asymptotic, lambda: asymptotic.q_gamma(R32, "dual"), 45, RATE_PSD, [("free", 1)]
     ),
     "q_theta": (asymptotic, lambda: asymptotic.q_theta(R32), 74, [3, 3, 12], []),
     "e_w_primal": (asymptotic, lambda: asymptotic.e_w(choi(NR).mat), 72, [6, 6, 6], []),

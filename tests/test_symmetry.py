@@ -65,8 +65,8 @@ def test_amplitude_damping_uses_have_3_to_the_n_sectors(n):
     [
         random_channel(2, 2, seed=3),
         RP2,
-        R32,
         tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4)),
+        R32,
     ],
 )
 def test_channel_without_phase_symmetry_has_one_sector(ch):
