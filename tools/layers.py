@@ -1,21 +1,21 @@
 """CPU time of each layer of a sweep's bound columns, in one warm process.
 
-    PYTHONPATH=TREE/src python tools/layers.py --workload nr_rates --reps 5
+    PYTHONPATH=TREE/src python tools/layers.py --workload nr_rates
 
-imports ``qcap`` from the path given and runs the experiment behind the
-benchmark workload the way ``qcap.cli`` runs it on one chunk: every row's
-channel, then bound column by bound column every row's program
-(``cli._program``) and one ``conic.solve_all`` of them.  Each column is
-timed by ``time.process_time`` in three layers:
+imports ``qcap`` from the path given and calls the CLI experiment behind the
+benchmark workload, ``run_fig3`` or ``run_fig1`` with its defaults on one
+job, so every row is built and solved as ``qcap.cli`` does it.  The CLI's
+``_program`` and ``solve_all`` are wrapped for the call, and each bound
+column is timed by ``time.process_time`` in three layers:
 
 - ``build``: every row's program;
 - ``assemble``: ``solver._assemble`` of each program in the form ``solve``
   picks, on one BLAS thread as in the solve;
 - ``solve_all``: the column's solve, which assembles again.
 
-Each experiment also gets ``call``, its channels, builds and solves: what
-the CLI call spends outside process start-up and CSV writing.  One
-unrecorded repetition warms the process, then ``--reps`` are recorded.  The
+Each experiment also gets ``call``, the whole runner call less the assembly
+timed alone: what the CLI spends outside process start-up and CSV writing.
+One unrecorded repetition warms the process, then REPS are recorded.  The
 last line of stdout is one JSON object: per layer, the list of the
 repetitions' seconds; and the thread count of each loaded OpenBLAS outside
 a solve.  ``tools/pairs.py --layers`` runs this in two trees in turn.
@@ -26,67 +26,64 @@ import argparse
 import json
 import sys
 import time
+from collections import defaultdict
 
-# each benchmark workload that runs conic programs: the CLI experiment it
-# calls, its row keys, the channel of a key, its bound columns and their eps
-WORKLOADS = {
-    "nr_rates": ("fig3_nr", "nr", ("q_gamma", "q_theta"), 0.01),
-    "ad2_oneshot": ("fig1_ad", "ad2", ("f", "g", "g_tilde"), 0.01),
-}
+REPS = 5
 
-
-def _grid(kind: str):
-    import numpy as np
-
-    from qcap.channels import amplitude_damping, channel_nr, tensor
-
-    if kind == "nr":
-        return np.linspace(0.0, 0.5, 26).tolist(), channel_nr
-    return np.linspace(0.05, 0.1, 11).tolist(), (
-        lambda r: tensor(amplitude_damping(r), amplitude_damping(r))
-    )
+# each benchmark workload that runs conic programs: the CLI experiment it calls
+WORKLOADS = {"nr_rates": "fig3_nr", "ad2_oneshot": "fig1_ad"}
 
 
-def one_rep(workload: str) -> dict[str, float]:
-    """Seconds of CPU of each layer of each column of one pass of ``workload``."""
+def one_rep(experiment: str) -> dict[str, float]:
+    """Seconds of CPU of each layer of each column of one ``experiment`` call."""
     import qcap.cli as cli
     import qcap.conic.solver as solver
-    from qcap.conic import solve_all
     from qcap.conic._blas import one_blas_thread
 
-    experiment, kind, bounds, eps = WORKLOADS[workload]
-    keys, build = _grid(kind)
-    out = {}
-    start = time.process_time()
-    chans = [build(key) for key in keys]
-    for name in bounds:
+    out: dict[str, float] = defaultdict(float)
+    column = None  # the bound of the latest build, whose column is solved next
+    program, solve_all = cli._program, cli.solve_all
+
+    def timed_program(ch, name, *args):
+        nonlocal column
         t0 = time.process_time()
-        progs = [cli._program(ch, name, eps)[0] for ch in chans]
-        t1 = time.process_time()
+        built = program(ch, name, *args)
+        out[f"{name}.build"] += time.process_time() - t0
+        column = name
+        return built
+
+    def timed_solve_all(progs, *args):
+        t0 = time.process_time()
         with one_blas_thread():
             for prog in progs:
                 solver._assemble(prog, solver._form(prog))
-        t2 = time.process_time()
-        solve_all(progs)
-        t3 = time.process_time()
-        out[f"{name}.build"], out[f"{name}.assemble"], out[f"{name}.solve_all"] = (
-            t1 - t0, t2 - t1, t3 - t2,
-        )
+        t1 = time.process_time()
+        sols = solve_all(progs, *args)
+        out[f"{column}.assemble"] += t1 - t0
+        out[f"{column}.solve_all"] += time.process_time() - t1
+        return sols
+
+    cli._program, cli.solve_all = timed_program, timed_solve_all
+    try:
+        start = time.process_time()
+        getattr(cli, cli._EXPERIMENTS[experiment][0])(jobs=1)
+        call = time.process_time() - start
+    finally:
+        cli._program, cli.solve_all = program, solve_all
     # the assembly timed alone is not part of the CLI call
-    assembled = sum(v for k, v in out.items() if k.endswith(".assemble"))
-    out[f"{experiment}.call"] = time.process_time() - start - assembled
-    return out
+    out[f"{experiment}.call"] = call - sum(v for k, v in out.items() if k.endswith(".assemble"))
+    return dict(out)
 
 
 def main(argv=None) -> int:
     par = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     par.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    par.add_argument("--reps", type=int, default=5)
     args = par.parse_args(argv)
     from qcap.conic._blas import blas_pools
 
-    one_rep(args.workload)
-    reps = [one_rep(args.workload) for _ in range(args.reps)]
+    experiment = WORKLOADS[args.workload]
+    one_rep(experiment)
+    reps = [one_rep(experiment) for _ in range(REPS)]
     layers = {k: [rep[k] for rep in reps] for k in reps[0]}
     threads = [get() for get, _ in blas_pools()]
     print(json.dumps({"layers": layers, "default_blas_threads": threads}))

@@ -3,7 +3,7 @@
 
     python tools/pairs.py --parent DIR --parent-commit SHA --change DIR \\
         --change-commit SHA --pairs 10 --seed0 401 --out BENCH_x.json \\
-        [--workloads ad2_oneshot nr_rates] [--traced 1] [--layers 10 --reps 5]
+        [--workloads ad2_oneshot nr_rates] [--traced 1] [--layers 10]
 
 For each workload and pair i it runs ``perfbench/run.py --workload W --seed
 seed0 + i --seconds S --trace 0`` once in each checkout, the parent first in
@@ -25,7 +25,7 @@ commits are given as arguments.
 conic programs, N runs per side of ``tools/layers.py`` in alternating order,
 each in a fresh process that imports its tree's ``qcap``.  A run times every
 bound column's build, ``_assemble`` and ``solve_all`` by ``process_time``
-over ``--reps`` warm repetitions and reports their medians; the output
+over ``layers.REPS`` warm repetitions and reports their medians; the output
 records, per layer, both sides' runs, medians and quartiles, the relative
 change of the medians and in how many runs the change was faster.  These
 layers stay readable where the traced metrics of a batched sweep do not.
@@ -62,11 +62,10 @@ def one_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) 
     return {**json.loads(lines[-1]), "run": json.loads(lines[-2])["run"], "loadavg": load}
 
 
-def layers_run(checkout: Path, workload: str, reps: int) -> dict:
-    """The median seconds of each layer over ``reps`` repetitions of
+def layers_run(checkout: Path, workload: str) -> dict:
+    """The median seconds of each layer over the repetitions of
     ``tools/layers.py`` with ``checkout``'s ``qcap``."""
-    cmd = [sys.executable, str(ROOT / "tools" / "layers.py"), "--workload", workload,
-           "--reps", str(reps)]
+    cmd = [sys.executable, str(ROOT / "tools" / "layers.py"), "--workload", workload]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     load = list(os.getloadavg())
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
@@ -120,11 +119,10 @@ def main(argv=None) -> int:
     par.add_argument("--seconds", type=int, default=spec["run_seconds"])
     par.add_argument("--traced", type=int, default=0)
     par.add_argument("--layers", type=int, default=0)
-    par.add_argument("--reps", type=int, default=5)
     par.add_argument("--out", type=Path, required=True)
     args = par.parse_args(argv)
-    if args.pairs == 1 or args.layers == 1:
-        par.error("need --pairs and --layers of 0 or >= 2 for quartiles")
+    if min(args.pairs, args.traced, args.layers) < 0 or 1 in (args.pairs, args.layers):
+        par.error("need --traced >= 0, and --pairs and --layers of 0 or >= 2 for quartiles")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
@@ -177,10 +175,10 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for wl in [w for w in args.workloads if w in LAYER_WORKLOADS] if args.layers else ():
         runs = alternating(sides, args.layers,
-                           lambda side, i, wl=wl: layers_run(sides[side], wl, args.reps))
+                           lambda side, i, wl=wl: layers_run(sides[side], wl))
         names = runs["parent"][0]["layers"]
         report.setdefault("layers", {})[wl] = {
-            "command": f"python3 tools/layers.py --workload {wl} --reps {args.reps}",
+            "command": f"python3 tools/layers.py --workload {wl}",
             "runs": args.layers,
             "unit": "s of CPU (process_time), median of the reps in each run",
             "default_blas_threads": sorted({t for r in runs["parent"]
