@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, choi
-from .conic import ConicProgram, SolverError, solve
+from .conic import ConicProgram, SolverError, frame, solve
 from .matops import HermMat, bipartite_maps
 from .results import BoundResult
-from .symmetry import phase_sectors
+from .symmetry import PhaseSectors, phase_sectors
 
 SUPPORT_RTOL = 1e-10
 
@@ -64,35 +64,14 @@ def q_gamma_program(ch: Channel, form: str = "primal"):
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be 'primal' or 'dual', got {form!r}")
     j = choi(ch)
-    dims = (ch.d_in, ch.d_out)
-    d = dims[0] * dims[1]
-    lift, pt, _, tr_b = bipartite_maps(dims)
     sec = phase_sectors(ch)
     t0 = time.perf_counter()
-
+    dims = (ch.d_in, ch.d_out)
+    prog = frame(("q_gamma", form, dims, sec), lambda: _q_gamma_frame(form, dims, sec))
     if form == "primal":
-        prog = ConicProgram("max")
-        prog.herm_block("R", d, sec.joint)
-        prog.herm_block("rho", ch.d_in, sec.inputs)
         prog.set_objective({"R": j.mat.data})
-        prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-        prog.add_operator_constraint(
-            {"R": pt, "rho": lambda r: -lift(r)}, "<=", 0, sec.transposed
-        )
-        prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0, sec.transposed)
     else:
-        eye_a = np.eye(ch.d_in)
-        prog = ConicProgram("min")
-        prog.herm_block("V", d, sec.transposed)
-        prog.herm_block("Y", d, sec.transposed)
-        prog.free_block("mu", 1)
-        prog.set_objective({"mu": [1.0]})
-        prog.add_operator_constraint(
-            {"V": pt, "Y": lambda y: -pt(y)}, ">=", j.mat.data, sec.joint
-        )
-        prog.add_operator_constraint(
-            {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0, sec.inputs
-        )
+        prog.set_rhs(0, j.mat.data)  # (V - Y)^TB >= J, the first rows
 
     def read(sol) -> BoundResult:
         cert = None
@@ -109,6 +88,33 @@ def q_gamma_program(ch: Channel, form: str = "primal"):
         )
 
     return prog, read
+
+
+def _q_gamma_frame(form: str, dims: tuple[int, int], sec: PhaseSectors) -> ConicProgram:
+    """``q_gamma_program``'s frame in ``form``: its program at J = 0."""
+    d_in, d = dims[0], dims[0] * dims[1]
+    lift, pt, _, tr_b = bipartite_maps(dims)
+    if form == "primal":
+        prog = ConicProgram("max")
+        prog.herm_block("R", d, sec.joint)
+        prog.herm_block("rho", d_in, sec.inputs)
+        prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
+        prog.add_operator_constraint(
+            {"R": pt, "rho": lambda r: -lift(r)}, "<=", 0, sec.transposed
+        )
+        prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0, sec.transposed)
+        return prog
+    eye_a = np.eye(d_in)
+    prog = ConicProgram("min")
+    prog.herm_block("V", d, sec.transposed)
+    prog.herm_block("Y", d, sec.transposed)
+    prog.free_block("mu", 1)
+    prog.set_objective({"mu": [1.0]})
+    prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", 0, sec.joint)
+    prog.add_operator_constraint(
+        {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0, sec.inputs
+    )
+    return prog
 
 
 def q_gamma(
@@ -238,30 +244,15 @@ def q_theta_program(ch: Channel):
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
-    lift, pt, _, _ = bipartite_maps(dims)
     sec = phase_sectors(ch)
-    jt = pt(j.mat.data)
+    jt = bipartite_maps(dims)[1](j.mat.data)
     t0 = time.perf_counter()
 
-    big = 2 * d
-    cost = np.zeros((big, big), dtype=np.complex128)
+    cost = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     cost[:d, d:] = 0.5 * jt
     cost[d:, :d] = 0.5 * jt.conj().T
-
-    prog = ConicProgram("max")
-    prog.herm_block("G", big, [p + tuple(d + i for i in p) for p in sec.transposed])
-    prog.herm_block("rho0", ch.d_in, sec.inputs)
-    prog.herm_block("rho1", ch.d_in, sec.inputs)
+    prog = frame(("q_theta", dims, sec), lambda: _q_theta_frame(dims, sec))
     prog.set_objective({"G": cost})
-    prog.add_constraint({"rho0": np.eye(ch.d_in)}, "==", 1.0)
-    prog.add_constraint({"rho1": np.eye(ch.d_in)}, "==", 1.0)
-    # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
-    prog.add_operator_constraint(
-        {"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0, sec.transposed
-    )
-    prog.add_operator_constraint(
-        {"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0, sec.transposed
-    )
 
     def read(sol) -> BoundResult:
         return BoundResult.from_optimum(
@@ -270,6 +261,26 @@ def q_theta_program(ch: Channel):
         )
 
     return prog, read
+
+
+def _q_theta_frame(dims: tuple[int, int], sec: PhaseSectors) -> ConicProgram:
+    """``q_theta_program``'s frame: its program at J = 0."""
+    d_in, d = dims[0], dims[0] * dims[1]
+    lift = bipartite_maps(dims)[0]
+    prog = ConicProgram("max")
+    prog.herm_block("G", 2 * d, [p + tuple(d + i for i in p) for p in sec.transposed])
+    prog.herm_block("rho0", d_in, sec.inputs)
+    prog.herm_block("rho1", d_in, sec.inputs)
+    prog.add_constraint({"rho0": np.eye(d_in)}, "==", 1.0)
+    prog.add_constraint({"rho1": np.eye(d_in)}, "==", 1.0)
+    # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
+    prog.add_operator_constraint(
+        {"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0, sec.transposed
+    )
+    prog.add_operator_constraint(
+        {"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0, sec.transposed
+    )
+    return prog
 
 
 def q_theta(

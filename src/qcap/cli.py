@@ -16,7 +16,10 @@ computed bound by bound: a bound that is one conic program (f, g, g_tilde,
 q_gamma, q_theta) has every row's program built and then solved together
 by one ``conic.solve_all``, which iterates the programs of one shape in
 lockstep; each value is the one a solve of that row alone gives, to the
-bit.  ``g_hat`` and the LP bounds are evaluated row by row.  Rows are
+bit.  The rows of one phase grading share the program's frame (the program
+at J = 0, ``conic.frame``): it is built once, each row copies it and adds
+its Choi matrix, and the frames live only while the column is built, so
+that no frame outlives one call.  ``g_hat`` and the LP bounds are evaluated row by row.  Rows are
 written in grid order, so output is deterministic for a fixed spec.
 Numeric cells are emitted at full precision; rounding is the plot
 consumer's job.
@@ -43,7 +46,7 @@ import numpy as np
 
 from .asymptotic import q_gamma, q_gamma_program, q_theta, q_theta_program
 from .channels import Channel, amplitude_damping, channel_nr, depolarizing, load_channel, tensor
-from .conic import solve_all
+from .conic import shared_frames, solve_all
 from .depolarizing_lp import lp_f, lp_g_hat_iterate
 from .oneshot import (
     bound_f, bound_g, bound_g_tilde, f_program, g_hat_iterate, g_program, g_tilde_program,
@@ -149,11 +152,14 @@ def _attempt(fn, *args, **kwargs):
 
 def _column(name, chans, eps=0.01, rounds=5, feas_tol=1e-8, gap_tol=1e-8) -> list:
     """Bound ``name`` on each of ``chans``, as a BoundResult or the exception
-    that its row raised.  Every program is built first, and all of them are
-    solved by one ``solve_all``; should that raise, each program is solved
-    alone, so that the exception falls on its own row.  A bound that is not
-    one program is evaluated channel by channel."""
-    built = [_attempt(_program, ch, name, eps) for ch in chans]
+    that its row raised.  Every program is built first, each as a copy of
+    its frame, which is built once per phase grading and dropped before the
+    solve, and all of them are solved by one ``solve_all``; should that
+    raise, each program is solved alone, so that the exception falls on its
+    own row.  A bound that is not one program is evaluated channel by
+    channel."""
+    with shared_frames():
+        built = [_attempt(_program, ch, name, eps) for ch in chans]
     if any(b is None for b in built):
         opts = {"eps": eps, "rounds": rounds, "feas_tol": feas_tol, "gap_tol": gap_tol}
         return [_attempt(_eval_bound, ch, name, **opts) for ch in chans]

@@ -1,5 +1,5 @@
 """Conic-program construction and the interior-point solver."""
-from .program import ConicProgram
+from .program import ConicProgram, frame, shared_frames
 from .solver import (
     INFEASIBLE,
     MAX_ITER,
@@ -13,6 +13,8 @@ from .solver import (
 
 __all__ = [
     "ConicProgram",
+    "frame",
+    "shared_frames",
     "ConicSolution",
     "SolverError",
     "solve",

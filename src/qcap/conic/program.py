@@ -34,11 +34,28 @@ and reads each slack block as a cone on rhs - L(y); one reduction
 (``lmi.py``) brings either form to cones alone, ``solve`` picks the form
 from the two Schur row counts, and the solution is stated in this
 program's blocks and rows either way.
+
+Frames.  A sweep states one program many times with new data: a bound's
+program takes the channel's Choi matrix J in its objective, in one rhs or in
+one scalar row's coefficient, and all the rest of it depends only on the
+dimensions and the phase grading.  The rest is the program's frame: the
+program at J = 0.  ``frame(key, build)`` returns a program to add the data
+to: inside ``shared_frames()``, a ``copy`` of the frame built once per key,
+and elsewhere the frame ``build()`` makes, as a frame of one.  The data goes
+in by ``set_objective``, ``set_rhs`` or ``add_terms``, each checked against
+the sectors as when the program is built whole, so the copy is the program
+that building it whole gives: the same blocks, rows and triples, in the same
+order.  The coefficient arrays are read-only and a copy shares them with its
+frame; ``structure`` names what a program shares with its frame's other
+copies, and changes once a block or a coefficient is added, so that the
+solver assembles the coefficients once per ``structure`` (``solve_all``).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,8 +130,23 @@ class ConicProgram:
         self._by_name: dict[str, Block] = {}
         # each Hermitian block's sectors and the names of the blocks holding them
         self._sectors: dict[str, tuple[_Sectors, list[str]]] = {}
-        # per block, one (rows, coordinates, values) part per call that added rows
+        # per block, one read-only (rows, coordinates, values) part per call that added rows
         self._parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        # each operator constraint's first row: its output sectors and sign
+        self._operators: dict[int, tuple[_Sectors, float]] = {}
+        # shared by the copies of a frame; new with each block or coefficient added
+        self.structure = object()
+
+    def copy(self) -> ConicProgram:
+        """This program, to add to without changing it: the read-only
+        coefficient arrays are shared, and what holds them is copied."""
+        new = ConicProgram(self.sense)
+        new.blocks, new.rows = list(self.blocks), list(self.rows)
+        new.objective, new._by_name = dict(self.objective), dict(self._by_name)
+        new._sectors, new._operators = dict(self._sectors), dict(self._operators)
+        new._parts = {name: list(parts) for name, parts in self._parts.items()}
+        new.structure = self.structure
+        return new
 
     # -- block declaration -------------------------------------------------
 
@@ -128,7 +160,8 @@ class ConicProgram:
         blk = Block(name, kind, int(size))
         self.blocks.append(blk)
         self._by_name[name] = blk
-        self._parts[name] = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+        self._parts[name] = [_frozen(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+        self.structure = object()
         return name
 
     def herm_block(
@@ -217,14 +250,47 @@ class ConicProgram:
         base = len(self.rows)
         for name, x in coords.items():
             r, k = np.nonzero(x)
-            self._parts[name].append((base + r, k, x[r, k]))
+            self._parts[name].append(_frozen(base + r, k, x[r, k]))
         self.rows.extend(float(v) for v in rhs)
+        self.structure = object()
 
     def set_objective(self, terms: Mapping[str, object]) -> None:
         objective = {}
         for n, c in terms.items():
             objective.update(self._split(n, c))
+        for c in objective.values():
+            c.flags.writeable = False
         self.objective = objective
+
+    def add_terms(self, row: int, terms: Mapping[str, object]) -> None:
+        """Add ``terms`` to scalar row ``row`` (rows count from 0 in the order
+        they were added), each as ``add_constraint`` states it; a block may
+        not have coefficients in the constraint of that row yet."""
+        if not 0 <= row < len(self.rows):
+            raise ValueError(f"no row {row}")
+        coeffs = {}
+        for n, c in terms.items():
+            coeffs.update(self._split(n, c))
+        at = {}  # the new part goes after each block's parts with earlier rows
+        for n in coeffs:
+            rows = [r for r, *_ in self._parts[n]]
+            at[n] = max((i + 1 for i, r in enumerate(rows) if r.size and r[0] <= row), default=0)
+            if at[n] and rows[at[n] - 1][-1] >= row:
+                raise ValueError(f"block {n!r} already has coefficients in the constraint of row {row}")
+        for n, c in coeffs.items():
+            x = hermitian_coords(c) if c.ndim == 2 else c
+            k = np.flatnonzero(x)
+            self._parts[n].insert(at[n], _frozen(np.full(k.size, row, dtype=np.intp), k, x[k]))
+        self.structure = object()
+
+    def set_rhs(self, row: int, rhs) -> None:
+        """Restate the rhs of the operator (in)equality whose rows start at
+        ``row``, as ``add_operator_constraint`` states it."""
+        if row not in self._operators:
+            raise ValueError(f"no operator constraint starts at row {row}")
+        out, sign = self._operators[row]
+        b = sign * out.coords(_operator_rhs(rhs, out))
+        self.rows[row : row + b.size] = [float(v) for v in b]
 
     def add_constraint(self, terms: Mapping[str, object], relation: str, rhs: float) -> str | None:
         """Append one scalar row: sum of block inner products <relation> rhs.
@@ -275,12 +341,8 @@ class ConicProgram:
         sides = sorted({img.shape[-1] for img in images.values()})
         if len(sides) != 1:
             raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
-        side = sides[0]
-        r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
-        if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
-            raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
-        out = _Sectors(side, sectors)
-        out.check([r], "rhs")
+        out = _Sectors(sides[0], sectors)
+        r = _operator_rhs(rhs, out)
         for name, imgs in per_term.items():
             out.check(imgs.values(), f"an image of the map of block {name!r}")
         sign = -1.0 if relation == ">=" else 1.0
@@ -308,12 +370,13 @@ class ConicProgram:
             coords[name] = sign * x.T
         slack = None
         if relation != "==":
-            slack = self._add_herm(f"{SLACK_PREFIX}{len(self.blocks)}", side, sectors, True)
+            slack = self._add_herm(f"{SLACK_PREFIX}{len(self.blocks)}", out.side, sectors, True)
             first = 0
             for n in self._sectors[slack][1]:
                 width = self._by_name[n].size ** 2
                 coords[n] = np.eye(b.size, width, -first)
                 first += width
+        self._operators[len(self.rows)] = (out, sign)
         self._append(coords, b)
         return slack
 
@@ -353,3 +416,48 @@ class ConicProgram:
 
 def _herm_tol(mat: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(np.abs(mat), initial=0.0)), 1e-300)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a frame's copies share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _operator_rhs(rhs, out: _Sectors) -> np.ndarray:
+    """An operator constraint's ``rhs`` as a matrix, checked Hermitian and
+    zero off the sectors ``out``."""
+    side = out.side
+    r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
+    if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
+        raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
+    out.check([r], "rhs")
+    return r
+
+
+# the frames of the enclosing ``shared_frames``, by key; None outside one
+_FRAMES: ContextVar[dict | None] = ContextVar("qcap_frames", default=None)
+
+
+@contextmanager
+def shared_frames():
+    """Within the body, ``frame`` builds each key's frame once and hands out
+    copies of it; the frames are dropped on exit."""
+    token = _FRAMES.set({})
+    try:
+        yield
+    finally:
+        _FRAMES.reset(token)
+
+
+def frame(key: Hashable, build: Callable[[], ConicProgram]) -> ConicProgram:
+    """A program to add one row's data to: a copy of the frame of ``key``
+    inside ``shared_frames``, built by ``build()`` on the first call with
+    that key; elsewhere ``build()``'s own program."""
+    frames = _FRAMES.get()
+    if frames is None:
+        return build()
+    if key not in frames:
+        frames[key] = build()
+    return frames[key].copy()

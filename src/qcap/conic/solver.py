@@ -64,9 +64,19 @@ is ``solve_all`` of one program.  A program that ends leaves the batch, and
 the others go on; should a batched step raise, each program takes that step
 alone, so that only the program at fault breaks down.
 
+Frames.  The copies of one program frame (``ConicProgram.structure``, see
+``program.py``) differ only in their costs and rows, so ``solve_all``
+assembles what the coefficients alone decide once per structure: the form,
+the reduction's frame (``lmi.EqForm`` or ``lmi.LmiForm``: E's pivots, T and
+A = T'G) and the stacks' A, split and A'.  Each program then adds its
+objective per stack, its b and its norms (``_assemble``).  A program whose
+coefficients carry data, such as the fidelity row of f and the g family,
+has a structure of its own, and so assembles whole, by the same path.  The
+frames live for one ``solve_all`` call.
+
 Two forms, one reduction.  The iteration sees cones alone: min c.x s.t.
 A x = b, with the dual max b.z s.t. c - A'z in K.  A program reaches it
-through ``lmi.reduce_dual``, as one of two dual programs whose equality
+through ``lmi.DualFrame``, as one of two dual programs whose equality
 rows E y = e it eliminates (``lmi.py``): in the equality form (``eq``) y is
 the rows' duals and E y = e the free columns' dual rows, and in the LMI
 form (``lmi``) y is the user's point and E y = e the program's equality
@@ -101,7 +111,7 @@ from __future__ import annotations
 
 import logging
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -111,8 +121,8 @@ from scipy.linalg.lapack import dpotrs
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
 from ._blas import one_blas_thread
 from .lmi import (
-    InconsistentRows, LmiRows, Reduction, check_equalities, eq_form, lmi_form, row_counts,
-    stated_blocks,
+    EqForm, InconsistentRows, LmiForm, LmiRows, Reduction, check_equalities, row_counts,
+    stated_blocks, stated_costs,
 )
 from .program import HERM_PSD, NONNEG, ConicProgram
 
@@ -252,8 +262,8 @@ def _cost_norm(costs) -> float:
 def _stacks(m: int, cones) -> list[_Stack]:
     """Group cones into stacks: the Hermitian ones by side, and all
     nonnegative entries in one, each stack up to ``_STACK_KERNEL``.  Each
-    cone is given as (block name, kind, size, rows, coordinates, values,
-    objective coordinates in min sense)."""
+    cone is given as (block name, kind, size, rows, coordinates, values);
+    the stacks' ``cobj`` is left to ``_cobj``."""
     groups: dict[tuple[int, float], list] = {}
     for cone in cones:
         kind, size = cone[1], cone[2]
@@ -266,25 +276,29 @@ def _stacks(m: int, cones) -> list[_Stack]:
     stacks = []
     for (side, gamma), members in ((k, mem) for k, g in sorted(groups.items()) for mem in g):
         n = side * side
-        spans, rows, cols, vals, objs = [], [], [], [], []
+        spans, rows, cols, vals = [], [], [], []
         first = 0
-        for name, kind, size, r, k, v, c in members:
+        for name, kind, size, r, k, v in members:
             count = size if kind == NONNEG else 1
             spans.append((name, first, count))
             rows.append(r)
             cols.append(first * n + k)
             vals.append(v)
-            objs.append(c)
             first += count
         rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         a = sparse.csr_array((vals, (rows, cols)), shape=(m, first * n))
         split = sparse.csr_array(
             (vals / gamma, (cols // n * m + rows, cols)), shape=(first * m, first * n)
         )
-        with np.errstate(invalid="ignore"):  # non-finite data ends the solve as non_finite
-            cobj = from_hermitian_coords(np.concatenate(objs).reshape(first, n), side) / gamma
-        stacks.append(_Stack(side, gamma, first, spans, cobj, a, [(0, first, split)]))
+        stacks.append(_Stack(side, gamma, first, spans, None, a, [(0, first, split)]))
     return stacks
+
+
+def _cobj(st: _Stack, costs: dict[str, np.ndarray]) -> np.ndarray:
+    """The objective / gamma of a stack's cones, from each cone's costs."""
+    c = np.concatenate([costs[name] for name, *_ in st.spans]).reshape(st.count, -1)
+    with np.errstate(invalid="ignore"):  # non-finite data ends the solve as non_finite
+        return from_hermitian_coords(c, st.side) / st.gamma
 
 
 def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, sparse.csr_array]:
@@ -292,25 +306,78 @@ def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, spars
     return a, a.T.tocsr()
 
 
-def _assemble(prog: ConicProgram, form: str) -> _Assembled:
-    """The solver's program for ``prog`` in ``form``: the form's dual program,
-    reduced by ``lmi.reduce_dual``, whose errors it raises."""
-    sign = 1.0 if prog.sense == "min" else -1.0
+@dataclass
+class _Frame:
+    """The coefficient part of the assembly of the programs of one
+    ``structure`` in one form: the form with its reduction's frame, and the
+    stacks' A, whose ``cobj`` each program adds."""
+
+    form: EqForm | LmiForm
+    stacks: list[_Stack]
+    a: sparse.csr_array
+    at: sparse.csr_array
+
+
+def _frame(prog: ConicProgram, form: str) -> _Frame:
     blocks = stated_blocks(prog)
+    red = LmiForm(prog, blocks) if form == "lmi" else EqForm(prog, blocks)
+    stacks = _stacks(red.dual.n_z, red.dual.cones)
+    return _Frame(red, stacks, *_side_by_side(red.dual.n_z, stacks))
+
+
+def _assemble(prog: ConicProgram, form: str, frames: dict | None = None) -> _Assembled:
+    """The solver's program for ``prog`` in ``form``: the form's dual program,
+    reduced (``lmi.DualFrame``), whose errors it raises.  Its coefficient
+    part comes from ``frames``, by structure and form, where an earlier
+    program of the same ``structure`` left it, and is left there otherwise;
+    the program adds its costs and rows: cobj, b and the norms."""
+    key = (prog.structure, form)
+    fr = None if frames is None else frames.get(key)
+    if fr is None:
+        fr = _frame(prog, form)
+        if frames is not None:
+            frames[key] = fr
+    sign = 1.0 if prog.sense == "min" else -1.0
+    costs = stated_costs(prog)
+    red = fr.form.reduce(prog, costs)
     if form == "lmi":
-        red, rows, free = lmi_form(prog, blocks)
         # the solver's primal side, the user's multipliers, then weighs less
         # than the user's point, whose feasibility decides the reported value
-        scale = 1.0 / (1.0 + float(np.linalg.norm(red.b)))
+        scale, rows = 1.0 / (1.0 + float(np.linalg.norm(red.b))), fr.form.rows
         b = scale * red.b
         norms = float(np.linalg.norm(b)), _cost_norm((cone[1], cone[-1]) for cone in red.cones)
     else:
-        (red, free), rows, scale = eq_form(prog, blocks), None, 1.0
-        b = red.b
-        norms = float(np.linalg.norm(prog.rows)), _cost_norm((blk[1], blk[-1]) for blk in blocks)
-    stacks = _stacks(b.size, red.cones)
-    a, at = _side_by_side(b.size, stacks)
-    return _Assembled(stacks, a, at, b, sign, *norms, red, free, rows, scale)
+        scale, rows, b = 1.0, None, red.b
+        kinds = [blk.kind for blk in prog.blocks]
+        norms = float(np.linalg.norm(prog.rows)), _cost_norm(zip(kinds, costs))
+    by_name = {cone[0]: cone[-1] for cone in red.cones}
+    stacks = [replace(st, cobj=_cobj(st, by_name)) for st in fr.stacks]
+    return _Assembled(stacks, fr.a, fr.at, b, sign, *norms, red, fr.form.free, rows, scale)
+
+
+def _assemble_all(progs: list[ConicProgram]) -> list:
+    """Each program's ``_assemble`` in the form ``_form`` picks, or the
+    solution it ends with before any iteration.  The programs of one
+    ``structure`` share their form and the coefficient part of their
+    assembly, which the first of them computes."""
+    forms: dict = {}
+    frames: dict = {}
+    out = []
+    for prog in progs:
+        if prog.structure not in forms:
+            forms[prog.structure] = _form(prog)
+        form = forms[prog.structure]
+        try:
+            out.append(_assemble(prog, form, frames))
+        except InconsistentRows as exc:
+            # E y = e is the LMI form's equality rows, and the equality form's free columns
+            if form == "lmi":
+                out.append(_empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y))
+            else:
+                out.append(_empty(UNBOUNDED, "free_ray", 0, form))
+        except FloatingPointError:
+            out.append(_empty(MAX_ITER, "non_finite", 0, form))
+    return out
 
 
 def _basis_kernel(w: np.ndarray) -> np.ndarray:
@@ -507,20 +574,11 @@ def solve_all(
     sols: list[ConicSolution | None] = [None] * len(progs)
     with one_blas_thread():
         groups: dict[tuple, list] = {}
-        for i, prog in enumerate(progs):
-            form = _form(prog)
-            try:
-                data = _assemble(prog, form)
-            except InconsistentRows as exc:
-                # E y = e is the LMI form's equality rows, and the equality form's free columns
-                if form == "lmi":
-                    sols[i] = _empty(INFEASIBLE, "inconsistent_rows", 0, form, exc.y)
-                else:
-                    sols[i] = _empty(UNBOUNDED, "free_ray", 0, form)
+        for i, data in enumerate(_assemble_all(progs)):
+            if isinstance(data, ConicSolution):
+                sols[i] = data
                 continue
-            except FloatingPointError:
-                sols[i] = _empty(MAX_ITER, "non_finite", 0, form)
-                continue
+            form = "eq" if data.lmi is None else "lmi"
             shape = (form, data.b.size, tuple((st.side, st.gamma, st.count) for st in data.stacks))
             groups.setdefault(shape, []).append((i, data))
         for shape, group in groups.items():

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, choi
-from .conic import ConicProgram, SolverError, solve
+from .conic import ConicProgram, SolverError, frame, solve
 from .matops import bipartite_maps
 from .results import BoundResult
-from .symmetry import phase_sectors
+from .symmetry import PhaseSectors, phase_sectors
 
 PPT = "ppt"
 NS_PPT = "ns_ppt"
@@ -187,26 +187,33 @@ def f_program(ch: Channel, eps: float):
     the program's solution."""
     eps = check_eps(eps)
     j = choi(ch)
-    lift, pt, _, _ = bipartite_maps((ch.d_in, ch.d_out))
     sec = phase_sectors(ch)
-    d = ch.d_in * ch.d_out
     t0 = time.perf_counter()
+    dims = (ch.d_in, ch.d_out)
+    prog = frame(("f", dims, sec, eps), lambda: _f_frame(dims, sec, eps))
+    prog.add_terms(0, {"W": j.mat.data})  # the fidelity row tr(JW) >= 1 - eps
+    return prog, _reader("f", t0, with_theta=True, with_t=False)
 
+
+def _f_frame(dims: tuple[int, int], sec: PhaseSectors, eps: float) -> ConicProgram:
+    """``f_program``'s frame: its program at J = 0."""
+    lift, pt, _, _ = bipartite_maps(dims)
+    d_in, d = dims[0], dims[0] * dims[1]
     prog = ConicProgram("min")
     prog.herm_block("W", d, sec.joint)
-    prog.herm_block("rho", ch.d_in, sec.inputs)
-    prog.herm_block("S", ch.d_in, sec.inputs)
+    prog.herm_block("rho", d_in, sec.inputs)
+    prog.herm_block("S", d_in, sec.inputs)
     prog.herm_block("Theta", d, sec.transposed)
-    prog.set_objective({"S": np.eye(ch.d_in)})
-    prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
-    prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
+    prog.set_objective({"S": np.eye(d_in)})
+    prog.add_constraint({"W": np.zeros((d, d))}, ">=", 1.0 - eps)
+    prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
     prog.add_operator_constraint(
         {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
     )
     prog.add_operator_constraint(
         {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.joint
     )
-    return prog, _reader("f", t0, with_theta=True, with_t=False)
+    return prog
 
 
 def bound_f(
@@ -227,30 +234,43 @@ def _g_program(name: str, ch: Channel, eps: float, with_t: bool, m_hat: float | 
     given; and the reader of its result."""
     t0 = time.perf_counter()
     j = choi(ch)
-    lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
     sec = phase_sectors(ch)
+    dims = (ch.d_in, ch.d_out)
+    prog = frame(
+        ("g", dims, sec, eps, with_t, m_hat), lambda: _g_frame(dims, sec, eps, with_t, m_hat)
+    )
+    prog.add_terms(0, {"W": j.mat.data})  # the fidelity row tr(JW) >= 1 - eps
+    return prog, _reader(name, t0, with_theta=False, with_t=with_t)
+
+
+def _g_frame(
+    dims: tuple[int, int], sec: PhaseSectors, eps: float, with_t: bool, m_hat: float | None
+) -> ConicProgram:
+    """``_g_program``'s frame: its program at J = 0."""
+    lift, pt, tr_a, _ = bipartite_maps(dims)
+    d_in, d = dims[0], dims[0] * dims[1]
     prog = ConicProgram("min")
-    prog.herm_block("W", ch.d_in * ch.d_out, sec.joint)
-    prog.herm_block("rho", ch.d_in, sec.inputs)
-    prog.herm_block("S", ch.d_in, sec.inputs)
+    prog.herm_block("W", d, sec.joint)
+    prog.herm_block("rho", d_in, sec.inputs)
+    prog.herm_block("S", d_in, sec.inputs)
     if with_t:
         prog.free_block("t", 1)
-    prog.set_objective({"S": np.eye(ch.d_in)})
-    prog.add_constraint({"W": j.mat.data}, ">=", 1.0 - eps)
-    prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
+    prog.set_objective({"S": np.eye(d_in)})
+    prog.add_constraint({"W": np.zeros((d, d))}, ">=", 1.0 - eps)
+    prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
     prog.add_operator_constraint(
         {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
     )
     prog.add_operator_constraint({"W": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.transposed)
     prog.add_operator_constraint({"W": pt, "S": lift}, ">=", 0, sec.transposed)
     if with_t:
-        eye_b = np.eye(ch.d_out)
+        eye_b = np.eye(dims[1])
         prog.add_operator_constraint(
             {"W": tr_a, "t": lambda t: -t[0] * eye_b}, "==", 0, sec.outputs
         )
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
-    return prog, _reader(name, t0, with_theta=False, with_t=with_t)
+    return prog
 
 
 def g_program(ch: Channel, eps: float):

@@ -8,9 +8,14 @@ job, so every row is built and solved as ``qcap.cli`` does it.  The CLI's
 ``_program`` and ``solve_all`` are wrapped for the call, and each bound
 column is timed by ``time.process_time`` in three layers:
 
-- ``build``: every row's program;
-- ``assemble``: ``solver._assemble`` of each program in the form ``solve``
-  picks, on one BLAS thread as in the solve;
+- ``build``: every row's program; where ``qcap`` builds a program frame per
+  phase grading (``conic.frame``), that is each grading's frame, built with
+  its first row, plus every row's data added to a copy of it;
+- ``assemble``: the column's assembly as ``solve_all`` does it, on one BLAS
+  thread as in the solve: ``solver._assemble_all`` of the column's
+  programs, which assembles the coefficients once per program structure,
+  or, in a tree that has no ``_assemble_all``, ``solver._assemble`` of each
+  program alone in the form ``solve`` picks;
 - ``solve_all``: the column's solve, which assembles again.
 
 Each experiment also gets ``call``, the whole runner call less the assembly
@@ -55,8 +60,11 @@ def one_rep(experiment: str) -> dict[str, float]:
     def timed_solve_all(progs, *args):
         t0 = time.process_time()
         with one_blas_thread():
-            for prog in progs:
-                solver._assemble(prog, solver._form(prog))
+            if hasattr(solver, "_assemble_all"):
+                solver._assemble_all(progs)
+            else:
+                for prog in progs:
+                    solver._assemble(prog, solver._form(prog))
         t1 = time.process_time()
         sols = solve_all(progs, *args)
         out[f"{column}.assemble"] += t1 - t0
