@@ -19,10 +19,10 @@ lockstep; each value is the one a solve of that row alone gives, to the
 bit.  The rows of one phase grading share the program's frame (the program
 at J = 0, ``conic.frame``): it is built once, each row copies it and adds
 its Choi matrix, and the frames live only while the column is built, so
-that no frame outlives one call.  ``g_hat`` and the LP bounds are evaluated row by row.  Rows are
-written in grid order, so output is deterministic for a fixed spec.
-Numeric cells are emitted at full precision; rounding is the plot
-consumer's job.
+that no frame outlives one call.  ``g_hat`` and the LP bounds are
+evaluated row by row.  Rows are written in grid order, so output is
+deterministic for a fixed spec.  Numeric cells are emitted at full
+precision; rounding is the plot consumer's job.
 
 Exit codes: 0 success, 1 a solver failed on some row (rows still emitted,
 marked by the status column), 2 input error.  A row that raised is marked

@@ -24,7 +24,7 @@ commits are given as arguments.
 ``--layers N`` adds the in-process A/B mode: for each workload that runs
 conic programs, N runs per side of ``tools/layers.py`` in alternating order,
 each in a fresh process that imports its tree's ``qcap``.  A run times every
-bound column's build, ``_assemble`` and ``solve_all`` by ``process_time``
+bound column's build, assembly and ``solve_all`` by ``process_time``
 over ``layers.REPS`` warm repetitions and reports their medians; the output
 records, per layer, both sides' runs, medians and quartiles, the relative
 change of the medians and in how many runs the change was faster.  These
