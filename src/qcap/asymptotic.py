@@ -31,10 +31,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, frame, solve
-from .matops import HermMat, bipartite_maps
+from .matops import HermMat, bipartite_maps, partial_transpose
 from .results import BoundResult
 from .symmetry import PhaseSectors, phase_sectors
 
@@ -63,9 +64,9 @@ def q_gamma_program(ch: Channel, form: str = "primal"):
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be 'primal' or 'dual', got {form!r}")
+    t0 = time.perf_counter()
     j = choi(ch)
     sec = phase_sectors(ch)
-    t0 = time.perf_counter()
     dims = (ch.d_in, ch.d_out)
     prog = frame(("q_gamma", form, dims, sec), lambda: _q_gamma_frame(form, dims, sec))
     if form == "primal":
@@ -99,21 +100,17 @@ def _q_gamma_frame(form: str, dims: tuple[int, int], sec: PhaseSectors) -> Conic
         prog.herm_block("R", d, sec.joint)
         prog.herm_block("rho", d_in, sec.inputs)
         prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
-        prog.add_operator_constraint(
-            {"R": pt, "rho": lambda r: -lift(r)}, "<=", 0, sec.transposed
-        )
+        prog.add_operator_constraint({"R": pt, "rho": -lift}, "<=", 0, sec.transposed)
         prog.add_operator_constraint({"R": pt, "rho": lift}, ">=", 0, sec.transposed)
         return prog
-    eye_a = np.eye(d_in)
     prog = ConicProgram("min")
     prog.herm_block("V", d, sec.transposed)
     prog.herm_block("Y", d, sec.transposed)
     prog.free_block("mu", 1)
     prog.set_objective({"mu": [1.0]})
-    prog.add_operator_constraint({"V": pt, "Y": lambda y: -pt(y)}, ">=", 0, sec.joint)
-    prog.add_operator_constraint(
-        {"V": tr_b, "Y": tr_b, "mu": lambda m: -m[0] * eye_a}, "<=", 0, sec.inputs
-    )
+    prog.add_operator_constraint({"V": pt, "Y": -pt}, ">=", 0, sec.joint)
+    minus_eye_a = -sp.identity(d_in).reshape(d_in**2, 1)  # mu's column is -vec(I_A)
+    prog.add_operator_constraint({"V": tr_b, "Y": tr_b, "mu": minus_eye_a}, "<=", 0, sec.inputs)
     return prog
 
 
@@ -169,8 +166,9 @@ def e_w(
         prog.herm_block("Q", d)
         prog.set_objective({"P": np.eye(d), "Q": np.eye(d)})
         # P - Q = X^TB
+        eye = sp.identity(d * d)
         prog.add_operator_constraint(
-            {"Z": pt, "P": lambda p: -p, "Q": lambda q: q}, "==", -pt(rho.data)
+            {"Z": pt, "P": -eye, "Q": eye}, "==", -partial_transpose(rho, 1).data
         )
 
     sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
@@ -241,12 +239,12 @@ def q_theta_program(ch: Channel):
     block, is transposed-graded.  rho0 and rho1 are on the inputs, and the
     equalities of G's diagonal blocks on the transposed grading.
     """
+    t0 = time.perf_counter()
     j = choi(ch)
     dims = (ch.d_in, ch.d_out)
     d = dims[0] * dims[1]
     sec = phase_sectors(ch)
-    jt = bipartite_maps(dims)[1](j.mat.data)
-    t0 = time.perf_counter()
+    jt = partial_transpose(j.mat, 1).data
 
     cost = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     cost[:d, d:] = 0.5 * jt
@@ -273,13 +271,12 @@ def _q_theta_frame(dims: tuple[int, int], sec: PhaseSectors) -> ConicProgram:
     prog.herm_block("rho1", d_in, sec.inputs)
     prog.add_constraint({"rho0": np.eye(d_in)}, "==", 1.0)
     prog.add_constraint({"rho1": np.eye(d_in)}, "==", 1.0)
-    # the diagonal blocks of G are rho0 (x) I and rho1 (x) I
-    prog.add_operator_constraint(
-        {"G": lambda g: g[:d, :d], "rho0": lambda r: -lift(r)}, "==", 0, sec.transposed
-    )
-    prog.add_operator_constraint(
-        {"G": lambda g: g[d:, d:], "rho1": lambda r: -lift(r)}, "==", 0, sec.transposed
-    )
+    # G's diagonal blocks, selected from its vec, are rho0 (x) I and rho1 (x) I
+    vec = np.arange(4 * d * d).reshape(2 * d, 2 * d)
+    for o, rho in ((0, "rho0"), (d, "rho1")):
+        sel = (np.ones(d * d), (np.arange(d * d), vec[o : o + d, o : o + d].ravel()))
+        corner = sp.csc_array(sel, shape=(d * d, 4 * d * d))
+        prog.add_operator_constraint({"G": corner, rho: -lift}, "==", 0, sec.transposed)
     return prog
 
 

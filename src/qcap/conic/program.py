@@ -4,7 +4,7 @@ A program is a list of named variable blocks (complex Hermitian PSD,
 nonnegative vector, free vector), scalar linear equality rows, and a linear
 objective with a minimize/maximize sense.  ``add_constraint`` states one row
 by a Hermitian matrix or real vector per block; ``add_operator_constraint``
-states an operator (in)equality by the forward linear map of each block and
+states an operator (in)equality by each block's sparse map matrix and
 expands it into rows <L^dag(B), X> over an orthonormal Hermitian basis B.
 An inequality gets a slack block: length-1 nonnegative for a scalar row, PSD
 for an operator one.
@@ -13,18 +13,18 @@ Each block's coefficients are stored as the solver reads them: nonzero
 (row, coordinate, value) triples, where a vector block's coordinates are its
 entries and a Hermitian block's are <B_b, C> in ``hermitian_basis`` order,
 made here by ``matops.hermitian_coords`` as rows are added; an operator
-constraint's rows are gathers of the maps' images, as each basis element has
-at most two nonzero entries.  The objective stays one dense coefficient per
-block.
+constraint's rows are one sparse gather of each map's columns, as each basis
+element has at most two nonzero entries.  The objective stays one dense
+coefficient per block.
 
 A Hermitian block may be declared zero off a partition of its index range,
 its sectors, as a symmetry of the program allows (``qcap.symmetry``).  It is
 then held as one block per sector, named ``name[k]``, whose coordinates are
 those of the sector's diagonal block; an operator constraint given sectors
 states only the rows of its in-sector basis elements, and its slack gets
-the same sectors.  The maps still take and return full matrices, and are
-called only on in-sector units.  Every image, rhs and coefficient must
-vanish off its sectors to 1e-12 of its largest entry, or the call raises
+the same sectors.  Only a map's in-sector columns are read, and none may
+store a nonzero off the output's sectors; an rhs or a coefficient must
+vanish off its sectors to 1e-12 of its largest entry.  Else the call raises
 ``ValueError``: a wrong symmetry fails when the program is built, not with a
 wrong value.  ``full_blocks`` puts a solution's sectors back together.
 
@@ -52,15 +52,17 @@ solver assembles the coefficients once per ``structure`` (``solve_all``).
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..matops import basis_pairs, hermitian_coords, hermiticity_defect
-from ._blas import one_blas_thread
+from ..matops import basis_pairs, coords_readers, hermitian_coords, hermiticity_defect
 
 HERM_PSD = "hermitian_psd"
 NONNEG = "nonneg"
@@ -103,18 +105,15 @@ class _Sectors:
             label[p] = k
         self.off = label[:, None] != label[None, :]  # True off the sectors
 
-    def check(self, stacks, what: str) -> None:
-        """Raise unless each matrix of the (..., side, side) ``stacks``
-        vanishes off the sectors to 1e-12 of its largest entry."""
-        if self.off is None:
-            return
-        mags = np.abs(np.concatenate([m.reshape(-1, self.side, self.side) for m in stacks]))
-        if np.any(np.max(mags[:, self.off], axis=1) > 1e-12 * np.max(mags, axis=(1, 2))):
+    def check(self, mat: np.ndarray, what: str) -> None:
+        """Raise unless the side x side ``mat`` vanishes off the sectors to
+        1e-12 of its largest entry."""
+        if self.off is not None and np.max(np.abs(mat[self.off])) > _herm_tol(mat):
             raise ValueError(f"{what} does not vanish off its sectors")
 
-    def coords(self, mats: np.ndarray) -> np.ndarray:
+    def coords(self, mat: np.ndarray) -> np.ndarray:
         """``hermitian_coords`` of each sector's diagonal block, sector by sector."""
-        return hermitian_coords(mats, self.key)
+        return np.concatenate([hermitian_coords(mat[np.ix_(p, p)]) for p in self.parts])
 
 
 class ConicProgram:
@@ -227,7 +226,7 @@ class ConicProgram:
                 )
             if hermiticity_defect(c) > _herm_tol(c):
                 raise ValueError(f"coefficient for Hermitian block {name!r} is not Hermitian")
-            sec.check([c], f"the coefficient for {name!r}")
+            sec.check(c, f"the coefficient for {name!r}")
             return {n: c[np.ix_(p, p)] for p, n in zip(sec.parts, names)}
         blk = self._by_name.get(name)
         if blk is None or blk.kind == HERM_PSD:
@@ -244,13 +243,14 @@ class ConicProgram:
         coefficients, ordered by row and then by coordinate."""
         return tuple(np.concatenate(col) for col in zip(*self._parts[name]))
 
-    def _append(self, coords: Mapping[str, np.ndarray], rhs) -> None:
-        """Append one row per entry of ``rhs``; coords[name][r] holds the
-        coordinates of row r's coefficient on block ``name``."""
+    def _append(self, coords: Mapping[str, object], rhs) -> None:
+        """Append one row per entry of ``rhs``; coords[name] holds block
+        ``name``'s coefficients: an array whose row r holds row r's
+        coordinates, or (rows, coordinates, values), rows counted from 0."""
         base = len(self.rows)
         for name, x in coords.items():
-            r, k = np.nonzero(x)
-            self._parts[name].append(_frozen(base + r, k, x[r, k]))
+            r, k, v = x if isinstance(x, tuple) else (*np.nonzero(x), x[np.nonzero(x)])
+            self._parts[name].append(_frozen(base + r, k, v))
         self.rows.extend(float(v) for v in rhs)
         self.structure = object()
 
@@ -314,108 +314,122 @@ class ConicProgram:
         return slack
 
     def add_operator_constraint(
-        self, terms: Mapping[str, Callable], relation: str, rhs=0,
+        self, terms: Mapping[str, sp.sparray | sp.spmatrix], relation: str, rhs=0,
         sectors: Sequence[Sequence[int]] | None = None,
     ) -> str | None:
-        """Append the operator (in)equality: sum of terms[name](block) <relation> rhs.
+        """Append the operator (in)equality: sum of terms[name] @ vec(block) <relation> rhs.
 
-        Each term is the forward linear map of a block into side x side
-        matrices, e.g. ``lambda w: -w`` or ``lambda rho: np.kron(rho, eye)``.
-        A Hermitian block's map is called on each in-sector matrix unit, so it
-        must be complex-linear and Hermitian-preserving; a vector block's map
-        is called on each unit vector and must return Hermitian matrices.
-        ``rhs`` is a Hermitian side x side matrix, or 0.  ``sectors``
-        partitions range(side): every image and ``rhs`` must vanish off it,
-        and one row is appended per basis element of each sector's diagonal
-        block, sector by sector in basis order (side**2 rows without
-        sectors).  ``"<="`` and ``">="`` also declare a PSD slack block on the
-        same sectors, Z = rhs - sum or Z = sum - rhs, and return its name.
+        Each term is the ``scipy.sparse`` matrix L, (side**2, width), of a
+        block's forward map from its row-major vec (width n**2 for a side n
+        Hermitian block, or a vector block's length) to that of a side x side
+        matrix.  L must be Hermitian-preserving, P L P_n = conj(L) with P, P_n
+        the vec transposes (P L = conj(L) on a vector), to 1e-12 of its largest
+        entry.  ``rhs`` is a Hermitian side x side matrix, or 0.  ``sectors``
+        partitions range(side): no stored nonzero of L's in-sector columns and
+        no entry of ``rhs`` may fall off it, and one row is appended per basis
+        element of each sector's diagonal block, in basis order (side**2 rows
+        without sectors).  ``"<="`` and ``">="`` also declare a PSD slack on
+        the same sectors, Z = rhs - sum or Z = sum - rhs, and return its name.
         """
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        # the maps run on one BLAS thread, as in the solve: should one call
-        # BLAS, a second thread would only spin at these sizes
-        with one_blas_thread():
-            per_term = {name: self._images(name, fn) for name, fn in terms.items()}
-        images = {n: img for imgs in per_term.values() for n, img in imgs.items()}
-        sides = sorted({img.shape[-1] for img in images.values()})
-        if len(sides) != 1:
-            raise ValueError(f"the terms must map to matrices of one side, got sides {sides}")
-        out = _Sectors(sides[0], sectors)
+        dense = [name for name, op in terms.items() if not sp.issparse(op)]
+        if dense:
+            raise TypeError(f"the map of block {dense[0]!r} must be a scipy.sparse matrix")
+        # the largest side: a term of another side fails its shape check
+        out = _Sectors(max(math.isqrt(op.shape[0]) for op in terms.values()), sectors)
         r = _operator_rhs(rhs, out)
-        for name, imgs in per_term.items():
-            out.check(imgs.values(), f"an image of the map of block {name!r}")
         sign = -1.0 if relation == ">=" else 1.0
-        # Row i of a term is L^dag(B_i).  With t_i(u) = tr(B_i L(e_u)), its
-        # coordinate on a vector block's entry j is t_i(j), and on a Hermitian
-        # block's diagonal unit d it is t_i(dd) and on the pair a < b it is
-        # sqrt2 Re t_i(ab) and sqrt2 Im t_i(ab), as L(e_ba) = L(e_ab)^dag.  Each
-        # B_i has at most two nonzero entries, so Re t = hermitian_coords(L(e_u))
-        # and Im t = hermitian_coords(-i L(e_u)) are gathers.
-        b = sign * out.coords(r)
         coords = {}
-        for name, img in images.items():
-            blk = self._by_name[name]
-            re_t = out.coords(img)  # (units, rows)
-            if blk.kind != HERM_PSD:
-                coords[name] = sign * re_t.T
-                continue
-            n = blk.size
-            i, j = basis_pairs(n)
-            up = i * n + j
-            x = np.empty((n * n, b.size))
-            x[:n] = re_t[np.arange(n) * (n + 1)]
-            x[n::2] = _RT2 * re_t[up]
-            x[n + 1 :: 2] = _RT2 * out.coords(-1j * img[up])
-            coords[name] = sign * x.T
+        for name, op in terms.items():
+            coords.update(self._term_coords(name, op, out, sign))
+        b = sign * out.coords(r)
         slack = None
         if relation != "==":
             slack = self._add_herm(f"{SLACK_PREFIX}{len(self.blocks)}", out.side, sectors, True)
             first = 0
             for n in self._sectors[slack][1]:
-                width = self._by_name[n].size ** 2
-                coords[n] = np.eye(b.size, width, -first)
-                first += width
+                k = np.arange(self._by_name[n].size ** 2)
+                coords[n] = (first + k, k, np.ones(k.size))
+                first += k.size
         self._operators[len(self.rows)] = (out, sign)
         self._append(coords, b)
         return slack
 
-    def _images(self, name: str, fn: Callable) -> dict[str, np.ndarray]:
-        """fn on each in-sector unit of the blocks holding ``name``, stacked per
-        block (the unit of a sector's entry (a, b) at a * size + b), and
-        checked square and Hermitian-preserving."""
+    def _term_coords(self, name: str, op, out: _Sectors, sign: float) -> dict:
+        """The (rows, coordinates, values) of term ``name`` per block holding
+        it, checked as ``add_operator_constraint`` states.  Row i is
+        L^dag(B_i): with t_i(u) = tr(B_i L(e_u)), its coordinate on a vector
+        entry j is t_i(j), on a diagonal unit d t_i(dd), and on a pair a < b
+        sqrt2 Re t_i(ab) and sqrt2 Im t_i(ab), as L(e_ba) = L(e_ab)^dag: the
+        output's ``hermitian_coords`` of the columns L(e_u) and -i L(e_u)."""
         if name in self._sectors:
             sec, names = self._sectors[name]
-            units = {}
-            for p, n in zip(sec.parts, names):
-                u = np.zeros((p.size**2, sec.side**2), dtype=np.complex128)
-                u[np.arange(p.size**2), (p[:, None] * sec.side + p).ravel()] = 1.0
-                units[n] = u.reshape(-1, sec.side, sec.side)
+            n, width = sec.side, sec.side**2
+            units, factor, scale, widths = _unit_columns(n, sec.key)
         elif name in self._by_name and self._by_name[name].kind != HERM_PSD:
-            units = {name: np.eye(self._by_name[name].size)}
+            n, names, width = None, [name], self._by_name[name].size
+            units, factor, scale, widths = np.arange(width), np.ones(width), np.ones(width), [width]
         else:
             raise ValueError(f"unknown block {name!r}")
-        out = {}
-        for n, stack in units.items():
-            images = [np.asarray(fn(u), dtype=np.complex128) for u in stack]
-            shape = images[0].shape
-            if len(shape) != 2 or shape[0] != shape[1] or any(im.shape != shape for im in images):
-                raise ValueError(
-                    f"the map of block {name!r} must return square matrices of one side"
-                )
-            img = np.array(images)
-            # L(e_ba) must be L(e_ab)^dag, and L(e_j) Hermitian
-            k = self._by_name[n].size
-            herm = self._by_name[n].kind == HERM_PSD
-            partner = np.arange(k * k).reshape(k, k).T.ravel() if herm else np.arange(k)
-            if np.max(np.abs(img - img[partner].conj().transpose(0, 2, 1))) > _herm_tol(img):
-                raise ValueError(f"the map of block {name!r} is not Hermitian-preserving")
-            out[n] = img
-        return out
+        if op.shape != (out.side**2, width):
+            raise ValueError(f"the map of block {name!r} is {op.shape}, not {(out.side**2, width)}")
+        op = sp.csc_array(op, dtype=np.complex128)
+        cols, side2 = np.repeat(np.arange(width), np.diff(op.indptr)), out.side**2
+        inside = np.ones(width, bool) if n is None or sec.off is None else ~sec.off.ravel()
+        stray = inside[cols] & (op.data != 0)  # stored nonzeros of in-sector columns
+        if out.off is not None and np.any(stray & out.off.ravel()[op.indices]):
+            raise ValueError(f"the map of block {name!r} has an image off its sectors")
+        # L - P conj(L) P_n, with the entry (r, c) of conj(L) at (P r, P_n c)
+        flip = cols if n is None else cols % n * n + cols // n
+        flip_rows = op.indices % out.side * out.side + op.indices // out.side
+        key = np.concatenate([cols * side2 + op.indices, flip * side2 + flip_rows])
+        _, defect = _summed(key, np.concatenate([op.data, -op.data.conj()]))
+        if np.max(np.abs(defect), initial=0.0) > _herm_tol(op.data):
+            raise ValueError(f"the map of block {name!r} is not Hermitian-preserving")
+        # the stored entries of the column units[j] of each coordinate j, times factor[j]
+        count = np.diff(op.indptr)[units]
+        j = np.repeat(np.arange(units.size), count)
+        at = np.arange(j.size) + np.repeat(op.indptr[units] - np.cumsum(count) + count, count)
+        z = op.data[at] * factor[j]
+        # each float of an image feeds at most one output coordinate
+        coord, c = coords_readers(out.side, out.key)
+        f = np.concatenate([2 * op.indices[at], 2 * op.indices[at] + 1])
+        val = c[f] * np.concatenate([z.real, z.imag])
+        key = coord[f] * units.size + np.tile(j, 2)
+        key, v = _summed(key[coord[f] >= 0], val[coord[f] >= 0])
+        rows, k = np.divmod(key, units.size)
+        rows, k, v = rows[v != 0], k[v != 0], v[v != 0] * (sign * scale)[k[v != 0]]
+        first = np.cumsum([0, *widths])
+        at = np.searchsorted(first, k, side="right") - 1  # the block of each coordinate
+        return {b: (rows[at == i], k[at == i] - first[i], v[at == i]) for i, b in enumerate(names)}
+
+
+@lru_cache(maxsize=None)
+def _unit_columns(side: int, key) -> tuple:
+    """Per coordinate of a side x side block on the sectors ``key`` (None for one):
+    its unit's vec index, (a, b) for both of a pair a < b; its factor, -1j for a
+    pair's second; sqrt2 for a pair's; and each sector's number of coordinates."""
+    parts = [range(side)] if key is None else key
+    units, factor = [], []
+    for p in map(np.asarray, parts):
+        i, j = basis_pairs(p.size)
+        units += [p * (side + 1), np.repeat(p[i] * side + p[j], 2)]
+        factor += [np.ones(p.size), np.tile([1.0, -1j], i.size)]
+    units = np.concatenate(units)
+    scale = np.where(units // side == units % side, 1.0, _RT2)
+    return units, np.concatenate(factor), scale, [len(p) ** 2 for p in parts]
 
 
 def _herm_tol(mat: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(np.abs(mat), initial=0.0)), 1e-300)
+
+
+def _summed(key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the values at each."""
+    order = np.argsort(key, kind="stable")
+    key, cut = key[order], np.flatnonzero(np.diff(key[order], prepend=-1))
+    return key[cut], np.add.reduceat(val[order], cut) if cut.size else val[:0]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -432,7 +446,7 @@ def _operator_rhs(rhs, out: _Sectors) -> np.ndarray:
     r = np.zeros((side, side)) if np.isscalar(rhs) and rhs == 0 else np.asarray(rhs)
     if r.shape != (side, side) or hermiticity_defect(r) > _herm_tol(r):
         raise ValueError(f"rhs must be 0 or a Hermitian {side}x{side} matrix")
-    out.check([r], "rhs")
+    out.check(r, "rhs")
     return r
 
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on operators over tensor-product factors.
+"""Complex linear algebra on operators over tensor-product factors.
 
 A matrix here acts on a tensor product of finite-dimensional factors.  The
 composite index is row-major with the *first* factor most significant, the
@@ -6,7 +6,9 @@ same ordering ``numpy.kron`` produces: for ``dims == (d1, d2)`` the basis
 vector ``|i1, i2>`` lives at row ``i1 * d2 + i2``.
 
 Conic programs state coefficients in the coordinates of ``hermitian_basis``,
-to and from which ``hermitian_coords`` and ``from_hermitian_coords`` convert.
+to and from which ``hermitian_coords`` and ``from_hermitian_coords`` convert;
+``coords_readers`` reads that gather from the matrix's side; ``bipartite_maps``
+gives the programs' maps as sparse matrices on the row-major vec.
 
 All operations are pure functions; inputs are never mutated.  ``herm``,
 ``permute_factors`` and ``trace_norm`` have no caller in the package: they are
@@ -19,6 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 # Relative tolerance for declaring a matrix Hermitian.
 HERM_RTOL = 1e-12
@@ -99,15 +102,6 @@ def _ptrace_array(mat: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarr
     return np.ascontiguousarray(t.reshape(rest, rest))
 
 
-def _ptranspose_array(mat: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:
-    n = len(dims)
-    axes = list(range(2 * n))
-    axes[factor], axes[factor + n] = axes[factor + n], axes[factor]
-    side = mat.shape[0]
-    t = mat.reshape(tuple(dims) * 2).transpose(axes)
-    return np.ascontiguousarray(t.reshape(side, side))
-
-
 def partial_trace(m: HermMat, factor: int) -> HermMat:
     """Trace out one factor, keeping the remaining factor order."""
     _check_factor(m, factor)
@@ -121,7 +115,11 @@ def partial_trace(m: HermMat, factor: int) -> HermMat:
 def partial_transpose(m: HermMat, factor: int) -> HermMat:
     """Transpose one factor in place; an involution, and trace preserving."""
     _check_factor(m, factor)
-    return HermMat(_ptranspose_array(m.data, m.dims, factor), m.dims, m.hermitian)
+    n = len(m.dims)
+    axes = list(range(2 * n))
+    axes[factor], axes[factor + n] = axes[factor + n], axes[factor]
+    t = m.data.reshape(m.dims * 2).transpose(axes)
+    return HermMat(t.reshape(m.side, m.side), m.dims, m.hermitian)
 
 
 def permute_factors(m: HermMat, order: Sequence[int]) -> HermMat:
@@ -202,36 +200,13 @@ def _gathers(side: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-@lru_cache(maxsize=None)
-def _sector_gathers(side: int, sectors: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
-    """``_gathers``' g1, g2, c1, c2 of each sector's diagonal block, sector by
-    sector, read from the float view of the full side x side matrix."""
-    parts = []
-    for sec in sectors:
-        p = np.asarray(sec, dtype=np.intp)
-        g1, g2, c1, c2, _, _ = _gathers(p.size)
-        re = 2 * (p[:, None] * side + p[None, :]).ravel()  # Re of each local entry
-        full = np.stack([re, re + 1], axis=1).ravel()  # local float index -> full one
-        parts.append((full[g1], full[g2], c1, c2))
-    tables = tuple(np.concatenate(t) for t in zip(*parts))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def hermitian_coords(mats: np.ndarray, sectors=None) -> np.ndarray:
+def hermitian_coords(mats: np.ndarray) -> np.ndarray:
     """Coordinates <B_b, X> of (..., s, s) matrices in the orthonormal
     ``hermitian_basis`` order: the diagonal, then for each pair i < j the
     symmetric element (e_ij + e_ji)/sqrt2 and the antisymmetric one
-    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates.
-    With ``sectors``, a partition of range(s) as a tuple of index tuples,
-    they are the coordinates of each sector's diagonal block X[p, p], sector
-    by sector."""
+    (-i e_ij + i e_ji)/sqrt2.  Only the Hermitian part of X has coordinates."""
     s = mats.shape[-1]
-    if sectors is None:
-        g1, g2, c1, c2, _, _ = _gathers(s)
-    else:
-        g1, g2, c1, c2 = _sector_gathers(s, sectors)
+    g1, g2, c1, c2, _, _ = _gathers(s)
     v = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
     v = v.reshape(mats.shape[:-2] + (2 * s * s,))
     return v[..., g1] * c1 + v[..., g2] * c2
@@ -245,14 +220,37 @@ def from_hermitian_coords(x: np.ndarray, s: int) -> np.ndarray:
     return v.view(np.complex128).reshape(x.shape[:-1] + (s, s))
 
 
-def bipartite_maps(dims: Sequence[int]):
+@lru_cache(maxsize=None)
+def coords_readers(side: int, sectors=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``hermitian_coords`` coordinate of each sector's X[p, p] (-1 for none)
+    that reads each float of a side x side X's float view, and its factor (0):
+    each float is read by at most one.  ``sectors``: index tuples, or None."""
+    coord, factor, first = np.full(2 * side * side, -1), np.zeros(2 * side * side), 0
+    for p in map(np.asarray, sectors or [range(side)]):
+        g1, g2, c1, c2, _, _ = _gathers(p.size)
+        entry = (p[:, None] * side + p).ravel()
+        for g, c in ((g1, c1), (g2, c2)):
+            f = 2 * entry[g // 2] + g % 2  # the float of X that local float g is
+            coord[f[c != 0]], factor[f[c != 0]] = first + np.flatnonzero(c), c[c != 0]
+        first += g1.size
+    coord.flags.writeable = factor.flags.writeable = False
+    return coord, factor
+
+
+@lru_cache(maxsize=None)
+def bipartite_maps(dims: tuple[int, int]) -> tuple[sp.csc_array, ...]:
     """The linear maps X -> X (x) I_B, W -> W^TB, W -> tr_A W and W -> tr_B W
-    on plain arrays over A (x) B with factor dims ``dims``, as operator
-    constraints state them."""
-    eye_b = np.eye(dims[1])
-    return (
-        lambda x: np.kron(x, eye_b),
-        lambda w: _ptranspose_array(w, dims, 1),
-        lambda w: _ptrace_array(w, dims, 0),
-        lambda w: _ptrace_array(w, dims, 1),
-    )
+    over A (x) B with factor dims ``dims``, as 0/1 sparse matrices on the
+    row-major vec; shared by every caller, so they must not be modified."""
+    da, db = dims
+    d = da * db
+    a, b, a2, b2 = (ix.ravel() for ix in np.indices((da, db, da, db)))
+    vec = (a * db + b) * d + a2 * db + b2  # of the entry ((a, b), (a2, b2))
+
+    def zero_one(rows, cols, shape):
+        return sp.csc_array((np.ones(rows.size, dtype=complex), (rows, cols)), shape=shape)
+
+    lift = zero_one(vec[b == b2], (a * da + a2)[b == b2], (d * d, da * da))
+    lift_b = zero_one(vec[a == a2], (b * db + b2)[a == a2], (d * d, db * db))  # Y -> I_A (x) Y
+    pt = zero_one(vec, (a * db + b2) * d + a2 * db + b, (d * d, d * d))
+    return lift, pt, sp.csc_array(lift_b.T), sp.csc_array(lift.T)

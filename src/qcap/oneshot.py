@@ -9,7 +9,7 @@ code-size search for a single SDP whose optimum, in -log2 domain, upper
 bounds the one-shot capacity.
 
 Each operator (in)equality, such as W <= rho (x) I, is one call of
-``ConicProgram.add_operator_constraint`` on forward maps of the blocks.
+``ConicProgram.add_operator_constraint`` on sparse matrices of block maps.
 Every program is stated on the sectors of the channel's phase symmetry
 (``symmetry.phase_sectors``): each variable and each inequality is zero off
 the sectors of its grading, so a phase-covariant channel, such as amplitude
@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .channels import Channel, choi
 from .conic import ConicProgram, SolverError, frame, solve
@@ -98,22 +99,17 @@ def fidelity_sdp(
     lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
     sec = phase_sectors(ch)
     scale = 1.0 / k
+    eye = sp.identity(ch.d_in**2 * ch.d_out**2)
 
     prog = ConicProgram("max")
     prog.herm_block("W", ch.d_in * ch.d_out, sec.joint)
     prog.herm_block("rho", ch.d_in, sec.inputs)
     prog.set_objective({"W": j.mat.data})
     prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
-    prog.add_operator_constraint(
-        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
-    )
+    prog.add_operator_constraint({"W": eye, "rho": -lift}, "<=", 0, sec.joint)
     # -rho (x) I / k <= W^TB <= rho (x) I / k
-    prog.add_operator_constraint(
-        {"W": pt, "rho": lambda r: -scale * lift(r)}, "<=", 0, sec.transposed
-    )
-    prog.add_operator_constraint(
-        {"W": pt, "rho": lambda r: scale * lift(r)}, ">=", 0, sec.transposed
-    )
+    prog.add_operator_constraint({"W": pt, "rho": -scale * lift}, "<=", 0, sec.transposed)
+    prog.add_operator_constraint({"W": pt, "rho": scale * lift}, ">=", 0, sec.transposed)
     if code_class == NS_PPT:
         prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2, sec.outputs)
 
@@ -186,9 +182,9 @@ def f_program(ch: Channel, eps: float):
     """``bound_f``'s program on ``ch``, and the reader of its result from
     the program's solution."""
     eps = check_eps(eps)
+    t0 = time.perf_counter()
     j = choi(ch)
     sec = phase_sectors(ch)
-    t0 = time.perf_counter()
     dims = (ch.d_in, ch.d_out)
     prog = frame(("f", dims, sec, eps), lambda: _f_frame(dims, sec, eps))
     prog.add_terms(0, {"W": j.mat.data})  # the fidelity row tr(JW) >= 1 - eps
@@ -199,6 +195,7 @@ def _f_frame(dims: tuple[int, int], sec: PhaseSectors, eps: float) -> ConicProgr
     """``f_program``'s frame: its program at J = 0."""
     lift, pt, _, _ = bipartite_maps(dims)
     d_in, d = dims[0], dims[0] * dims[1]
+    eye = sp.identity(d * d)
     prog = ConicProgram("min")
     prog.herm_block("W", d, sec.joint)
     prog.herm_block("rho", d_in, sec.inputs)
@@ -207,12 +204,8 @@ def _f_frame(dims: tuple[int, int], sec: PhaseSectors, eps: float) -> ConicProgr
     prog.set_objective({"S": np.eye(d_in)})
     prog.add_constraint({"W": np.zeros((d, d))}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
-    prog.add_operator_constraint(
-        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
-    )
-    prog.add_operator_constraint(
-        {"W": lambda w: w, "Theta": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.joint
-    )
+    prog.add_operator_constraint({"W": eye, "rho": -lift}, "<=", 0, sec.joint)
+    prog.add_operator_constraint({"W": eye, "Theta": pt, "S": -lift}, "<=", 0, sec.joint)
     return prog
 
 
@@ -249,6 +242,7 @@ def _g_frame(
     """``_g_program``'s frame: its program at J = 0."""
     lift, pt, tr_a, _ = bipartite_maps(dims)
     d_in, d = dims[0], dims[0] * dims[1]
+    eye = sp.identity(d * d)
     prog = ConicProgram("min")
     prog.herm_block("W", d, sec.joint)
     prog.herm_block("rho", d_in, sec.inputs)
@@ -258,16 +252,12 @@ def _g_frame(
     prog.set_objective({"S": np.eye(d_in)})
     prog.add_constraint({"W": np.zeros((d, d))}, ">=", 1.0 - eps)
     prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
-    prog.add_operator_constraint(
-        {"W": lambda w: w, "rho": lambda r: -lift(r)}, "<=", 0, sec.joint
-    )
-    prog.add_operator_constraint({"W": pt, "S": lambda s: -lift(s)}, "<=", 0, sec.transposed)
+    prog.add_operator_constraint({"W": eye, "rho": -lift}, "<=", 0, sec.joint)
+    prog.add_operator_constraint({"W": pt, "S": -lift}, "<=", 0, sec.transposed)
     prog.add_operator_constraint({"W": pt, "S": lift}, ">=", 0, sec.transposed)
-    if with_t:
-        eye_b = np.eye(dims[1])
-        prog.add_operator_constraint(
-            {"W": tr_a, "t": lambda t: -t[0] * eye_b}, "==", 0, sec.outputs
-        )
+    if with_t:  # t's column is -vec(I_B)
+        minus_eye_b = -sp.identity(dims[1]).reshape(dims[1] ** 2, 1)
+        prog.add_operator_constraint({"W": tr_a, "t": minus_eye_b}, "==", 0, sec.outputs)
     if m_hat is not None:
         prog.add_constraint({"t": [1.0]}, ">=", m_hat**2)
     return prog

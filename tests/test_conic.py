@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import qcap.conic._blas as blas_mod
@@ -358,23 +359,6 @@ def test_solve_runs_on_one_blas_thread(monkeypatch, blas_at_two):
     assert _thread_counts(blas_at_two) == outside
 
 
-def test_operator_constraint_expands_on_one_blas_thread(monkeypatch, blas_at_two):
-    # the maps run outside any solve; should one call BLAS, a second thread
-    # would only spin there and double the CPU time of a program build
-    outside = _thread_counts(blas_at_two)
-    inside = []
-
-    def spying_map(x):
-        inside.append(_thread_counts(blas_at_two))
-        return x
-
-    prog = ConicProgram("min")
-    prog.herm_block("X", 4)
-    prog.add_operator_constraint({"X": spying_map}, ">=", np.eye(4))
-    assert len(inside) == 16 and all(counts == [1] * len(blas_at_two) for counts in inside)
-    assert _thread_counts(blas_at_two) == outside
-
-
 def test_breakdown_restores_blas_threads(monkeypatch, blas_at_two):
     outside = _thread_counts(blas_at_two)
 
@@ -487,6 +471,23 @@ def _embed(x):
     return out
 
 
+def _operator(kind, size, fn):
+    """The sparse matrix of the map ``fn`` on a block of ``kind`` and ``size``,
+    by calling it on each unit: column u is the row-major vec of fn(e_u).
+    The dense reference for the maps written below as functions."""
+    width = size * size if kind == "herm" else size
+    units = np.eye(width).reshape((width, size, size) if kind == "herm" else (width, size))
+    return sp.csc_array(np.stack([np.ravel(fn(u)).astype(complex) for u in units], axis=1))
+
+
+LIFT = _operator("herm", DA, lambda x: np.kron(x, np.eye(DB)))
+PT = _operator("herm", DA * DB, _pt)
+
+
+def _eye(side):
+    return sp.identity(side * side, format="csr")
+
+
 # (block kind, block size, forward map, its adjoint written out by hand)
 OPERATOR_MAPS = {
     "identity": ("herm", 6, lambda w: w, lambda b: b),
@@ -536,7 +537,7 @@ def _basis_coords(mats):
 def test_operator_rows_are_the_adjoint_expansion(name):
     kind, size, forward, adjoint = OPERATOR_MAPS[name]
     prog = _operator_program(kind, size)
-    assert prog.add_operator_constraint({"X": forward}, "==", 0) is None
+    assert prog.add_operator_constraint({"X": _operator(kind, size, forward)}, "==", 0) is None
     side = np.shape(forward(np.eye(size)))[0]
     basis = hermitian_basis(side)
     assert prog.rows == [0.0] * len(basis)
@@ -553,9 +554,7 @@ def test_operator_inequality_adds_one_slack_block(relation, sign):
     prog = ConicProgram("min")
     prog.herm_block("X", DA)
     prog.herm_block("Y", DA * DB)
-    slack = prog.add_operator_constraint(
-        {"X": lambda x: np.kron(x, np.eye(DB)), "Y": _pt}, relation, rhs
-    )
+    slack = prog.add_operator_constraint({"X": LIFT, "Y": PT}, relation, rhs)
     added = [blk for blk in prog.blocks if blk.name not in ("X", "Y")]
     if relation == "==":
         assert slack is None and not added
@@ -598,8 +597,8 @@ def test_scalar_inequality_adds_one_nonneg_slack(relation, coeff):
 def test_slack_names_are_reserved():
     prog = ConicProgram("min")
     prog.herm_block("X", 2)
-    slack = prog.add_operator_constraint({"X": lambda x: x}, "<=", np.eye(2))
-    assert slack != prog.add_operator_constraint({"X": lambda x: x}, ">=", 0)
+    slack = prog.add_operator_constraint({"X": _eye(2)}, "<=", np.eye(2))
+    assert slack != prog.add_operator_constraint({"X": _eye(2)}, ">=", 0)
     with pytest.raises(ValueError):
         prog.herm_block(slack, 2)
     with pytest.raises(ValueError):
@@ -609,34 +608,45 @@ def test_slack_names_are_reserved():
 @pytest.mark.parametrize(
     "kind, size, bad_map",
     [
-        ("herm", 6, lambda w: w[:, :3]),  # not square
-        ("herm", 6, lambda w: np.trace(w)),  # not a matrix
-        ("free", 2, lambda t: np.diag(t)[:1]),  # not square
-        ("herm", 6, lambda w: 1j * w),  # not Hermitian-preserving
-        ("herm", 6, lambda w: w @ np.triu(np.ones((6, 6)))),
-        ("free", 1, lambda t: t[0] * np.triu(np.ones((3, 3)))),  # not Hermitian
+        pytest.param("herm", 6, sp.csr_array((18, 36)), id="rows_not_a_square"),
+        pytest.param("herm", 6, sp.csr_array((36, 6)), id="not_the_36_columns"),
+        pytest.param("free", 2, sp.csr_array((4, 3)), id="not_the_2_columns"),
+        # not Hermitian-preserving
+        pytest.param("herm", 6, lambda w: 1j * w, id="herm-6-<lambda>2"),
+        pytest.param("herm", 6, lambda w: w @ np.triu(np.ones((6, 6))), id="herm-6-<lambda>3"),
+        pytest.param("free", 1, lambda t: t[0] * np.triu(np.ones((3, 3))), id="free-1-<lambda>"),
     ],
 )
 def test_operator_map_of_wrong_shape_or_not_hermitian_is_rejected(kind, size, bad_map):
     prog = _operator_program(kind, size)
+    if callable(bad_map):
+        bad_map = _operator(kind, size, bad_map)
     with pytest.raises(ValueError, match="map of block 'X'"):
         prog.add_operator_constraint({"X": bad_map}, "==", 0)
     assert not prog.rows
+
+
+def test_operator_constraint_takes_sparse_operators_only():
+    prog = _operator_program("herm", 2)
+    for dense in (lambda x: x, np.eye(4)):
+        with pytest.raises(TypeError, match="map of block 'X'"):
+            prog.add_operator_constraint({"X": dense}, "==", 0)
+    assert not prog.rows and len(prog.blocks) == 1
 
 
 def test_operator_constraint_rejects_bad_terms_and_rhs():
     prog = ConicProgram("min")
     prog.herm_block("X", 2)
     prog.herm_block("Y", 3)
-    with pytest.raises(ValueError):  # the terms disagree on the side
-        prog.add_operator_constraint({"X": lambda x: x, "Y": lambda y: y}, "==", 0)
+    with pytest.raises(ValueError, match="map of block 'X'"):  # the terms disagree on the side
+        prog.add_operator_constraint({"X": _eye(2), "Y": _eye(3)}, "==", 0)
     for rhs in (1.0, np.eye(3), np.array([[0, 1], [0, 0]])):
         with pytest.raises(ValueError):
-            prog.add_operator_constraint({"X": lambda x: x}, "<=", rhs)
+            prog.add_operator_constraint({"X": _eye(2)}, "<=", rhs)
     with pytest.raises(ValueError):
-        prog.add_operator_constraint({"Z": lambda x: x}, "==", 0)
+        prog.add_operator_constraint({"Z": _eye(2)}, "==", 0)
     with pytest.raises(ValueError):
-        prog.add_operator_constraint({"X": lambda x: x}, "=<", 0)
+        prog.add_operator_constraint({"X": _eye(2)}, "=<", 0)
     assert not prog.rows and [blk.name for blk in prog.blocks] == ["X", "Y"]
 
 
@@ -647,7 +657,7 @@ def test_largest_eigenvalue_through_an_operator_constraint(seed):
     prog = ConicProgram("min")
     prog.free_block("t", 1)
     prog.set_objective({"t": [1.0]})
-    prog.add_operator_constraint({"t": lambda t: t[0] * np.eye(4)}, ">=", a)
+    prog.add_operator_constraint({"t": sp.csr_array(np.eye(4).reshape(16, 1))}, ">=", a)
     sol = solve(prog)
     assert sol.status == "optimal"
     assert abs(sol.primal_value - np.linalg.eigvalsh(a)[-1]) < 1e-7
@@ -660,7 +670,7 @@ def _sector_program(sectors):
     prog.herm_block("X", 3, sectors)
     prog.set_objective({"X": c})
     prog.add_constraint({"X": np.eye(3)}, "==", 1.0)
-    slack = prog.add_operator_constraint({"X": lambda x: x}, "<=", 0.8 * np.eye(3), sectors)
+    slack = prog.add_operator_constraint({"X": _eye(3)}, "<=", 0.8 * np.eye(3), sectors)
     return prog, slack
 
 
@@ -686,9 +696,9 @@ def test_sectored_block_states_only_in_sector_rows():
     with pytest.raises(ValueError, match="off its sectors"):
         prog.set_objective({"X": np.ones((3, 3))})
     with pytest.raises(ValueError, match="off its sectors"):
-        prog.add_operator_constraint({"X": lambda x: x}, "<=", np.ones((3, 3)), sectors)
+        prog.add_operator_constraint({"X": _eye(3)}, "<=", np.ones((3, 3)), sectors)
     with pytest.raises(ValueError, match="off its sectors"):
-        prog.add_operator_constraint({"X": lambda x: x}, "==", 0, ((0, 1), (2,)))
+        prog.add_operator_constraint({"X": _eye(3)}, "==", 0, ((0, 1), (2,)))
     with pytest.raises(ValueError, match="partition"):
         prog.herm_block("Y", 3, ((0, 1), (1, 2)))
     assert len(prog.rows) == 6 and len(prog.blocks) == 4

@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qcap.asymptotic as asymptotic
 import qcap.cli as cli
@@ -217,9 +218,9 @@ def _toy(frame_only: bool, c=None, rhs=None):
         prog.set_objective({"X": c})
     prog.add_constraint({"X": np.eye(3), "t": [1.0, 0.0]}, "==", 1.0)
     prog.add_constraint({"t": [0.0, 1.0]} if frame_only else {"t": [0.0, 1.0], "X": c}, "<=", 2.0)
+    t_1 = sp.csr_array(np.outer(np.eye(3).ravel(), [0.0, 1.0]))  # t -> t[1] I
     prog.add_operator_constraint(
-        {"X": lambda x: x, "t": lambda t: t[1] * np.eye(3)}, "<=",
-        0 if frame_only else rhs, sectors,
+        {"X": sp.identity(9), "t": t_1}, "<=", 0 if frame_only else rhs, sectors
     )
     return prog
 

@@ -3,6 +3,7 @@ import pytest
 
 from qcap.matops import (
     HermMat,
+    bipartite_maps,
     herm,
     hermitian_basis,
     hermiticity_defect,
@@ -129,3 +130,20 @@ def test_hermitian_basis_expands_arbitrary_hermitian():
     rebuilt = sum(c * b for c, b in zip(coeffs, hermitian_basis(3)))
     assert np.allclose(rebuilt, h, atol=1e-12)
     assert np.allclose(np.imag(coeffs), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_bipartite_maps_act_on_the_row_major_vec(dims):
+    da, db = dims
+    d = da * db
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+    w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = herm(w, dims, hermitian=False)
+    lift, pt, tr_a, tr_b = bipartite_maps(dims)
+    assert np.array_equal((lift @ x.ravel()).reshape(d, d), np.kron(x, np.eye(db)))
+    assert np.array_equal((pt @ w.ravel()).reshape(d, d), partial_transpose(m, 1).data)
+    # a sum over the traced factor, added up in either order
+    for tr, factor, side in ((tr_a, 0, db), (tr_b, 1, da)):
+        got = (tr @ w.ravel()).reshape(side, side)
+        assert np.allclose(got, partial_trace(m, factor).data, rtol=0, atol=1e-13)

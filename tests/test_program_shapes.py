@@ -7,7 +7,10 @@ The dense pins use two uses of random qubit channels and, for the rate
 programs, a random qutrit-to-qubit channel: neither has a phase symmetry, so
 each keeps one sector per grading.  Two uses of amplitude damping and
 ``channel_nr(0.22)`` give the sector programs pinned below them."""
+import tracemalloc
 from collections import Counter
+from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,3 +153,49 @@ def test_sector_program_shape(monkeypatch, name):
     assert Counter(b.size for b in prog.blocks if b.kind == HERM_PSD) == sides
     # far under _LMI_MIN_FLOPS saved either way
     assert solver_mod._form(prog) == "eq"
+
+
+def test_four_uses_of_amplitude_damping_build_in_bounded_memory():
+    # 3**4 = 81 joint and transposed sectors of sides (1, 2, 1)**(x)4 and 16
+    # input ones of side 1: W and the three slacks on 81 sectors, rho and S on
+    # 16, and 2 + 1296 + 2 * 1296 rows.  A map called on each in-sector unit
+    # made dense (units, 256, 256) image stacks here, over 1 GB per term.
+    ad4 = reduce(tensor, [amplitude_damping(0.09)] * 4)
+    tracemalloc.start()
+    try:
+        prog, _ = oneshot.g_program(ad4, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**20
+    assert len(prog.rows) == 3890
+    assert Counter(b.size for b in prog.blocks if b.kind == HERM_PSD) == {
+        1: 96, 2: 128, 4: 96, 8: 32, 16: 4
+    }
+    assert [b.kind for b in prog.blocks if b.kind != HERM_PSD] == ["nonneg"]
+
+
+@pytest.mark.parametrize(
+    "module, build",
+    [
+        (oneshot, lambda: oneshot.f_program(RP2, 0.01)),
+        (oneshot, lambda: oneshot.g_program(RP2, 0.01)),
+        (oneshot, lambda: oneshot.g_tilde_program(RP2, 0.01)),
+        (asymptotic, lambda: asymptotic.q_gamma_program(R32)),
+        (asymptotic, lambda: asymptotic.q_gamma_program(R32, "dual")),
+        (asymptotic, lambda: asymptotic.q_theta_program(R32)),
+    ],
+)
+def test_every_builder_clock_covers_choi_and_grading(monkeypatch, module, build):
+    # a result's wall time spans the same steps for every bound
+    events = []
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: events.append("t0")))
+    for name in ("choi", "phase_sectors"):
+        real = getattr(module, name)
+        def spy(ch, real=real, name=name):
+            events.append(name)
+            return real(ch)
+
+        monkeypatch.setattr(module, name, spy)
+    build()
+    assert events[:3] == ["t0", "choi", "phase_sectors"]

@@ -12,6 +12,7 @@ cones of the reduced program and the rows its free coordinates.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qcap.asymptotic as asymptotic
 import qcap.conic.solver as solver_mod
@@ -244,7 +245,7 @@ def _eigen_program(rhs_rows):
     prog.set_objective({"X": np.diag([1.0, 2.0, 3.0])})
     for r in rhs_rows:
         prog.add_constraint({"X": np.eye(3)}, "==", r)
-    prog.add_operator_constraint({"X": lambda x: x}, "<=", np.eye(3))
+    prog.add_operator_constraint({"X": sp.identity(9)}, "<=", np.eye(3))
     return prog
 
 

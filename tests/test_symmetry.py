@@ -21,7 +21,7 @@ import qcap.oneshot as oneshot
 import qcap.symmetry as symmetry
 from qcap.channels import amplitude_damping, channel_nr, choi, random_channel, tensor
 from qcap.conic import solve_all
-from qcap.matops import bipartite_maps
+from qcap.matops import HermMat, partial_transpose
 from qcap.symmetry import PhaseSectors, phase_sectors
 
 AD = amplitude_damping(0.09)
@@ -177,7 +177,12 @@ def test_certificates_are_full_size_and_meet_their_rows(name):
     eps = 0.01
     res = (oneshot.bound_f if name == "f" else oneshot.bound_g)(AD2, eps)
     cert, sec = res.certificate, phase_sectors(AD2)
-    lift, pt, _, _ = bipartite_maps((4, 4))
+    def lift(x):
+        return np.kron(x, np.eye(4))
+
+    def pt(x):
+        return partial_transpose(HermMat(x, (4, 4), hermitian=False), 1).data
+
     assert cert.W.shape == (16, 16) and cert.rho.shape == cert.S.shape == (4, 4)
     assert _off_sectors(cert.W, sec.joint) == 0.0
     assert _off_sectors(cert.rho, sec.inputs) == _off_sectors(cert.S, sec.inputs) == 0.0

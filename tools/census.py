@@ -20,21 +20,26 @@ comparison of two census runs.
 
 Each solve is recorded with its status, termination reason, the form it
 was solved in (``eq`` or ``lmi``), iteration count, objective value, gap and
-final residuals, and the size of what it solved: its PSD cone count, their
-largest side and the rows of the Schur complement it factored; under a key
+final residuals, the size of what it solved: its PSD cone count, their
+largest side and the rows of the Schur complement it factored, and a digest
+of the program it solved: a SHA-256 of its block names, kinds and sizes,
+its rows, every block's coefficient triples and its objective, hashed from
+the array bytes; under a key
 naming the group, the channel, the bound and the solve's index within the
 bound call.  ``run`` prints per-bound status, reason and form counts, the
 median cone count, largest side and Schur rows, and iteration quartiles.
 ``compare`` prints both summaries, and per bound the median iterations, the
 number of solves whose iteration count changed, the number that changed
-form and the largest value move, and per group and bound the sizes on both
-sides;
+form and the largest value move, per group and bound the sizes on both
+sides, and how many programs' digests changed (a report, not part of the
+gate);
 it checks the gate for a change to the solver or to a program builder: every
 solve optimal on both sides, no bound's median iteration count higher, and
 no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
 A census written before solves had a reason reads as reason ``-``, one
 written before they had a form as form ``eq``, the only form there was, and
-one written before they had sizes shows ``-`` for them.
+one written before they had sizes shows ``-`` for them, and one written
+before they had digests ``-`` for the digest count.
 
 The census is not part of the test suite: a run takes about 18 s (17.3 s
 for 540 solves on a 2-core x86-64 host with Python 3.11.7).
@@ -42,6 +47,7 @@ for 540 solves on a 2-core x86-64 host with Python 3.11.7).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import sys
@@ -102,6 +108,21 @@ def _cases():
             yield "fig1", f"r={r:.3f}", bound, call
 
 
+def _digest(prog) -> str:
+    """SHA-256 of a program's blocks, rows, coefficient triples and objective."""
+    h = hashlib.sha256(prog.sense.encode())
+    for blk in prog.blocks:
+        h.update(f"|{blk.name}|{blk.kind}|{blk.size}|".encode())
+        arrays = [*prog.coefficients(blk.name)]
+        if blk.name in prog.objective:
+            arrays.append(prog.objective[blk.name])
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.asarray(prog.rows, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def run(out: str) -> None:
     import qcap.asymptotic
     import qcap.oneshot
@@ -134,6 +155,7 @@ def run(out: str) -> None:
                     "psd_cones": len(sides),
                     "max_side": max(sides, default=0),
                     "schur_rows": row_counts(prog)[sol.form == "lmi"],
+                    "digest": _digest(prog),
                 }
             )
             return sol
@@ -215,6 +237,14 @@ def _rel(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _digest_changes(old: dict, new: dict) -> str:
+    """How many solves of both censuses solved another program, or ``-``."""
+    keys = old.keys() & new.keys()
+    if any("digest" not in rec[k] for rec in (old, new) for k in keys):
+        return "-"
+    return f"{sum(old[k]['digest'] != new[k]['digest'] for k in keys)} of {len(keys)}"
+
+
 def compare(before_path: str, after_path: str) -> int:
     before, after = _load(before_path), _load(after_path)
     print(f"== {before_path}\n{_summary(before)}\n\n== {after_path}\n{_summary(after)}\n")
@@ -258,6 +288,7 @@ def compare(before_path: str, after_path: str) -> int:
     for (group, bound), recs in sorted(groups.items()):
         olds = [old[rec["key"]] for rec in recs if rec["key"] in old]
         print(f"{group:8s} {bound:16s} {_sizes(olds)} -> {_sizes(recs)}")
+    print(f"\nprograms whose digest changed: {_digest_changes(old, new)}")
     print("\ngate: " + ("pass" if not failures else "FAIL\n  " + "\n  ".join(failures)))
     return 1 if failures else 0
 
