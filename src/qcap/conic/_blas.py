@@ -1,10 +1,10 @@
-"""One OpenBLAS thread for each solve, each operator-constraint expansion and
-each phase-sector search.
+"""One OpenBLAS thread for each solve and each phase-sector search.
 
-The solver's dense work runs on PSD blocks of side at most 64 and Schur
-complements of under a thousand rows, where OpenBLAS threads cost more in
-hand-offs than they save.  numpy and scipy may
-each load their own OpenBLAS copy, so every loaded copy is found through
+On the CLI experiments the solver's dense work runs on PSD blocks of side at
+most 64 and Schur complements of at most a few hundred rows, where OpenBLAS
+threads cost more in hand-offs than they save; at four channel uses the
+Schur complements reach 1,312-3,905 rows, where two threads factor faster.
+numpy and scipy may each load their own OpenBLAS copy, so every loaded copy is found through
 ``/proc/self/maps`` and driven through its own thread-count symbols.  Where
 no copy is found (another BLAS, another platform) this does nothing.
 """

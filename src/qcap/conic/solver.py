@@ -55,14 +55,17 @@ batched interior-point method does (Amos and Kolter, ICML 2017).  Each
 stack holds every program's cones, program after program, and A is
 block-diagonal, so the NT scaling, the W R W products, the Schur kernels,
 the step test and A, A' run once for the whole batch, and one sparse product
-yields every program's Schur complement.  What belongs to one program runs
-on its slices in the order of a solve of it alone: its pairings and norms
-(``np.vdot`` per slice), its Cholesky factor and triangular solves, its tau,
-kappa, mu, sigma and step length, its stopping tests and best iterate.  So
-each program ends on the iterate it reaches alone, to the bit, and ``solve``
-is ``solve_all`` of one program.  A program that ends leaves the batch, and
-the others go on; should a batched step raise, each program takes that step
-alone, so that only the program at fault breaks down.
+yields every program's Schur complement.  What belongs to one program is
+its entry of an array over the programs, computed from its own slices as a
+solve of it alone computes it: its pairings and norms (per stack, one
+stacked ``vecdot``, which sums as ``np.vdot`` does), its Cholesky factor
+(one stacked ``cholesky``), its tau, kappa, mu, sigma and step length, and
+its stopping tests and best iterate, as masks.  Only its triangular solves
+run program by program.  So each program ends on the iterate it reaches
+alone, to the bit, and ``solve`` is ``solve_all`` of one program.  A program
+that ends leaves the batch, and the others go on; should a batched step
+raise, each program takes that step alone, so that only the program at
+fault breaks down.
 
 Frames.  The copies of one program frame (``ConicProgram.structure``, see
 ``program.py``) differ only in their costs and rows, so ``solve_all``
@@ -114,8 +117,8 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import cholesky
 from scipy import sparse
-from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpotrs
 
 from ..matops import basis_pairs, from_hermitian_coords, hermitian_coords
@@ -246,12 +249,15 @@ class _Assembled:
     lmi: LmiRows | None = None
     scale: float = 1.0
 
-    def user_value(self, pobj: float, dobj: float) -> float:
-        """The user's objective, in min sense, of the iterate's values; with
-        the two swapped, the user's dual objective."""
-        if self.lmi is None:
-            return pobj - self.red.offset
-        return self.red.offset - dobj / self.scale
+
+def _user_value(lmi: bool, offset, scale, pobj, dobj):
+    """The user's objective, in min sense, of the iterate's values; with the
+    two swapped, the user's dual objective.  The LMI form's has the offset
+    and scale of its program (``_Assembled``), each value one per program
+    of a batch or a float."""
+    if not lmi:
+        return pobj - offset
+    return offset - dobj / scale
 
 
 def _cost_norm(costs) -> float:
@@ -301,11 +307,6 @@ def _cobj(st: _Stack, costs: dict[str, np.ndarray]) -> np.ndarray:
         return from_hermitian_coords(c, st.side) / st.gamma
 
 
-def _side_by_side(m: int, stacks: list[_Stack]) -> tuple[sparse.csr_array, sparse.csr_array]:
-    a = sparse.hstack([st.a for st in stacks], format="csr") if stacks else sparse.csr_array((m, 0))
-    return a, a.T.tocsr()
-
-
 @dataclass
 class _Frame:
     """The coefficient part of the assembly of the programs of one
@@ -321,8 +322,10 @@ class _Frame:
 def _frame(prog: ConicProgram, form: str) -> _Frame:
     blocks = stated_blocks(prog)
     red = LmiForm(prog, blocks) if form == "lmi" else EqForm(prog, blocks)
-    stacks = _stacks(red.dual.n_z, red.dual.cones)
-    return _Frame(red, stacks, *_side_by_side(red.dual.n_z, stacks))
+    m = red.dual.n_z
+    stacks = _stacks(m, red.dual.cones)
+    a = sparse.hstack([st.a for st in stacks], format="csr") if stacks else sparse.csr_array((m, 0))
+    return _Frame(red, stacks, a, a.T.tocsr())
 
 
 def _assemble(prog: ConicProgram, form: str, frames: dict | None = None) -> _Assembled:
@@ -430,10 +433,10 @@ def _schur(data, ws: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _schur_factors(mmats: np.ndarray) -> tuple[list, list]:
+def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factorization of each Schur complement M of a (programs, m, m)
-    stack: the equilibration of each, and the upper Cholesky factor of each
-    equilibrated, shifted M, or None where it fails.
+    stack: the equilibration of each, the upper Cholesky factor of each
+    equilibrated, shifted M, and whether that factor holds.
 
     M is first equilibrated symmetrically by its diagonal (rows whose
     coefficients live where W is small would otherwise sit orders of magnitude
@@ -441,42 +444,48 @@ def _schur_factors(mmats: np.ndarray) -> tuple[list, list]:
     degenerate programs M becomes numerically singular near the optimum, and
     an unshifted factor returns garbage along its near-null directions.  Each
     solve (``_msolve``) takes one refinement step against the unshifted
-    matrix, which restores full accuracy everywhere else.
+    matrix, which restores full accuracy everywhere else.  One stacked
+    ``cholesky`` factors every M; should one fail, each is factored alone, so
+    that only the failed ones are lost.
     """
-    eqs, ups = [], []
-    for mmat in mmats:
-        diag = np.abs(np.diagonal(mmat)).copy()
-        diag[diag == 0.0] = 1.0
-        eq = 1.0 / np.sqrt(diag)
-        scaled = mmat * eq[:, None] * eq[None, :]
-        scaled[np.diag_indices_from(scaled)] += _SCHUR_SHIFT
-        try:
-            up = cholesky(scaled, check_finite=False)  # upper: M = U'U
-        except np.linalg.LinAlgError:
-            up = None
-        if up is not None and not np.all(np.isfinite(np.diagonal(up))):  # a collapsed scaling
-            up = None
-        eqs.append(eq)
-        ups.append(up)
-    return eqs, ups
+    diag = np.abs(np.diagonal(mmats, axis1=1, axis2=2))
+    diag[diag == 0.0] = 1.0
+    eqs = 1.0 / np.sqrt(diag)
+    scaled = mmats * eqs[:, :, None] * eqs[:, None, :]
+    rows = np.arange(mmats.shape[1])
+    scaled[:, rows, rows] += _SCHUR_SHIFT
+    try:
+        ups = cholesky(scaled, upper=True)  # M = U'U
+    except np.linalg.LinAlgError:
+        ups = np.full(scaled.shape, np.nan)
+        for up, mat in zip(ups, scaled):
+            try:
+                up[...] = cholesky(mat, upper=True)
+            except np.linalg.LinAlgError:
+                pass
+    # a collapsed scaling can leave a factor that is not finite
+    live = np.isfinite(np.diagonal(ups, axis1=1, axis2=2)).all(axis=1)
+    # each factor in column-major order, as LAPACK's triangular solves read it
+    return eqs, np.ascontiguousarray(ups.swapaxes(1, 2)).swapaxes(1, 2), live
 
 
-def _msolve(mmats: np.ndarray, eqs: list, ups: list, rhs: np.ndarray) -> np.ndarray:
+def _msolve(
+    mmats: np.ndarray, eqs: np.ndarray, ups: np.ndarray, live: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
     """M^-1 rhs of each program, with ``_schur_factors``' factors, refined
     once against M; zero where the factorization failed."""
-    if rhs.shape[1] == 0:  # no rows
-        return np.zeros(rhs.shape)
     sol = np.zeros(rhs.shape)
-    live = [i for i, up in enumerate(ups) if up is not None]
-    eq = np.array([eqs[i] for i in live])
+    idx = np.flatnonzero(live)
+    if rhs.shape[1] == 0 or idx.size == 0:  # no rows, or no factor
+        return sol
+    if idx.size < live.size:
+        mmats, eqs, rhs = mmats[idx], eqs[idx], rhs[idx]
 
     def tri(v: np.ndarray) -> np.ndarray:
-        return np.stack([dpotrs(ups[i], r)[0] for i, r in zip(live, v)])
+        return np.stack([dpotrs(ups[i], r)[0] for i, r in zip(idx, v)])
 
-    if live:
-        part = eq * tri(eq * rhs[live])
-        part += eq * tri(eq * (rhs[live] - (mmats[live] @ part[..., None])[..., 0]))
-        sol[live] = part
+    sol[idx] = eqs * tri(eqs * rhs)
+    sol[idx] += eqs * tri(eqs * (rhs - (mmats @ sol[idx][..., None])[..., 0]))
     return sol
 
 
@@ -514,13 +523,13 @@ def _max_step(
     lam^-1/2 R^H dS R lam^-1/2 for S.  That is one stacked ``eigvalsh`` per
     stack, and no triangular solve.
     """
-    lmin = [np.inf] * programs
+    lmin = np.full(programs, np.inf)
     for sc, dx, ds in zip(scal, dX, dS):
         low = np.linalg.eigvalsh(_herm(sc.g @ np.concatenate([dx, ds]) @ _h(sc.g)))[:, 0]
         # each program's cones of X, then of S
         low = low.reshape(2, programs, -1).swapaxes(0, 1).reshape(programs, -1).min(axis=1)
-        lmin = [min(lo, float(v)) for lo, v in zip(lmin, low)]
-    return np.array([np.inf if lo >= -1e-300 else -1.0 / lo for lo in lmin])
+        lmin = np.minimum(lmin, low)
+    return np.where(lmin >= -1e-300, np.inf, -1.0 / lmin)
 
 
 _Direction = namedtuple("_Direction", "dX dS dy dtau dkap ok")
@@ -611,14 +620,9 @@ def _checked(prog: ConicProgram, sol: ConicSolution) -> ConicSolution:
     return sol
 
 
-@dataclass
-class _Final:
-    """How the iteration ended, and its best iterate (None if it had none)."""
-
-    status: str
-    reason: str
-    iterations: int
-    best: tuple | None  # (X, y, S, tau, pres, dres, pobj, dobj)
+# How the iteration of a program ended, and its best iterate, (X, y, S, tau,
+# pres, dres, pobj, dobj), or None if it had none
+_Final = namedtuple("_Final", "status reason iterations best")
 
 
 def _empty(status: str, reason: str, iterations: int, form: str, y=None) -> ConicSolution:
@@ -682,8 +686,8 @@ def _solution(data: _Assembled, fin: _Final) -> ConicSolution:
     return ConicSolution(
         status=status,
         reason=fin.reason,
-        primal_value=data.sign * data.user_value(pobj, dobj),
-        dual_value=data.sign * data.user_value(dobj, pobj),
+        primal_value=data.sign * _user_value(lmi, red.offset, data.scale, pobj, dobj),
+        dual_value=data.sign * _user_value(lmi, red.offset, data.scale, dobj, pobj),
         gap=abs(pobj - dobj) / data.scale,
         blocks=blocks,
         iterations=fin.iterations,
@@ -694,17 +698,24 @@ def _solution(data: _Assembled, fin: _Final) -> ConicSolution:
     )
 
 
-def _block_diag(mats: list[sparse.csr_array]) -> sparse.csr_array:
-    """The CSR matrices on the diagonal of one, each row's entries in their order."""
+def _block_diag(mats: list[sparse.csr_array], widths: list[int] | None = None) -> sparse.csr_array:
+    """The same-shaped CSR matrices on the diagonal of one, each row's
+    entries in their order.  Given ``widths``, each matrix's columns fall in
+    blocks of these widths, and the columns are grouped by block, each
+    block's columns matrix after matrix: a batch's A, stack by stack."""
     if len(mats) == 1:
         return mats[0]
-    cols = np.cumsum([0] + [mat.shape[1] for mat in mats])
+    rows, cols = mats[0].shape
+    w = np.array(widths or [cols])
     nnz = np.cumsum([0] + [mat.nnz for mat in mats])
-    indptr = [mats[0].indptr[:1]] + [mat.indptr[1:] + n for mat, n in zip(mats, nnz)]
-    indices = [mat.indices + c for mat, c in zip(mats, cols)]
+    indptr = np.concatenate([[0]] + [mat.indptr[1:] + n for mat, n in zip(mats, nnz)])
+    col = np.concatenate([mat.indices for mat in mats])
+    # column c of matrix k, in a block of width w from column o, moves by (len(mats) - 1) o
+    # + k w: past the other matrices' earlier blocks and matrix k's forerunners in its own
+    shift = np.repeat((len(mats) - 1) * (np.cumsum(w) - w), w)[col]
+    col = col + shift + np.repeat(np.arange(len(mats)), np.diff(nnz)) * np.repeat(w, w)[col]
     data = np.concatenate([mat.data for mat in mats])
-    shape = (sum(mat.shape[0] for mat in mats), cols[-1])
-    return sparse.csr_array((data, np.concatenate(indices), np.concatenate(indptr)), shape=shape)
+    return sparse.csr_array((data, col, indptr), shape=(len(mats) * rows, len(mats) * cols))
 
 
 def _chunks(stacks: list[_Stack]) -> list[tuple[int, int, sparse.csr_array]]:
@@ -732,7 +743,8 @@ class _Batch:
     program's cones, program after program, and A is block-diagonal, with
     its columns stack by stack, so that the cone algebra and A, A' run once
     for all of them.  What belongs to one program -- its pairings, norms and
-    scalars -- runs on its slices, in the order of a solve of it alone."""
+    scalars -- is one entry of an array over the programs, computed from its
+    own slices as a solve of it alone computes it."""
 
     def __init__(self, members: list[_Assembled]) -> None:
         first = members[0]
@@ -740,6 +752,10 @@ class _Batch:
         self.size = len(members)
         self.lmi = first.lmi is not None
         self.b = np.stack([d.b for d in members])
+        # each program's residual units, objective scale and value offset
+        self.normb, self.normc, self.scale, self.offset = np.array(
+            [(d.normb, d.normc, d.scale, d.red.offset) for d in members]
+        ).T
         self.counts = [st.count for st in first.stacks]
         if self.size == 1:
             self.stacks, self.a, self.at = first.stacks, first.a, first.at
@@ -748,15 +764,16 @@ class _Batch:
                 _Stack(
                     st.side, st.gamma, st.count * self.size, [],
                     np.concatenate([d.stacks[j].cobj for d in members]),
-                    _block_diag([d.stacks[j].a for d in members]),
+                    None,  # the batch keeps its A whole
                     _chunks([d.stacks[j] for d in members]),
                 )
                 for j, st in enumerate(first.stacks)
             ]
-            self.a, self.at = _side_by_side(self.b.size, self.stacks)
+            widths = [st.count * st.side**2 for st in first.stacks]
+            self.a = _block_diag([d.a for d in members], widths)
+            self.at = self.a.T.tocsr()
+        self.cobj = [st.cobj for st in self.stacks]
         self.offs = np.cumsum([0] + [st.count * st.side**2 for st in self.stacks])
-        # each program's cones in each stack
-        self.parts = [[slice(i * c, (i + 1) * c) for c in self.counts] for i in range(self.size)]
 
     def apply_a(self, mats: list[np.ndarray]) -> np.ndarray:
         if not self.stacks:
@@ -772,33 +789,28 @@ class _Batch:
             for st, o in zip(self.stacks, self.offs)
         ]
 
-    def pairing(self, i: int, p: list[np.ndarray], q: list[np.ndarray]) -> float:
-        """<P, Q> of program i over all stacks, in each stack's pairing."""
-        return sum(
-            st.gamma * float(np.vdot(x[sl], z[sl]).real)
-            for st, x, z, sl in zip(self.stacks, p, q, self.parts[i])
-        )
+    def inner(self, p: list[np.ndarray], q: list[np.ndarray]) -> np.ndarray:
+        """<P, Q> of each program: per stack, one stacked ``vecdot`` of the
+        programs' entries, which pairs them as ``np.vdot`` does, in the
+        stack's pairing; summed stack by stack."""
+        out = np.zeros(self.size)
+        for st, x, z in zip(self.stacks, p, q):
+            pair = np.vecdot(x.reshape(self.size, -1), z.reshape(self.size, -1)).real
+            out = out + st.gamma * pair
+        return out
 
-    def inner(self, p: list[np.ndarray], q: list[np.ndarray]) -> list[float]:
-        """<P, Q> of each program."""
-        return [self.pairing(i, p, q) for i in range(self.size)]
-
-    def sq_norm(self, p: list[np.ndarray]) -> list[float]:
-        return self.inner(p, p)
-
-    def per_cone(self, vals: list[float]) -> list[np.ndarray]:
+    def per_cone(self, vals: np.ndarray) -> list[np.ndarray]:
         """One value per program, repeated over its cones of each stack, to
         broadcast over the stack."""
-        arr = np.array(vals, dtype=np.float64)
-        return [np.repeat(arr, c)[:, None, None] for c in self.counts]
+        return [np.repeat(vals, c)[:, None, None] for c in self.counts]
 
-    def finite(self, mats: list[np.ndarray], rows: np.ndarray) -> list[bool]:
+    def finite(self, mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         """Whether each program's entries of the stacks ``mats`` and its row
         of ``rows`` are finite."""
         ok = np.isfinite(rows).all(axis=1)
         for x in mats:
             ok &= np.isfinite(x).reshape(self.size, -1).all(axis=1)
-        return ok.tolist()
+        return ok
 
 
 @dataclass
@@ -807,55 +819,80 @@ class _Lockstep:
     the programs of the solve, and their iterate."""
 
     bat: _Batch
-    ids: list[int]
+    ids: np.ndarray
     X: list[np.ndarray]
     S: list[np.ndarray]
     y: np.ndarray  # (programs, m)
-    tau: list[float]
-    kap: list[float]
+    tau: np.ndarray  # (programs,)
+    kap: np.ndarray
 
     @classmethod
     def start(cls, members: list[_Assembled]) -> _Lockstep:
         bat = _Batch(members)
         X = [np.tile(np.eye(st.side, dtype=np.complex128), (st.count, 1, 1)) for st in bat.stacks]
         S = [x.copy() for x in X]
-        ones = [1.0] * bat.size
-        return cls(bat, list(range(bat.size)), X, S, np.zeros(bat.b.shape), ones, list(ones))
+        ones = np.ones(bat.size)
+        return cls(bat, np.arange(bat.size), X, S, np.zeros(bat.b.shape), ones, ones.copy())
 
-    def iterate_of(self, i: int) -> tuple:
-        """Copies of program i's X, y and S."""
-        part = self.bat.parts[i]
-        X = [x[sl].copy() for x, sl in zip(self.X, part)]
-        return X, self.y[i].copy(), [s[sl].copy() for s, sl in zip(self.S, part)]
+    def cones(self, mats: list[np.ndarray]) -> list[np.ndarray]:
+        """Each stack of ``mats`` as (programs, cones, side, side)."""
+        return [x.reshape(self.bat.size, c, *x.shape[1:]) for x, c in zip(mats, self.bat.counts)]
 
 
-def _gather(parts: list[tuple[_Lockstep, list[int]]]) -> _Lockstep | None:
+def _gather(parts: list[tuple[_Lockstep, np.ndarray]]) -> _Lockstep | None:
     """The programs at the given positions of each run, as one run; None if
     there are none."""
-    parts = [(run, keep) for run, keep in parts if keep]
+    parts = [(run, keep) for run, keep in parts if len(keep)]
     if not parts:
         return None
     if len(parts) == 1 and len(parts[0][1]) == parts[0][0].bat.size:
         return parts[0][0]
 
-    def cones(mats: list[np.ndarray], run: _Lockstep, keep: list[int]) -> list[np.ndarray]:
-        return [
-            x.reshape(run.bat.size, c, *x.shape[1:])[keep].reshape(-1, *x.shape[1:])
-            for x, c in zip(mats, run.bat.counts)
-        ]
+    def joined(pick) -> list[np.ndarray]:
+        pieces = [[x[keep] for x in pick(run)] for run, keep in parts]
+        return [np.concatenate(stack).reshape(-1, *stack[0].shape[2:]) for stack in zip(*pieces)]
 
-    def joined(pieces: list[list[np.ndarray]]) -> list[np.ndarray]:
-        return [np.concatenate(stack) for stack in zip(*pieces)]
+    def cat(field: str) -> np.ndarray:
+        return np.concatenate([getattr(run, field)[keep] for run, keep in parts])
 
     return _Lockstep(
         _Batch([run.bat.members[i] for run, keep in parts for i in keep]),
-        [run.ids[i] for run, keep in parts for i in keep],
-        joined([cones(run.X, run, keep) for run, keep in parts]),
-        joined([cones(run.S, run, keep) for run, keep in parts]),
-        np.concatenate([run.y[keep] for run, keep in parts]),
-        [run.tau[i] for run, keep in parts for i in keep],
-        [run.kap[i] for run, keep in parts for i in keep],
+        cat("ids"),
+        joined(lambda run: run.cones(run.X)),
+        joined(lambda run: run.cones(run.S)),
+        cat("y"),
+        cat("tau"),
+        cat("kap"),
     )
+
+
+class _Best:
+    """The best iterate of each program of ``_iterate``, by its index: its
+    score, X, y, S, and its tau, pres, dres, pobj and dobj."""
+
+    def __init__(self, stacks: list[_Stack], programs: int, m: int) -> None:
+        self.seen = np.zeros(programs, dtype=bool)
+        self.score = np.full(programs, np.inf)
+        self.X = [np.empty((programs, st.count, st.side, st.side), complex) for st in stacks]
+        self.S = [x.copy() for x in self.X]
+        self.y = np.empty((programs, m))
+        self.vals = np.empty((5, programs))
+
+    def take(self, run: _Lockstep, mask: np.ndarray, score: np.ndarray, *vals) -> None:
+        """Keep the current iterate of the run's programs in ``mask``."""
+        ks = run.ids[mask]
+        self.seen[ks] = True
+        self.score[ks] = score[mask]
+        for mine, x in zip(self.X + self.S, run.cones(run.X) + run.cones(run.S)):
+            mine[ks] = x[mask]
+        self.y[ks] = run.y[mask]
+        self.vals[:, ks] = np.stack([v[mask] for v in (run.tau, *vals)])
+
+    def of(self, k: int) -> tuple | None:
+        """Program k's (X, y, S, tau, pres, dres, pobj, dobj), or None."""
+        if not self.seen[k]:
+            return None
+        return [x[k] for x in self.X], self.y[k], [s[k] for s in self.S], *self.vals[:, k].tolist()
 
 
 def _residuals(run: _Lockstep) -> tuple:
@@ -863,17 +900,9 @@ def _residuals(run: _Lockstep) -> tuple:
     bat = run.bat
     at_y = bat.apply_at(run.y)
     ax = bat.apply_a(run.X)
-    rp = ax - bat.b * np.array(run.tau)[:, None]
-    rd = [
-        -aty + st.cobj * t - s
-        for aty, st, t, s in zip(at_y, bat.stacks, bat.per_cone(run.tau), run.S)
-    ]
+    rp = ax - bat.b * run.tau[:, None]
+    rd = [-aty + c * t - s for aty, c, t, s in zip(at_y, bat.cobj, bat.per_cone(run.tau), run.S)]
     return at_y, ax, rp, rd
-
-
-def _breakdown(exc: Exception) -> str:
-    # e.g. Cholesky of a block that lost definiteness
-    return "factorization_failed" if isinstance(exc, np.linalg.LinAlgError) else "non_finite"
 
 
 def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Final]:
@@ -881,145 +910,137 @@ def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Fi
     and the best iterate that it reaches alone.
 
     A program that converges, certifies infeasibility or breaks down leaves
-    the batch, and the others go on.
+    the batch, and the others go on.  Each test is a mask over the programs.
     """
     debug = _log.isEnabledFor(logging.DEBUG)
     # a side-s Hermitian cone counts 2s, as its real symmetric embedding does
     nu = sum(st.gamma * st.side * st.count for st in members[0].stacks)
-    best: list = [None] * len(members)  # (score, X, y, S, tau, pres, dres, pobj, dobj)
+    best = _Best(members[0].stacks, len(members), members[0].b.size)
     finals: list[_Final | None] = [None] * len(members)
 
-    def end(k: int, status: str, reason: str, it: int) -> None:
-        finals[k] = _Final(status, reason, it, None if best[k] is None else best[k][1:])
+    def end(ks, status: str, reason: str, it: int) -> None:
+        for k in ks:
+            finals[k] = _Final(status, reason, it, best.of(k))
 
     run = _Lockstep.start(members)
     it = 0
-    for it in range(1, max_iter + 1):
-        bat = run.bat
-        at_y, ax, rp, rd = _residuals(run)
-        cobj = [st.cobj for st in bat.stacks]
-        cx, xs, rdn = bat.inner(cobj, run.X), bat.inner(run.X, run.S), bat.sq_norm(rd)
-        ray = None  # A'y + S, for the infeasibility certificate
-        go, rgs, mus = [], [], []
-        for i, (k, data) in enumerate(zip(run.ids, bat.members)):
-            tau, kap = run.tau[i], run.kap[i]
-            by = float(bat.b[i] @ run.y[i])
-            rg = cx[i] - by + kap
-            mu = (xs[i] + tau * kap) / (nu + 1)
+    # a program that breaks down fills its entries with inf and nan, and its mask drops them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, max_iter + 1):
+            bat = run.bat
+            tau, kap = run.tau, run.kap
+            at_y, ax, rp, rd = _residuals(run)
+            cx, xs = bat.inner(bat.cobj, run.X), bat.inner(run.X, run.S)
+            by = np.vecdot(bat.b, run.y)
+            rg = cx - by + kap
+            mu = (xs + tau * kap) / (nu + 1)
 
             # in the user's units: the LMI form's b and its multipliers carry the scale
-            pres = float(np.linalg.norm(rp[i])) / tau / (data.scale + data.normb)
-            dres = float(np.sqrt(rdn[i])) / tau / (1.0 + data.normc)
-            pobj = cx[i] / tau
-            dobj = by / tau
+            # (``vecdot`` of a row with itself is its ``np.linalg.norm`` squared)
+            pres = np.sqrt(np.vecdot(rp, rp)) / tau / (bat.scale + bat.normb)
+            dres = np.sqrt(bat.inner(rd, rd)) / tau / (1.0 + bat.normc)
+            pobj, dobj = cx / tau, by / tau
 
-            if debug:
-                _log.debug(
-                    "it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  kap=%8.3e",
-                    it, mu, pres, dres, abs(pobj - dobj), tau, kap,
-                )
+            for row in zip(mu, pres, dres, abs(pobj - dobj), tau, kap) if debug else ():
+                _log.debug("it %3d  mu=%9.3e  pres=%9.3e  dres=%9.3e  gap=%9.3e  tau=%8.3e  "
+                           "kap=%8.3e", it, *row)
 
-            if not np.all(np.isfinite([mu, pres, dres, pobj, dobj])):
-                end(k, MAX_ITER, "non_finite", it)  # breakdown: the best iterate returns
-                continue
+            finite = np.isfinite(np.stack([mu, pres, dres, pobj, dobj])).all(axis=0)
+            end(run.ids[~finite], MAX_ITER, "non_finite", it)  # breakdown: the best iterate returns
 
-            gap = abs(pobj - dobj) / data.scale
-            ref = 1.0 + abs(data.user_value(pobj, dobj))
-            if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol * ref:
-                best[k] = (0.0, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
-                end(k, OPTIMAL, "converged", it)
-                continue
-
-            score = max(pres, dres, gap / ref)
-            if best[k] is None or score < best[k][0]:
-                best[k] = (score, *run.iterate_of(i), tau, pres, dres, pobj, dobj)
+            gap = abs(pobj - dobj) / bat.scale
+            ref = 1.0 + abs(_user_value(bat.lmi, bat.offset, bat.scale, pobj, dobj))
+            done = finite & (pres <= feas_tol) & (dres <= feas_tol) & (gap <= gap_tol * ref)
+            score = np.where(done, 0.0, np.maximum(np.maximum(pres, dres), gap / ref))
+            best.take(run, finite & (done | ~best.seen[run.ids] | (score < best.score[run.ids])),
+                      score, pres, dres, pobj, dobj)
+            end(run.ids[done], OPTIMAL, "converged", it)
+            go = finite & ~done
 
             # Farkas certificate checks for infeasible / unbounded programs
-            if it > 1 and by > 0.0:
-                if ray is None:
-                    ray = [aty + s for aty, s in zip(at_y, run.S)]
-                res = np.sqrt(bat.pairing(i, ray, ray))
-                if res * max(1.0, data.normb / data.scale) <= feas_tol * by / data.scale:
-                    end(k, INFEASIBLE, "converged", it)
-                    continue
-            if it > 1 and cx[i] < 0.0:
-                res = float(np.linalg.norm(ax[i]))
-                if res * max(1.0, data.normc) <= feas_tol * (-cx[i]):
-                    end(k, UNBOUNDED, "converged", it)
-                    continue
-            go.append(i)
-            rgs.append(rg)
-            mus.append(mu)
+            if it > 1:
+                ray = go & (by > 0.0)
+                if ray.any():
+                    ray_s = [aty + s for aty, s in zip(at_y, run.S)]
+                    res = np.sqrt(bat.inner(ray_s, ray_s))
+                    ray &= res * np.maximum(1.0, bat.normb / bat.scale) <= feas_tol * by / bat.scale
+                    end(run.ids[ray], INFEASIBLE, "converged", it)
+                    go &= ~ray
+                res = np.sqrt(np.vecdot(ax, ax)) * np.maximum(1.0, bat.normc)
+                ray = go & (cx < 0.0) & (res <= feas_tol * (-cx))
+                end(run.ids[ray], UNBOUNDED, "converged", it)
+                go &= ~ray
 
-        run = _gather([(run, go)])
-        if run is None:
-            break
-        if run.bat is not bat:
-            at_y, _, rp, rd = _residuals(run)
-        stepped = []
-        for one, (reasons, step, alphas) in _steps(run, (at_y, rp, rd), rgs, mus, nu):
-            for k, why in zip(one.ids, reasons):
-                if why is not None:
-                    end(k, MAX_ITER, why, it)  # breakdown: the best iterate returns
-            if step is not None:
-                alive = [i for i, why in enumerate(reasons) if why is None]
-                stepped.append((_stepped(one, step, alphas, reasons), alive))
-        run = _gather(stepped)
-        if run is None:
-            break
+            run = _gather([(run, np.flatnonzero(go))])
+            if run is None:
+                break
+            rg, mu = rg[go], mu[go]
+            if run.bat is not bat:
+                at_y, _, rp, rd = _residuals(run)
+            stepped = []
+            for one, (reasons, step, alphas) in _steps(run, (at_y, rp, rd), rg, mu, nu):
+                for k, why in zip(one.ids, reasons):
+                    if why is not None:
+                        end([k], MAX_ITER, why, it)  # breakdown: the best iterate returns
+                if step is not None:
+                    alive = np.array([why is None for why in reasons])
+                    stepped.append((_stepped(one, step, alphas, alive), np.flatnonzero(alive)))
+            run = _gather(stepped)
+            if run is None:
+                break
 
-    for k, fin in enumerate(finals):
-        if fin is None:
-            end(k, MAX_ITER, "iteration_limit", it)
+    end([k for k, fin in enumerate(finals) if fin is None], MAX_ITER, "iteration_limit", it)
     return finals
 
 
-def _steps(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: float) -> list:
+def _steps(run: _Lockstep, res: tuple, rg: np.ndarray, mu: np.ndarray, nu: float) -> list:
     """``_newton`` of the run, as (run, its result) pairs.  Should the
     batch's step raise, each program takes its step alone, so that only the
     program at fault breaks down."""
     try:
         return [(run, _newton(run, res, rg, mu, nu))]
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        if run.bat.size == 1:
-            return [(run, ([_breakdown(exc)], None, None))]
+        if run.bat.size == 1:  # e.g. Cholesky of a block that lost definiteness
+            why = "factorization_failed" if isinstance(exc, np.linalg.LinAlgError) else "non_finite"
+            return [(run, ([why], None, None))]
     out = []
     for i in range(run.bat.size):
         one = _gather([(run, [i])])
         at_y, _, rp, rd = _residuals(one)
-        out += _steps(one, (at_y, rp, rd), [rg[i]], [mu[i]], nu)
+        out += _steps(one, (at_y, rp, rd), rg[i : i + 1], mu[i : i + 1], nu)
     return out
 
 
-def _stepped(run: _Lockstep, step: _Direction, alphas: list[float], reasons: list) -> _Lockstep:
-    """The run after each program's step; a program that broke down takes none."""
-    alphas = [0.0 if why is not None else a for a, why in zip(alphas, reasons)]
-    # a broken-down program's entries are dropped, whatever they hold
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _Lockstep(
-            run.bat,
-            run.ids,
-            [_herm(x + a * dx) for x, a, dx in zip(run.X, run.bat.per_cone(alphas), step.dX)],
-            [_herm(s + a * ds) for s, a, ds in zip(run.S, run.bat.per_cone(alphas), step.dS)],
-            run.y + np.array(alphas)[:, None] * step.dy,
-            [t + a * d for t, a, d in zip(run.tau, alphas, step.dtau)],
-            [k + a * d for k, a, d in zip(run.kap, alphas, step.dkap)],
-        )
+def _stepped(run: _Lockstep, step: _Direction, alphas: np.ndarray, alive: np.ndarray) -> _Lockstep:
+    """The run after each program's step; a program that broke down takes
+    none, and its entries are dropped, whatever they hold."""
+    alphas = np.where(alive, alphas, 0.0)
+    per_cone = run.bat.per_cone(alphas)
+    return _Lockstep(
+        run.bat,
+        run.ids,
+        [_herm(x + a * dx) for x, a, dx in zip(run.X, per_cone, step.dX)],
+        [_herm(s + a * ds) for s, a, ds in zip(run.S, per_cone, step.dS)],
+        run.y + alphas[:, None] * step.dy,
+        run.tau + alphas * step.dtau,
+        run.kap + alphas * step.dkap,
+    )
 
 
-def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: float):
+def _newton(run: _Lockstep, res: tuple, rg: np.ndarray, mu: np.ndarray, nu: float):
     """Each program's predictor-corrector direction and step length, as
     (reasons, step, alphas): a program whose step broke down has its reason,
     and its entries of the step are not used."""
     bat = run.bat
     X, Sm, y, tau, kap = run.X, run.S, run.y, run.tau, run.kap
     at_y, rp, rd = res
-    cobj = [st.cobj for st in bat.stacks]
+    cobj = bat.cobj
     reasons: list[str | None] = [None] * bat.size
 
-    def fail(i: int, why: str) -> None:
-        if reasons[i] is None:
-            reasons[i] = why
+    def fail(mask: np.ndarray, why: str) -> None:
+        for i in np.flatnonzero(mask):
+            if reasons[i] is None:
+                reasons[i] = why
 
     scal = _nt_scaling(X, Sm)
     ws = [sc.w for sc in scal]
@@ -1028,22 +1049,21 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
         return [w @ x @ w for w, x in zip(ws, mats)]
 
     mmats = _schur(bat, ws)
-    eqs, ups = _schur_factors(mmats)
-    for i, up in enumerate(ups):
-        if up is None:
-            fail(i, "factorization_failed")  # its directions are not used
+    eqs, ups, live = _schur_factors(mmats)
+    fail(~live, "factorization_failed")  # its directions are not used
 
     def msolve(rhs: np.ndarray) -> np.ndarray:
-        return _msolve(mmats, eqs, ups, rhs)
+        return _msolve(mmats, eqs, ups, live, rhs)
 
     # pieces independent of the complementarity right-hand side
     wrd = wmw(rd)
     awrd = bat.apply_a(wrd)
     cwrd = bat.inner(cobj, wrd)
 
-    def w_quad(mats) -> list[float]:
+    def w_quad(mats) -> np.ndarray:
         # <xi, W(xi)> accumulated as sums of squares for stability
-        return bat.sq_norm([_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)])
+        xi = [_h(sc.r) @ x @ sc.r for sc, x in zip(scal, mats)]
+        return bat.inner(xi, xi)
 
     # The tau column needs M^-1 A(W c W), whose right-hand side grows
     # like 1/mu; the residual of solving with it swamps the primal residual
@@ -1055,77 +1075,62 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
     c_hat = [c - aty / t for c, aty, t in zip(cobj, at_y, bat.per_cone(tau))]
     pb = msolve(bat.b)
     pu = msolve(bat.apply_a(wmw(c_hat)))
-    for i in range(bat.size):
-        if not (np.all(np.isfinite(pb[i])) and np.all(np.isfinite(pu[i]))):
-            fail(i, "non_finite")
+    fail(~(np.isfinite(pb).all(axis=1) & np.isfinite(pu).all(axis=1)), "non_finite")
     p2 = pb + pu
     # Delta-tau denominator, algebraically -(|W^.5 A'pb|^2 + |W^.5 (c_hat - A'pu)|^2
     # + kap/tau); the naive inner-product form cancels catastrophically once
     # the scaling matrices become extreme near convergence.
     at_pu = bat.apply_at(pu)
-    quads = zip(w_quad(bat.apply_at(pb)), w_quad([c - atp for c, atp in zip(c_hat, at_pu)]))
-    denom = [-(q1 + q2 + k / t) for (q1, q2), k, t in zip(quads, kap, tau)]
+    q2 = w_quad([c - atp for c, atp in zip(c_hat, at_pu)])
+    denom = -(w_quad(bat.apply_at(pb)) + q2 + kap / tau)
 
-    def direction(rx, dtau_rhs: list[float]) -> _Direction:
+    def direction(rx, dtau_rhs: np.ndarray) -> _Direction:
         h1 = -rp - bat.apply_a(rx) + awrd
         crx = bat.inner(cobj, rx)
         p1 = msolve(h1)
         # A(W c W) . p1 taken directly, not through M p1 = h1, so that
         # the gap row holds for the step actually taken
         wcp = bat.inner(wc, bat.apply_at(p1))
-        ok, dtau, dkap = [], [], []
-        for i in range(bat.size):
-            h3 = -rg[i] - dtau_rhs[i] / tau[i] - crx[i] + cwrd[i]
-            num = h3 + float(bat.b[i] @ p1[i]) - wcp[i]
-            good = denom[i] != 0.0 and np.isfinite(denom[i]) and np.isfinite(num)
-            ok.append(good)
-            dtau.append(num / denom[i] if good else 0.0)
-        dy_shift = p1 + np.array(dtau)[:, None] * p2  # dy' above
-        dy = dy_shift + np.array([d / t for d, t in zip(dtau, tau)])[:, None] * y
+        h3 = -rg - dtau_rhs / tau - crx + cwrd
+        num = h3 + np.vecdot(bat.b, p1) - wcp
+        ok = (denom != 0.0) & np.isfinite(denom) & np.isfinite(num)
+        dtau = np.where(ok, num / denom, 0.0)
+        dy_shift = p1 + dtau[:, None] * p2  # dy' above
+        dy = dy_shift + (dtau / tau)[:, None] * y
         at_dy = bat.apply_at(dy_shift)
-        dt = bat.per_cone(dtau)
-        dS = [-atd + ch * d + r for atd, ch, d, r in zip(at_dy, c_hat, dt, rd)]
+        dS = [-atd + ch * d + r for atd, ch, d, r in zip(at_dy, c_hat, bat.per_cone(dtau), rd)]
         dX = [_herm(r - w @ ds @ w) for r, w, ds in zip(rx, ws, dS)]
         if bat.lmi:
             # restore A dx - b dtau = -rp, which the back-substitution
             # above meets only to the accuracy of the Schur solves, by
             # the correction of least norm in the scaling's metric
-            v = msolve(bat.b * np.array(dtau)[:, None] - rp - bat.apply_a(dX))
+            v = msolve(bat.b * dtau[:, None] - rp - bat.apply_a(dX))
             dX = [_herm(dx + wv) for dx, wv in zip(dX, wmw(bat.apply_at(v)))]
-        for i, finite in enumerate(bat.finite([*dX, *dS], dy)):
-            dkap.append((dtau_rhs[i] - kap[i] * dtau[i]) / tau[i])
-            ok[i] = ok[i] and np.isfinite(dtau[i]) and np.isfinite(dkap[i]) and finite
+        dkap = (dtau_rhs - kap * dtau) / tau
+        ok &= np.isfinite(dtau) & np.isfinite(dkap) & bat.finite([*dX, *dS], dy)
         return _Direction(dX, dS, dy, dtau, dkap, ok)
 
-    def max_step(d: _Direction) -> list[float]:
-        out = []
-        for i, t in enumerate(_max_step(scal, d.dX, d.dS, bat.size).tolist()):
-            if d.dtau[i] < 0:
-                t = min(t, -tau[i] / d.dtau[i])
-            if d.dkap[i] < 0:
-                t = min(t, -kap[i] / d.dkap[i])
-            out.append(t)
-        return out
+    def max_step(d: _Direction) -> np.ndarray:
+        t = _max_step(scal, d.dX, d.dS, bat.size)
+        t = np.where(d.dtau < 0, np.minimum(t, -tau / d.dtau), t)
+        return np.where(d.dkap < 0, np.minimum(t, -kap / d.dkap), t)
 
-    aff = direction([-x for x in X], [-t * k for t, k in zip(tau, kap)])
-    for i, ok in enumerate(aff.ok):
-        if not ok:
-            fail(i, "non_finite")
+    aff = direction([-x for x in X], -tau * kap)
+    fail(~aff.ok, "non_finite")
 
-    a_aff = [min(1.0, t) for t in max_step(aff)]
+    a_aff = np.minimum(1.0, max_step(aff))
     compl_aff = bat.inner(
         [x + a * dx for x, a, dx in zip(X, bat.per_cone(a_aff), aff.dX)],
         [s + a * ds for s, a, ds in zip(Sm, bat.per_cone(a_aff), aff.dS)],
     )
-    sigma = []
-    for i, a in enumerate(a_aff):
-        tk_aff = (tau[i] + a * aff.dtau[i]) * (kap[i] + a * aff.dkap[i])
-        mu_aff = (compl_aff[i] + tk_aff) / (nu + 1)
-        sigma.append(min(1.0, max(0.0, (mu_aff / mu[i]) ** 3)))
+    tk_aff = (tau + a_aff * aff.dtau) * (kap + a_aff * aff.dkap)
+    mu_aff = (compl_aff + tk_aff) / (nu + 1)
+    # float_power rounds as the C library's pow does (np.power may not)
+    sigma = np.minimum(1.0, np.maximum(0.0, np.float_power(mu_aff / mu, 3)))
 
     # the corrector's complementarity right-hand side, in the scaled space
     rx = []
-    target = bat.per_cone([s * m for s, m in zip(sigma, mu)])
+    target = bat.per_cone(sigma * mu)
     for sc, st, dx, ds, tc in zip(scal, bat.stacks, aff.dX, aff.dS, target):
         dxt = sc.rinv @ dx @ _h(sc.rinv)
         dst = _h(sc.r) @ ds @ sc.r
@@ -1134,24 +1139,19 @@ def _newton(run: _Lockstep, res: tuple, rg: list[float], mu: list[float], nu: fl
         d[:, diag, diag] += tc[:, 0] - sc.lam**2
         d *= 2.0 / (sc.lam[:, :, None] + sc.lam[:, None, :])
         rx.append(_herm(sc.r @ d @ _h(sc.r)))
-    dtau_rhs = [
-        sigma[i] * mu[i] - tau[i] * kap[i] - aff.dtau[i] * aff.dkap[i] for i in range(bat.size)
-    ]
-    step = direction(rx, dtau_rhs)
-    if not all(step.ok):
+    step = direction(rx, sigma * mu - tau * kap - aff.dtau * aff.dkap)
+    if not step.ok.all():
         # where the corrector is not finite, the predictor is the step
-        use = [not ok for ok in step.ok]
+        use = ~step.ok
         step = _Direction(
-            [np.where(u > 0, a, s) for u, a, s in zip(bat.per_cone(use), aff.dX, step.dX)],
-            [np.where(u > 0, a, s) for u, a, s in zip(bat.per_cone(use), aff.dS, step.dS)],
-            np.where(np.array(use)[:, None], aff.dy, step.dy),
-            [a if u else s for u, a, s in zip(use, aff.dtau, step.dtau)],
-            [a if u else s for u, a, s in zip(use, aff.dkap, step.dkap)],
-            [True] * bat.size,
+            [np.where(u, a, s) for u, a, s in zip(bat.per_cone(use), aff.dX, step.dX)],
+            [np.where(u, a, s) for u, a, s in zip(bat.per_cone(use), aff.dS, step.dS)],
+            np.where(use[:, None], aff.dy, step.dy),
+            np.where(use, aff.dtau, step.dtau),
+            np.where(use, aff.dkap, step.dkap),
+            np.ones(bat.size, dtype=bool),
         )
 
-    alphas = [min(1.0, _STEP_BACKOFF * t) for t in max_step(step)]
-    for i, alpha in enumerate(alphas):
-        if not alpha >= _STALL_ALPHA:  # also rejects a NaN step length
-            fail(i, "step_stalled")
+    alphas = np.minimum(1.0, _STEP_BACKOFF * max_step(step))
+    fail(~(alphas >= _STALL_ALPHA), "step_stalled")  # also rejects a NaN step length
     return reasons, step, alphas

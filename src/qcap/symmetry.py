@@ -36,6 +36,7 @@ with no phase symmetry, such as a random one, gets one sector per grading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,20 +93,30 @@ def _group(charges: np.ndarray) -> Sectors:
 def phase_sectors(ch: Channel) -> PhaseSectors:
     """The sectors of the largest diagonal torus that leaves ``ch``'s Choi
     matrix invariant, in each of the four gradings; computed once per
-    channel, so that a sweep row's builders share them."""
+    channel, so that a sweep row's builders share them, from its Choi
+    matrix's support (``_grading``)."""
     return ch.cached("phase_sectors", _phase_sectors)
 
 
 def _phase_sectors(ch: Channel) -> PhaseSectors:
     j = choi(ch).mat.data
-    d_in, d_out = ch.d_in, ch.d_out
+    support = np.abs(j) > _ZERO_RTOL * np.max(np.abs(j))
+    return _grading(ch.d_in, ch.d_out, support.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _grading(d_in: int, d_out: int, support: bytes) -> PhaseSectors:
+    """The sectors of a Choi matrix whose entries are nonzero where the
+    (d_in d_out)-square boolean ``support`` is set: they depend on nothing
+    else, so the channels of one support pattern, such as ``channel_nr(r)``
+    for every r > 0, share one computation."""
     idx = np.arange(d_in * d_out)
     a, b = np.divmod(idx, d_out)
     # the charge phi_b - theta_a of each joint index, as a row on (theta, phi)
     q = np.zeros((idx.size, d_in + d_out))
     q[idx, a] = -1.0
     q[idx, d_in + b] = 1.0
-    r, c = np.nonzero(np.abs(j) > _ZERO_RTOL * np.max(np.abs(j)))
+    r, c = np.nonzero(np.frombuffer(support, dtype=bool).reshape(idx.size, idx.size))
     eqs = np.unique(q[r] - q[c], axis=0)
     with one_blas_thread():  # a second thread would only spin, long after this small SVD
         _, sig, vh = np.linalg.svd(eqs)
@@ -118,4 +129,3 @@ def _phase_sectors(ch: Channel) -> PhaseSectors:
         inputs=_group(phases[:d_in]),
         outputs=_group(phases[d_in:]),
     )
-

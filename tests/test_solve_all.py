@@ -5,7 +5,9 @@ form, iterations, values, residuals, row duals and blocks.
 The mixed batch holds programs of several assembled shapes in both forms,
 and next to them programs that end without converging: infeasible,
 inconsistent equality rows, a free ray, non-finite data, and a breakdown
-forced in one program of a batch."""
+forced in one program of a batch.  The Fig. 3 column holds the 25 Q_Theta
+programs of the sweep with r > 0: one batch, whose programs leave it at
+different iterations."""
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 import qcap.conic.solver as solver_mod
 from qcap.asymptotic import q_gamma_program, q_theta_program
 from qcap.channels import channel_nr
-from qcap.conic import ConicProgram, solve, solve_all
+from qcap.conic import ConicProgram, shared_frames, solve, solve_all
 
 _SCHUR = solver_mod._schur
 
@@ -151,3 +153,54 @@ def test_mixed_batch_matches_solo_solves(monkeypatch, mode):
 
 def test_empty_batch():
     assert solve_all([]) == []
+
+
+def test_fig3_q_theta_column_matches_solo_solves(monkeypatch):
+    # built as the CLI builds a sweep column: as copies of one program frame
+    with shared_frames():
+        progs = [q_theta_program(channel_nr(r))[0] for r in np.linspace(0.0, 0.5, 26)[1:]]
+    groups = []
+    iterate = solver_mod._iterate
+
+    def spy(members, *args):
+        groups.append(len(members))
+        return iterate(members, *args)
+
+    monkeypatch.setattr(solver_mod, "_iterate", spy)
+    batch = solve_all(progs)
+    assert groups == [25] and len({sol.iterations for sol in batch}) > 3
+    for i, (prog, both) in enumerate(zip(progs, batch)):
+        one = solve(prog)
+        assert one.status == "optimal", i
+        for field in ("status", "reason", "form", "iterations", "primal_value", "dual_value",
+                      "gap", "primal_residual", "dual_residual", "y"):
+            assert _same(getattr(one, field), getattr(both, field)), (i, field)
+        assert all(np.array_equal(one.blocks[k], both.blocks[k]) for k in one.blocks), i
+
+
+def test_stacked_kernels_match_their_per_program_loops():
+    # the batch's pairings and Schur factors against what a loop over the
+    # programs computes: np.vdot of each program's slices, and scipy's
+    # cholesky of each equilibrated, shifted M, to the bit
+    from scipy.linalg import cholesky
+
+    rng = np.random.default_rng(7)
+    with shared_frames():
+        progs = [q_theta_program(channel_nr(r))[0] for r in (0.1, 0.2, 0.3)]
+    bat = solver_mod._Batch(solver_mod._assemble_all(progs))
+    p, q = ([rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape) for c in bat.cobj]
+            for _ in range(2))
+    for i, got in enumerate(bat.inner(p, q)):
+        want = 0.0
+        for st, x, z, n in zip(bat.stacks, p, q, bat.counts):
+            want += st.gamma * float(np.vdot(x[i * n : (i + 1) * n], z[i * n : (i + 1) * n]).real)
+        assert got == want, i
+    a = rng.normal(size=(3, 30, 34)) * np.exp(rng.normal(size=(3, 30, 1)))
+    mmats = a @ a.swapaxes(1, 2)
+    mmats[1] *= -1.0  # its factorization fails, and only it
+    eqs, ups, live = solver_mod._schur_factors(mmats)
+    assert live.tolist() == [True, False, True]
+    for i in (0, 2):
+        scaled = mmats[i] * eqs[i][:, None] * eqs[i][None, :]
+        scaled[np.diag_indices(30)] += solver_mod._SCHUR_SHIFT
+        assert np.array_equal(ups[i], cholesky(scaled)), i

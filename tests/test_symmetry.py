@@ -95,6 +95,19 @@ def test_a_row_computes_choi_and_sectors_once(monkeypatch):
     assert calls == {"_choi_mat": 2, "_phase_sectors": 2}
 
 
+def test_channels_of_one_support_pattern_share_one_grading(monkeypatch):
+    symmetry._grading.cache_clear()
+    inner = [phase_sectors(channel_nr(r)) for r in (0.1, 0.3)]
+    edge = phase_sectors(channel_nr(0.0))
+    assert symmetry._grading.cache_info().misses == 2
+    assert inner[0] == inner[1] != edge
+    assert _sizes(edge.joint) != _sizes(inner[0].joint)
+    # the finer grading of r = 0 is wrong for r > 0, and still fails the build
+    monkeypatch.setattr(asymptotic, "phase_sectors", lambda ch: edge)
+    with pytest.raises(ValueError, match="does not vanish off its sectors"):
+        asymptotic.q_gamma_program(channel_nr(0.3))
+
+
 def test_sectors_leave_the_choi_matrix_invariant():
     j = choi(AD2).mat.data
     for p in phase_sectors(AD2).joint:
@@ -238,8 +251,11 @@ def test_sorted_grouping_matches_pairwise_grouping(monkeypatch, channels):
         got = phase_sectors(ch)
         with monkeypatch.context() as m:
             m.setattr(symmetry, "_group", _greedy_group)
-            # a new instance, as the first one keeps its sectors
+            # a new instance, as the first one keeps its sectors, and a new
+            # grading, as its support pattern's is kept too
+            symmetry._grading.cache_clear()
             assert got == phase_sectors(replace(ch))
+        symmetry._grading.cache_clear()
 
 
 def test_grouping_joins_rows_that_noise_sorts_apart():

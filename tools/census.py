@@ -16,7 +16,10 @@ comparison of two census runs.
 - ``nr``: channel_nr at r = 0, 0.02, ..., 0.48 (25 points, 0.22 and 0.38
   among them) with q_gamma in both forms and q_theta;
 - ``fig1``: the Fig. 1 grid, f, g and g_tilde at eps 0.01 on two uses of
-  amplitude damping for r = 0.05, 0.055, ..., 0.1.
+  amplitude damping for r = 0.05, 0.055, ..., 0.1;
+- ``ad3``: f, g and g_tilde at eps 0.01 on three uses of amplitude damping
+  for r = 0.05 and 0.09, so that a change that only shows above two uses
+  is seen.
 
 Each solve is recorded with its status, termination reason, the form it
 was solved in (``eq`` or ``lmi``), iteration count, objective value, gap and
@@ -41,8 +44,9 @@ written before they had a form as form ``eq``, the only form there was, and
 one written before they had sizes shows ``-`` for them, and one written
 before they had digests ``-`` for the digest count.
 
-The census is not part of the test suite: a run takes about 18 s (17.3 s
-for 540 solves on a 2-core x86-64 host with Python 3.11.7).
+The census is not part of the test suite: a run takes about 20 s (19.2 to
+21.9 s for 546 solves on a 2-core x86-64 host with Python 3.11.7, the
+``ad3`` group 1.3 s of it).
 """
 from __future__ import annotations
 
@@ -106,6 +110,11 @@ def _cases():
         ch = tensor(amplitude_damping(r), amplitude_damping(r))
         for bound, call in one_shot(ch, 0.01):
             yield "fig1", f"r={r:.3f}", bound, call
+    for r in (0.05, 0.09):
+        ad = amplitude_damping(r)
+        ch = tensor(tensor(ad, ad), ad)
+        for bound, call in one_shot(ch, 0.01):
+            yield "ad3", f"r={r:.2f}", bound, call
 
 
 def _digest(prog) -> str:

@@ -13,9 +13,7 @@ column is timed by ``time.process_time`` in three layers:
   its first row, plus every row's data added to a copy of it;
 - ``assemble``: the column's assembly as ``solve_all`` does it, on one BLAS
   thread as in the solve: ``solver._assemble_all`` of the column's
-  programs, which assembles the coefficients once per program structure,
-  or, in a tree that has no ``_assemble_all``, ``solver._assemble`` of each
-  program alone in the form ``solve`` picks;
+  programs, which assembles the coefficients once per program structure;
 - ``solve_all``: the column's solve, which assembles again.
 
 Each experiment also gets ``call``, the whole runner call less the assembly
@@ -60,11 +58,7 @@ def one_rep(experiment: str) -> dict[str, float]:
     def timed_solve_all(progs, *args):
         t0 = time.process_time()
         with one_blas_thread():
-            if hasattr(solver, "_assemble_all"):
-                solver._assemble_all(progs)
-            else:
-                for prog in progs:
-                    solver._assemble(prog, solver._form(prog))
+            solver._assemble_all(progs)
         t1 = time.process_time()
         sols = solve_all(progs, *args)
         out[f"{column}.assemble"] += t1 - t0
