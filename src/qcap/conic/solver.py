@@ -225,7 +225,7 @@ class _Stack:
     count: int
     spans: list[tuple[str, int, int]]  # (block, first cone, cones); a Hermitian block is one cone
     cobj: np.ndarray  # (count, side, side): the objective / gamma, in min sense
-    a: sparse.csr_array  # (m, count * side**2), each cone's coordinates contiguous
+    a: sparse.csr_array | None  # (m, count * side**2), cones contiguous; None in a batch
     # ``a`` / gamma with its rows split by cone, for the cones lo:hi of each
     # chunk: row (c - lo) * m + r holds row r's coefficients on cone c, so that
     # its product with [K_lo; ...; K_hi-1] stacks the a_c K_c / gamma
@@ -764,7 +764,7 @@ class _Batch:
                 _Stack(
                     st.side, st.gamma, st.count * self.size, [],
                     np.concatenate([d.stacks[j].cobj for d in members]),
-                    None,  # the batch keeps its A whole
+                    None,  # the batch keeps its A whole, in ``self.a``
                     _chunks([d.stacks[j] for d in members]),
                 )
                 for j, st in enumerate(first.stacks)
