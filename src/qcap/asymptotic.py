@@ -21,12 +21,13 @@ each operator (in)equality is zero off the sectors of its grading.
 
 A phase-covariant channel, such as ``channel_nr``, so gives small blocks,
 and any other channel the full ones.  ``e_w`` takes a state, not a channel,
-and stays dense.
+and stays dense.  The rate programs are built as the one-shot ones are, by
+``oneshot.stated``: each is a copy of its frame, to which the builder adds
+the Choi matrix, and ``q_gamma`` and ``q_theta`` solve it here.
 """
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -34,10 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .channels import Channel, choi
-from .conic import ConicProgram, SolverError, frame, solve
+from .conic import ConicProgram, SolverError, solve
 from .matops import HermMat, bipartite_maps, partial_transpose
+from .oneshot import stated
 from .results import BoundResult
-from .symmetry import PhaseSectors, phase_sectors
+from .symmetry import PhaseSectors
 
 SUPPORT_RTOL = 1e-10
 
@@ -64,34 +66,24 @@ def q_gamma_program(ch: Channel, form: str = "primal"):
     """
     if form not in ("primal", "dual"):
         raise ValueError(f"form must be 'primal' or 'dual', got {form!r}")
-    t0 = time.perf_counter()
-    j = choi(ch)
-    sec = phase_sectors(ch)
-    dims = (ch.d_in, ch.d_out)
-    prog = frame(("q_gamma", form, dims, sec), lambda: _q_gamma_frame(form, dims, sec))
+    prog, j, read = stated("q_gamma", ch, 1, _gamma_certificate, _q_gamma_frame, form)
     if form == "primal":
-        prog.set_objective({"R": j.mat.data})
+        prog.set_objective({"R": j.data})
     else:
-        prog.set_rhs(0, j.mat.data)  # (V - Y)^TB >= J, the first rows
-
-    def read(sol) -> BoundResult:
-        cert = None
-        if sol.blocks:
-            value = float("nan") if sol.primal_value is None else float(sol.primal_value)
-            blk = sol.blocks
-            if form == "primal":
-                cert = GammaCertificate(value, R=blk["R"], rho=blk["rho"])
-            else:
-                cert = GammaCertificate(value, V=blk["V"], Y=blk["Y"], mu=float(blk["mu"][0]))
-        return BoundResult.from_optimum(
-            "q_gamma", sol.primal_value, sol.status, sol.gap, t0, log_sign=1, certificate=cert,
-            iterations=sol.iterations, reason=sol.reason, form=sol.form,
-        )
-
+        prog.set_rhs(0, j.data)  # (V - Y)^TB >= J, the first rows
     return prog, read
 
 
-def _q_gamma_frame(form: str, dims: tuple[int, int], sec: PhaseSectors) -> ConicProgram:
+def _gamma_certificate(sol) -> GammaCertificate:
+    """The primal certificate when the solution has R, else the dual one."""
+    value = float("nan") if sol.primal_value is None else float(sol.primal_value)
+    blk = sol.blocks
+    if "R" in blk:
+        return GammaCertificate(value, R=blk["R"], rho=blk["rho"])
+    return GammaCertificate(value, V=blk["V"], Y=blk["Y"], mu=float(blk["mu"][0]))
+
+
+def _q_gamma_frame(dims: tuple[int, int], sec: PhaseSectors, form: str) -> ConicProgram:
     """``q_gamma_program``'s frame in ``form``: its program at J = 0."""
     d_in, d = dims[0], dims[0] * dims[1]
     lift, pt, _, tr_b = bipartite_maps(dims)
@@ -239,25 +231,13 @@ def q_theta_program(ch: Channel):
     block, is transposed-graded.  rho0 and rho1 are on the inputs, and the
     equalities of G's diagonal blocks on the transposed grading.
     """
-    t0 = time.perf_counter()
-    j = choi(ch)
-    dims = (ch.d_in, ch.d_out)
-    d = dims[0] * dims[1]
-    sec = phase_sectors(ch)
-    jt = partial_transpose(j.mat, 1).data
-
+    prog, j, read = stated("q_theta", ch, 1, None, _q_theta_frame)
+    d = ch.d_in * ch.d_out
+    jt = partial_transpose(j, 1).data
     cost = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     cost[:d, d:] = 0.5 * jt
     cost[d:, :d] = 0.5 * jt.conj().T
-    prog = frame(("q_theta", dims, sec), lambda: _q_theta_frame(dims, sec))
     prog.set_objective({"G": cost})
-
-    def read(sol) -> BoundResult:
-        return BoundResult.from_optimum(
-            "q_theta", sol.primal_value, sol.status, sol.gap, t0, log_sign=1,
-            iterations=sol.iterations, reason=sol.reason, form=sol.form,
-        )
-
     return prog, read
 
 

@@ -17,9 +17,10 @@ q_gamma, q_theta) has every row's program built and then solved together
 by one ``conic.solve_all``, which iterates the programs of one shape in
 lockstep; each value is the one a solve of that row alone gives, to the
 bit.  The rows of one phase grading share the program's frame (the program
-at J = 0, ``conic.frame``): it is built once, each row copies it and adds
-its Choi matrix, and the frames live only while the column is built, so
-that no frame outlives one call.  ``g_hat`` and the LP bounds are
+at J = 0, ``conic.frame``, keyed by its builder and the builder's
+arguments): it is built once, each row copies it and adds its Choi matrix,
+and the frames live only while the column is built, so that no frame
+outlives one call.  ``g_hat`` and the LP bounds are
 evaluated row by row.  Rows are written in grid order, so output is
 deterministic for a fixed spec.  Numeric cells are emitted at full
 precision; rounding is the plot consumer's job.

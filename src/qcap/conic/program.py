@@ -39,13 +39,15 @@ Frames.  A sweep states one program many times with new data: a bound's
 program takes the channel's Choi matrix J in its objective, in one rhs or in
 one scalar row's coefficient, and all the rest of it depends only on the
 dimensions and the phase grading.  The rest is the program's frame: the
-program at J = 0.  ``frame(key, build)`` returns a program to add the data
-to: inside ``shared_frames()``, a ``copy`` of the frame built once per key,
-and elsewhere the frame ``build()`` makes, as a frame of one.  The data goes
-in by ``set_objective``, ``set_rhs`` or ``add_terms``, each checked against
-the sectors as when the program is built whole, so the copy is the program
-that building it whole gives: the same blocks, rows and triples, in the same
-order.  The coefficient arrays are read-only and a copy shares them with its
+program at J = 0, which its builder makes as ``build(*args)``.
+``frame(build, *args)`` returns a program to add the data to: inside
+``shared_frames()``, a ``copy`` of the frame built once per key
+``(build, *args)``, so that a key holds every argument of its builder, and
+elsewhere the frame ``build(*args)`` makes, as a frame of one.  The data
+goes in by ``set_objective``, ``set_rhs`` or ``add_terms``, each checked
+against the sectors as when the program is built whole, so the copy is the
+program that building it whole gives: the same blocks, rows and triples, in
+the same order.  The coefficient arrays are read-only and a copy shares them with its
 frame; ``structure`` names what a program shares with its frame's other
 copies, and changes once a block or a coefficient is added, so that the
 solver assembles the coefficients once per ``structure`` (``solve_all``).
@@ -450,14 +452,14 @@ def _operator_rhs(rhs, out: _Sectors) -> np.ndarray:
     return r
 
 
-# the frames of the enclosing ``shared_frames``, by key; None outside one
+# the frames of the enclosing ``shared_frames``, by (build, *args); None outside one
 _FRAMES: ContextVar[dict | None] = ContextVar("qcap_frames", default=None)
 
 
 @contextmanager
 def shared_frames():
-    """Within the body, ``frame`` builds each key's frame once and hands out
-    copies of it; the frames are dropped on exit."""
+    """Within the body, ``frame`` builds each frame once per builder and
+    arguments and hands out copies of it; the frames are dropped on exit."""
     token = _FRAMES.set({})
     try:
         yield
@@ -465,13 +467,14 @@ def shared_frames():
         _FRAMES.reset(token)
 
 
-def frame(key: Hashable, build: Callable[[], ConicProgram]) -> ConicProgram:
-    """A program to add one row's data to: a copy of the frame of ``key``
-    inside ``shared_frames``, built by ``build()`` on the first call with
-    that key; elsewhere ``build()``'s own program."""
+def frame(build: Callable[..., ConicProgram], *args: Hashable) -> ConicProgram:
+    """A program to add one row's data to: a copy of the frame ``build(*args)``
+    inside ``shared_frames``, built on the first call with that builder and
+    those arguments; elsewhere ``build(*args)``'s own program."""
     frames = _FRAMES.get()
     if frames is None:
-        return build()
+        return build(*args)
+    key = (build, *args)
     if key not in frames:
-        frames[key] = build()
+        frames[key] = build(*args)
     return frames[key].copy()

@@ -23,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
-from .conic import SolverError
-from .oneshot import check_eps
+from .oneshot import check_eps, refine
 from .results import BoundResult
 
 _LP_STATUS = {0: "optimal", 1: "max_iter", 2: "infeasible", 3: "unbounded", 4: "max_iter"}
@@ -213,21 +212,6 @@ def lp_g_hat_iterate(
     Raises :class:`SolverError` (annotated with the failing round) if any
     round does not solve to optimality.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds}")
     eps = check_eps(eps)
     lp = DepolLp.build(n, p, d)  # shared by every round
-    seed = _lp_g(lp, eps)
-    if seed.status != "optimal":
-        raise SolverError(f"seed program ended with {seed.status}", seed.status)
-    m_hat = seed.value
-    out: list[BoundResult] = []
-    for rnd in range(1, rounds + 1):
-        res = _lp_g_hat(lp, eps, m_hat)
-        if res.status != "optimal":
-            raise SolverError(
-                f"round {rnd} program ended with {res.status}", res.status
-            )
-        out.append(res)
-        m_hat = res.value
-    return out
+    return refine(rounds, lambda: _lp_g(lp, eps), lambda m_hat: _lp_g_hat(lp, eps, m_hat))

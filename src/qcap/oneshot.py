@@ -14,6 +14,12 @@ Every program is stated on the sectors of the channel's phase symmetry
 (``symmetry.phase_sectors``): each variable and each inequality is zero off
 the sectors of its grading, so a phase-covariant channel, such as amplitude
 damping, gives many small blocks, and any other channel the full ones.
+
+Every channel bound, here and in ``asymptotic``, is built by ``stated``: it
+starts the clock, takes the Choi matrix J and the grading, and returns a
+copy of the bound's frame (``conic.frame``: the program at J = 0), J and the
+reader of the result; the builder adds J.  ``refine`` is the self-improving
+loop of ``g_hat_iterate`` and of its LP reduction.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,28 +102,33 @@ def fidelity_sdp(
     if k < 1:
         raise ValueError(f"code size must be a positive integer, got {k}")
     _check_class(code_class)
-    j = choi(ch)
-    lift, pt, tr_a, _ = bipartite_maps((ch.d_in, ch.d_out))
-    sec = phase_sectors(ch)
-    scale = 1.0 / k
-    eye = sp.identity(ch.d_in**2 * ch.d_out**2)
+    prog, j, read = stated("fidelity", ch, -1, None, _fidelity_frame, k, code_class)
+    prog.set_objective({"W": j.data})
+    res = read(solve(prog, feas_tol=feas_tol, gap_tol=gap_tol))
+    if res.status != "optimal":
+        raise SolverError(f"fidelity program for k={k} ended with {res.status}", res.status)
+    return FidelityResult(k=k, fidelity=res.value, code_class=code_class)
 
+
+def _fidelity_frame(
+    dims: tuple[int, int], sec: PhaseSectors, k: int, code_class: str
+) -> ConicProgram:
+    """``fidelity_sdp``'s frame: its program at J = 0."""
+    lift, pt, tr_a, _ = bipartite_maps(dims)
+    d_in, d = dims[0], dims[0] * dims[1]
+    scale = 1.0 / k
+    eye = sp.identity(d * d)
     prog = ConicProgram("max")
-    prog.herm_block("W", ch.d_in * ch.d_out, sec.joint)
-    prog.herm_block("rho", ch.d_in, sec.inputs)
-    prog.set_objective({"W": j.mat.data})
-    prog.add_constraint({"rho": np.eye(ch.d_in)}, "==", 1.0)
+    prog.herm_block("W", d, sec.joint)
+    prog.herm_block("rho", d_in, sec.inputs)
+    prog.add_constraint({"rho": np.eye(d_in)}, "==", 1.0)
     prog.add_operator_constraint({"W": eye, "rho": -lift}, "<=", 0, sec.joint)
     # -rho (x) I / k <= W^TB <= rho (x) I / k
     prog.add_operator_constraint({"W": pt, "rho": -scale * lift}, "<=", 0, sec.transposed)
     prog.add_operator_constraint({"W": pt, "rho": scale * lift}, ">=", 0, sec.transposed)
     if code_class == NS_PPT:
-        prog.add_operator_constraint({"W": tr_a}, "==", np.eye(ch.d_out) / k**2, sec.outputs)
-
-    sol = solve(prog, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol.status != "optimal":
-        raise SolverError(f"fidelity program for k={k} ended with {sol.status}", sol.status)
-    return FidelityResult(k=k, fidelity=float(sol.primal_value), code_class=code_class)
+        prog.add_operator_constraint({"W": tr_a}, "==", np.eye(dims[1]) / k**2, sec.outputs)
+    return prog
 
 
 def oneshot_capacity(
@@ -145,15 +157,35 @@ def oneshot_capacity(
     return math.log2(best)
 
 
-def _certificate(sol, with_theta: bool, with_t: bool) -> OneShotCertificate | None:
-    if not sol.blocks:
-        return None
+def stated(name: str, ch: Channel, log_sign: int, certificate, build, *args):
+    """A channel bound's program, before its Choi matrix J is added: a copy of
+    the frame ``build(dims, sectors, *args)``; and J, and the reader of the
+    result from a solution, with log2 of the value times ``log_sign`` and
+    ``certificate(sol)`` when given and the solution has blocks.  The clock
+    starts before J and the grading are taken."""
+    t0 = time.perf_counter()
+    j = choi(ch).mat
+    sec = phase_sectors(ch)
+    prog = frame(build, (ch.d_in, ch.d_out), sec, *args)
+
+    def read(sol) -> BoundResult:
+        cert = certificate(sol) if certificate is not None and sol.blocks else None
+        return BoundResult.from_optimum(
+            name, sol.primal_value, sol.status, sol.gap, t0, log_sign=log_sign,
+            certificate=cert, iterations=sol.iterations, reason=sol.reason, form=sol.form,
+        )
+
+    return prog, j, read
+
+
+def _certificate(sol) -> OneShotCertificate:
+    blk = sol.blocks
     return OneShotCertificate(
-        W=sol.blocks["W"],
-        rho=sol.blocks["rho"],
-        S=sol.blocks.get("S"),
-        Theta=sol.blocks.get("Theta") if with_theta else None,
-        t=float(sol.blocks["t"][0]) if with_t and "t" in sol.blocks else None,
+        W=blk["W"],
+        rho=blk["rho"],
+        S=blk.get("S"),
+        Theta=blk.get("Theta"),
+        t=float(blk["t"][0]) if "t" in blk else None,
         value=sol.primal_value,
     )
 
@@ -164,31 +196,18 @@ def _solved(built, feas_tol: float, gap_tol: float) -> BoundResult:
     return read(solve(prog, feas_tol=feas_tol, gap_tol=gap_tol))
 
 
-def _reader(name: str, t0: float, with_theta: bool, with_t: bool):
-    """Reads a one-shot bound's ``BoundResult`` from its program's solution;
-    the program was built from ``time.perf_counter() == t0``."""
-
-    def read(sol) -> BoundResult:
-        cert = _certificate(sol, with_theta=with_theta, with_t=with_t)
-        return BoundResult.from_optimum(
-            name, sol.primal_value, sol.status, sol.gap, t0, log_sign=-1, certificate=cert,
-            iterations=sol.iterations, reason=sol.reason, form=sol.form,
-        )
-
-    return read
+def _one_shot(name: str, ch: Channel, build, *args):
+    """A one-shot bound's program, its frame ``build`` with J in the
+    fidelity row tr(JW) >= 1 - eps, and its reader."""
+    prog, j, read = stated(name, ch, -1, _certificate, build, *args)
+    prog.add_terms(0, {"W": j.data})
+    return prog, read
 
 
 def f_program(ch: Channel, eps: float):
     """``bound_f``'s program on ``ch``, and the reader of its result from
     the program's solution."""
-    eps = check_eps(eps)
-    t0 = time.perf_counter()
-    j = choi(ch)
-    sec = phase_sectors(ch)
-    dims = (ch.d_in, ch.d_out)
-    prog = frame(("f", dims, sec, eps), lambda: _f_frame(dims, sec, eps))
-    prog.add_terms(0, {"W": j.mat.data})  # the fidelity row tr(JW) >= 1 - eps
-    return prog, _reader("f", t0, with_theta=True, with_t=False)
+    return _one_shot("f", ch, _f_frame, check_eps(eps))
 
 
 def _f_frame(dims: tuple[int, int], sec: PhaseSectors, eps: float) -> ConicProgram:
@@ -221,25 +240,12 @@ def bound_f(
     return _solved(f_program(ch, eps), feas_tol, gap_tol)
 
 
-def _g_program(name: str, ch: Channel, eps: float, with_t: bool, m_hat: float | None):
-    """The g-family program: W^TB boxed by +-S (x) I, plus the marginal rows
-    tr_A W = t I_B when ``with_t``, plus t >= m_hat**2 when ``m_hat`` is
-    given; and the reader of its result."""
-    t0 = time.perf_counter()
-    j = choi(ch)
-    sec = phase_sectors(ch)
-    dims = (ch.d_in, ch.d_out)
-    prog = frame(
-        ("g", dims, sec, eps, with_t, m_hat), lambda: _g_frame(dims, sec, eps, with_t, m_hat)
-    )
-    prog.add_terms(0, {"W": j.mat.data})  # the fidelity row tr(JW) >= 1 - eps
-    return prog, _reader(name, t0, with_theta=False, with_t=with_t)
-
-
 def _g_frame(
     dims: tuple[int, int], sec: PhaseSectors, eps: float, with_t: bool, m_hat: float | None
 ) -> ConicProgram:
-    """``_g_program``'s frame: its program at J = 0."""
+    """The g-family frame, the program at J = 0: W^TB boxed by +-S (x) I,
+    plus the marginal rows tr_A W = t I_B when ``with_t``, plus
+    t >= m_hat**2 when ``m_hat`` is given."""
     lift, pt, tr_a, _ = bipartite_maps(dims)
     d_in, d = dims[0], dims[0] * dims[1]
     eye = sp.identity(d * d)
@@ -265,12 +271,12 @@ def _g_frame(
 
 def g_program(ch: Channel, eps: float):
     """``bound_g``'s program and its reader."""
-    return _g_program("g", ch, check_eps(eps), False, None)
+    return _one_shot("g", ch, _g_frame, check_eps(eps), False, None)
 
 
 def g_tilde_program(ch: Channel, eps: float):
     """``bound_g_tilde``'s program and its reader."""
-    return _g_program("g_tilde", ch, check_eps(eps), True, None)
+    return _one_shot("g_tilde", ch, _g_frame, check_eps(eps), True, None)
 
 
 def bound_g(ch: Channel, eps: float, feas_tol: float = 1e-8, gap_tol: float = 1e-8) -> BoundResult:
@@ -300,7 +306,7 @@ def bound_g_hat(
     eps = check_eps(eps)
     if m_hat <= 0.0:
         raise ValueError(f"m_hat must be positive, got {m_hat}")
-    return _solved(_g_program("g_hat", ch, eps, True, m_hat), feas_tol, gap_tol)
+    return _solved(_one_shot("g_hat", ch, _g_frame, eps, True, m_hat), feas_tol, gap_tol)
 
 
 def g_hat_iterate(
@@ -317,17 +323,30 @@ def g_hat_iterate(
     Raises :class:`SolverError` (annotated with the failing round) if any
     round does not solve to optimality.
     """
+    return refine(
+        rounds,
+        lambda: bound_g(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol),
+        lambda m_hat: bound_g_hat(ch, eps, m_hat, feas_tol=feas_tol, gap_tol=gap_tol),
+    )
+
+
+def refine(
+    rounds: int, seed: Callable[[], BoundResult], step: Callable[[float], BoundResult]
+) -> list[BoundResult]:
+    """The self-improving loop: ``step(m_hat)`` for ``rounds`` rounds, the
+    floor m_hat of each the previous round's value, seeded by ``seed()``'s.
+
+    Returns one result per round.  Raises :class:`SolverError` (annotated
+    with the failing round) if the seed or any round is not optimal.
+    """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    seed = bound_g(ch, eps, feas_tol=feas_tol, gap_tol=gap_tol)
-    if seed.status != "optimal":
-        raise SolverError(f"seed bound ended with status {seed.status}", seed.status)
-    m_hat = seed.value
-    out: list[BoundResult] = []
-    for rnd in range(1, rounds + 1):
-        res = bound_g_hat(ch, eps, m_hat, feas_tol=feas_tol, gap_tol=gap_tol)
+    out = [seed()]
+    for rnd in range(rounds + 1):
+        res = out[-1]
         if res.status != "optimal":
-            raise SolverError(f"round {rnd} ended with status {res.status}", res.status)
-        out.append(res)
-        m_hat = res.value
-    return out
+            what = f"round {rnd}" if rnd else "seed"
+            raise SolverError(f"{what} ended with status {res.status}", res.status)
+        if rnd < rounds:
+            out.append(step(res.value))
+    return out[1:]

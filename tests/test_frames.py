@@ -20,7 +20,7 @@ import qcap.conic.program as program
 import qcap.conic.solver as solver_mod
 import qcap.oneshot as oneshot
 from qcap.channels import amplitude_damping, channel_nr, random_channel, tensor
-from qcap.conic import ConicProgram, shared_frames, solve_all
+from qcap.conic import ConicProgram, frame, shared_frames, solve_all
 from qcap.symmetry import phase_sectors
 
 FIG1_R = np.linspace(0.05, 0.1, 11).tolist()
@@ -169,7 +169,7 @@ def test_rows_whose_choi_matrix_breaks_the_grading_fail_alone(monkeypatch, capsy
         return ch
 
     monkeypatch.setattr(
-        asymptotic, "phase_sectors", lambda ch: phase_sectors(nr if ch is R32 else ch)
+        oneshot, "phase_sectors", lambda ch: phase_sectors(nr if ch is R32 else ch)
     )
     monkeypatch.setattr(logging.getLogger(), "handlers", [])
     rows = cli._sweep("fig3_nr r", grid, build, ("q_gamma", "q_theta"), 1)
@@ -205,6 +205,35 @@ def test_one_shot_row_that_breaks_the_grading_fails_alone(monkeypatch, capsys):
             assert math.isnan(ngt) and status == "error"
             continue
         assert (ngt, status) == (oneshot.bound_g_tilde(made[r], 0.01).log_value, "optimal")
+
+
+def test_a_frame_is_keyed_by_its_builder_and_its_arguments():
+    made = []
+
+    def builder(tag):
+        def build(side, name):
+            made.append((tag, side, name))
+            prog = ConicProgram("min")
+            prog.herm_block(name, side)
+            return prog
+
+        return build
+
+    one, other = builder("one"), builder("other")
+    with shared_frames():
+        first, second = frame(one, 2, "X"), frame(one, 2, "X")
+        # equal builder and arguments: copies of one frame
+        assert made == [("one", 2, "X")]
+        assert first is not second and first.structure is second.structure
+        # another argument, or another builder with equal arguments: another frame
+        others = [frame(one, 3, "X"), frame(one, 2, "Y"), frame(other, 2, "X")]
+        assert made[1:] == [("one", 3, "X"), ("one", 2, "Y"), ("other", 2, "X")]
+        assert len({prog.structure for prog in [first, *others]}) == 4
+        assert len(program._FRAMES.get()) == 4
+    # outside shared_frames each call builds afresh
+    alone = [frame(one, 2, "X"), frame(one, 2, "X")]
+    assert made[4:] == [("one", 2, "X")] * 2
+    assert alone[0].structure is not alone[1].structure
 
 
 def _toy(frame_only: bool, c=None, rhs=None):

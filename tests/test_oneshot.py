@@ -9,6 +9,7 @@ from qcap.channels import (
     random_channel,
     tensor,
 )
+from qcap.conic import SolverError
 from qcap.matops import partial_transpose
 from qcap.oneshot import (
     NS_PPT,
@@ -21,7 +22,9 @@ from qcap.oneshot import (
     fidelity_sdp,
     g_hat_iterate,
     oneshot_capacity,
+    refine,
 )
+from qcap.results import BoundResult
 
 CHAIN_CHANNELS = [random_channel(2, 2, d_env=2, seed=s) for s in (11, 23, 37)]
 
@@ -179,6 +182,28 @@ def test_g_hat_iterate_sequence():
     assert all(b >= a - 1e-8 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         g_hat_iterate(ch, 0.05, rounds=0)
+
+
+def test_refine_feeds_each_value_forward_and_names_the_failing_round():
+    def result(value, status="optimal"):
+        return BoundResult("x", value, 0.0, status, 0.0, 0.0)
+
+    floors = []
+
+    def step(m_hat):
+        floors.append(m_hat)
+        return result(m_hat + 1.0, "infeasible" if m_hat >= fail_at else "optimal")
+
+    fail_at = float("inf")
+    assert [r.value for r in refine(3, lambda: result(0.5), step)] == [1.5, 2.5, 3.5]
+    assert floors == [0.5, 1.5, 2.5]
+    fail_at = 1.5  # the second round is infeasible
+    with pytest.raises(SolverError, match="^round 2 ended with status infeasible$") as err:
+        refine(3, lambda: result(0.5), step)
+    assert err.value.status == "infeasible" and floors[3:] == [0.5, 1.5]
+    with pytest.raises(SolverError, match="^seed ended with status max_iter$"):
+        refine(3, lambda: result(0.5, "max_iter"), step)
+    assert floors[5:] == []
 
 
 def test_g_hat_iterate_noiseless_fixed_point():

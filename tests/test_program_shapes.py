@@ -181,9 +181,9 @@ def test_four_uses_of_amplitude_damping_build_in_bounded_memory():
         (oneshot, lambda: oneshot.f_program(RP2, 0.01)),
         (oneshot, lambda: oneshot.g_program(RP2, 0.01)),
         (oneshot, lambda: oneshot.g_tilde_program(RP2, 0.01)),
-        (asymptotic, lambda: asymptotic.q_gamma_program(R32)),
-        (asymptotic, lambda: asymptotic.q_gamma_program(R32, "dual")),
-        (asymptotic, lambda: asymptotic.q_theta_program(R32)),
+        (oneshot, lambda: asymptotic.q_gamma_program(R32)),
+        (oneshot, lambda: asymptotic.q_gamma_program(R32, "dual")),
+        (oneshot, lambda: asymptotic.q_theta_program(R32)),
     ],
 )
 def test_every_builder_clock_covers_choi_and_grading(monkeypatch, module, build):

@@ -103,7 +103,7 @@ def test_channels_of_one_support_pattern_share_one_grading(monkeypatch):
     assert inner[0] == inner[1] != edge
     assert _sizes(edge.joint) != _sizes(inner[0].joint)
     # the finer grading of r = 0 is wrong for r > 0, and still fails the build
-    monkeypatch.setattr(asymptotic, "phase_sectors", lambda ch: edge)
+    monkeypatch.setattr(oneshot, "phase_sectors", lambda ch: edge)
     with pytest.raises(ValueError, match="does not vanish off its sectors"):
         asymptotic.q_gamma_program(channel_nr(0.3))
 
@@ -129,8 +129,7 @@ def test_wrong_sectors_fail_at_build_time(monkeypatch, build):
     # channels with no phase symmetry, each given the grading of a
     # phase-covariant channel of its dimensions
     wrong = {(4, 4): phase_sectors(AD2), (3, 2): phase_sectors(channel_nr(0.22))}
-    for module in (oneshot, asymptotic):
-        monkeypatch.setattr(module, "phase_sectors", lambda ch: wrong[ch.d_in, ch.d_out])
+    monkeypatch.setattr(oneshot, "phase_sectors", lambda ch: wrong[ch.d_in, ch.d_out])
     for ch in (RP2, R32):
         with pytest.raises(ValueError, match="does not vanish off its sectors"):
             build(ch)
@@ -159,7 +158,7 @@ def _rate_results(build, channels):
 def test_rate_sector_programs_match_one_sector_programs_on_the_fig3_grid(monkeypatch, name):
     channels = [channel_nr(r) for r in FIG3_R]
     sectored, sector_rows = _rate_results(RATE_BUILDERS[name], channels)
-    monkeypatch.setattr(asymptotic, "phase_sectors", _one_sector)
+    monkeypatch.setattr(oneshot, "phase_sectors", _one_sector)
     dense, dense_rows = _rate_results(RATE_BUILDERS[name], channels)
     for r, res, ref, rows, ref_rows in zip(FIG3_R, sectored, dense, sector_rows, dense_rows):
         assert rows < ref_rows, r

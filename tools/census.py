@@ -8,8 +8,10 @@ comparison of two census runs.
 
 - ``random``: 24 random channels (seeds 0..23; 2->2, 2->3 and 3->2 in turn)
   with f, g and g_tilde at eps 0.01, 0.05 and 0.2, q_gamma in both forms,
-  q_theta, the code-fidelity SDP for k = 2 in both code classes, and e_w in
-  both forms on the channel's normalized Choi state;
+  q_theta, the code-fidelity SDP for k = 2 in both code classes, and for
+  k = 3 too on the eight 3->2 channels (``fidelity_*_k3``), so that the 1/k
+  coefficients are seen, and e_w in both forms on the channel's normalized
+  Choi state;
 - ``product``: 8 products of two random qubit channels (seeds 1000 + 2i and
   1001 + 2i) with f, g, g_tilde at eps 0.01, q_gamma in both forms and
   q_theta;
@@ -39,14 +41,11 @@ gate);
 it checks the gate for a change to the solver or to a program builder: every
 solve optimal on both sides, no bound's median iteration count higher, and
 no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
-A census written before solves had a reason reads as reason ``-``, one
-written before they had a form as form ``eq``, the only form there was, and
-one written before they had sizes shows ``-`` for them, and one written
-before they had digests ``-`` for the digest count.
+Both censuses of a ``compare`` are meant to be written by the same tool.
 
-The census is not part of the test suite: a run takes about 20 s (19.2 to
-21.9 s for 546 solves on a 2-core x86-64 host with Python 3.11.7, the
-``ad3`` group 1.3 s of it).
+The census is not part of the test suite: a run takes about 20 s (19.4 to
+20.0 s for 562 solves on a 2-core x86-64 host with Python 3.11.7, the
+``ad3`` group 1.3 s of it and the 16 fidelity solves at k = 3 0.4 s).
 """
 from __future__ import annotations
 
@@ -92,6 +91,10 @@ def _cases():
             yield "random", label, bound, call
         for cls in (oneshot.PPT, oneshot.NS_PPT):
             yield "random", label, f"fidelity_{cls}", lambda: oneshot.fidelity_sdp(ch, 2, cls)
+            if d_in == 3:
+                yield "random", label, f"fidelity_{cls}_k3", lambda: oneshot.fidelity_sdp(
+                    ch, 3, cls
+                )
         state = asymptotic.purified_output(ch, np.eye(d_in) / d_in)
         for form in ("primal", "dual"):
             yield "random", label, f"e_w_{form}", lambda: asymptotic.e_w(state, form)
@@ -203,21 +206,15 @@ def _by_bound(records) -> dict[str, list[dict]]:
     return dict(sorted(out.items()))
 
 
-def _form(rec) -> str:
-    return rec.get("form", "eq")
-
-
 def _counts(recs, field: str) -> str:
     counts = defaultdict(int)
     for rec in recs:
-        counts[_form(rec) if field == "form" else rec.get(field, "-")] += 1
+        counts[rec[field]] += 1
     return ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
 
 
 def _sizes(recs) -> str:
-    """Median PSD cone count, largest side and Schur rows, or ``-``."""
-    if any("psd_cones" not in rec for rec in recs):
-        return "-"
+    """Median PSD cone count, largest side and Schur rows."""
     return "/".join(
         f"{np.median([rec[f] for rec in recs]):g}" for f in ("psd_cones", "max_side", "schur_rows")
     )
@@ -225,7 +222,7 @@ def _sizes(recs) -> str:
 
 def _summary(records) -> str:
     head = (
-        f"{'bound':16s} {'solves':>6s}  {'status counts':24s} {'reason counts':24s} "
+        f"{'bound':18s} {'solves':>6s}  {'status counts':24s} {'reason counts':24s} "
         f"{'form counts':16s} {'cones/side/rows':16s} iterations min/q1/median/q3/max"
     )
     lines = [head]
@@ -234,7 +231,7 @@ def _summary(records) -> str:
         iters = "/".join(f"{v:g}" for v in q)
         status, reason, form = (_counts(recs, f) for f in ("status", "reason", "form"))
         lines.append(
-            f"{bound:16s} {len(recs):6d}  {status:24s} {reason:24s} {form:16s} "
+            f"{bound:18s} {len(recs):6d}  {status:24s} {reason:24s} {form:16s} "
             f"{_sizes(recs):16s} {iters}"
         )
     return "\n".join(lines)
@@ -247,10 +244,8 @@ def _rel(a, b) -> float:
 
 
 def _digest_changes(old: dict, new: dict) -> str:
-    """How many solves of both censuses solved another program, or ``-``."""
+    """How many solves of both censuses solved another program."""
     keys = old.keys() & new.keys()
-    if any("digest" not in rec[k] for rec in (old, new) for k in keys):
-        return "-"
     return f"{sum(old[k]['digest'] != new[k]['digest'] for k in keys)} of {len(keys)}"
 
 
@@ -269,7 +264,7 @@ def compare(before_path: str, after_path: str) -> int:
     if bad:
         failures.append(f"{len(bad)} solves not optimal, e.g. {bad[0]}")
     print(
-        f"{'bound':16s} median iterations   iterations changed   form changed    "
+        f"{'bound':18s} median iterations   iterations changed   form changed    "
         "max relative value change"
     )
     for bound, recs in _by_bound(after).items():
@@ -279,24 +274,24 @@ def compare(before_path: str, after_path: str) -> int:
         med_old = float(np.median([o["iterations"] for o, _ in pairs]))
         med_new = float(np.median([n["iterations"] for _, n in pairs]))
         changed = sum(o["iterations"] != n["iterations"] for o, n in pairs)
-        reformed = sum(_form(o) != _form(n) for o, n in pairs)
+        reformed = sum(o["form"] != n["form"] for o, n in pairs)
         worst = max(_rel(o["value"], n["value"]) for o, n in pairs)
         moved = f"{med_old:g} -> {med_new:g}"
         print(
-            f"{bound:16s} {moved:20s} {f'{changed} of {len(pairs)}':20s} "
+            f"{bound:18s} {moved:20s} {f'{changed} of {len(pairs)}':20s} "
             f"{f'{reformed} of {len(pairs)}':15s} {worst:.2e}"
         )
         if med_new > med_old:
             failures.append(f"{bound}: median iterations rose from {med_old:g} to {med_new:g}")
         if worst > GATE_RTOL:
             failures.append(f"{bound}: a value moved by {worst:.2e} relative")
-    print(f"\n{'group':8s} {'bound':16s} median cones/side/rows, before -> after")
+    print(f"\n{'group':8s} {'bound':18s} median cones/side/rows, before -> after")
     groups = defaultdict(list)
     for rec in after:
         groups[(rec["group"], rec["bound"])].append(rec)
     for (group, bound), recs in sorted(groups.items()):
         olds = [old[rec["key"]] for rec in recs if rec["key"] in old]
-        print(f"{group:8s} {bound:16s} {_sizes(olds)} -> {_sizes(recs)}")
+        print(f"{group:8s} {bound:18s} {_sizes(olds)} -> {_sizes(recs)}")
     print(f"\nprograms whose digest changed: {_digest_changes(old, new)}")
     print("\ngate: " + ("pass" if not failures else "FAIL\n  " + "\n  ".join(failures)))
     return 1 if failures else 0

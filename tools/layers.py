@@ -9,8 +9,9 @@ job, so every row is built and solved as ``qcap.cli`` does it.  The CLI's
 column is timed by ``time.process_time`` in three layers:
 
 - ``build``: every row's program; where ``qcap`` builds a program frame per
-  phase grading (``conic.frame``), that is each grading's frame, built with
-  its first row, plus every row's data added to a copy of it;
+  builder and arguments, the phase grading among them (``conic.frame``),
+  that is each grading's frame, built with its first row, plus every row's
+  data added to a copy of it;
 - ``assemble``: the column's assembly as ``solve_all`` does it, on one BLAS
   thread as in the solve: ``solver._assemble_all`` of the column's
   programs, which assembles the coefficients once per program structure;
