@@ -63,9 +63,10 @@ stacked ``vecdot``, which sums as ``np.vdot`` does), its Cholesky factor
 its stopping tests and best iterate, as masks.  Only its triangular solves
 run program by program.  So each program ends on the iterate it reaches
 alone, to the bit, and ``solve`` is ``solve_all`` of one program.  A program
-that ends leaves the batch, and the others go on; should a batched step
-raise, each program takes that step alone, so that only the program at
-fault breaks down.
+that ends leaves the batch, and the others go on.  A breakdown is a mask
+too: each LAPACK call of the step goes through ``_each``, which calls per
+matrix only should the stacked call raise, and gives a failed matrix a
+finite stand-in; its program alone ends with ``factorization_failed``.
 
 Frames.  The copies of one program frame (``ConicProgram.structure``, see
 ``program.py``) differ only in their costs and rows, so ``solve_all``
@@ -117,7 +118,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import cholesky
+from numpy.linalg import cholesky, eigvalsh, svd
 from scipy import sparse
 from scipy.linalg.lapack import dpotrs
 
@@ -181,9 +182,10 @@ class ConicSolution:
     ``inconsistent_rows`` (the equality rows have no solution, and ``y``
     combines them into 0 = 1), ``free_ray`` (``unbounded`` with no
     iteration: free columns that no row sees combine into a lower objective),
-    or a breakdown, ``factorization_failed`` (of the Schur complement or a
-    cone), ``non_finite`` or ``step_stalled``.  ``form`` is the form the
-    program was solved in, ``eq`` or ``lmi``."""
+    or a breakdown, ``factorization_failed`` (a LAPACK call on the Schur
+    complement, a cone or the step test failed), ``non_finite`` or
+    ``step_stalled``.  ``form`` is the form the program was solved in,
+    ``eq`` or ``lmi``."""
 
     status: str
     reason: str
@@ -433,6 +435,27 @@ def _schur(data, ws: list[np.ndarray]) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
+def _each(fn, mats: np.ndarray, stand_in) -> tuple:
+    """``fn`` of each matrix of a stack, by one stacked call, and the
+    positions of the matrices it failed on.  Only should that call raise
+    ``LinAlgError`` does ``fn`` run on each matrix alone; one it fails on
+    takes ``stand_in(side)``, a finite output of ``fn`` for one matrix, so
+    that its program's step runs on finite numbers until it is dropped."""
+    try:
+        return fn(mats), []
+    except np.linalg.LinAlgError:
+        pass
+    outs, bad = [], []
+    for i, mat in enumerate(mats):
+        try:
+            outs.append(fn(mat))
+        except np.linalg.LinAlgError:
+            outs.append(stand_in(mats.shape[-1]))
+            bad.append(i)
+    tup = isinstance(outs[0], tuple)
+    return (tuple(map(np.stack, zip(*outs))) if tup else np.stack(outs)), bad
+
+
 def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factorization of each Schur complement M of a (programs, m, m)
     stack: the equilibration of each, the upper Cholesky factor of each
@@ -444,9 +467,9 @@ def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     degenerate programs M becomes numerically singular near the optimum, and
     an unshifted factor returns garbage along its near-null directions.  Each
     solve (``_msolve``) takes one refinement step against the unshifted
-    matrix, which restores full accuracy everywhere else.  One stacked
-    ``cholesky`` factors every M; should one fail, each is factored alone, so
-    that only the failed ones are lost.
+    matrix, which restores full accuracy everywhere else.  The factors come
+    from ``_each``: a program whose M does not factor, or whose factor is not
+    finite, has no factor that holds.
     """
     diag = np.abs(np.diagonal(mmats, axis1=1, axis2=2))
     diag[diag == 0.0] = 1.0
@@ -454,17 +477,10 @@ def _schur_factors(mmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     scaled = mmats * eqs[:, :, None] * eqs[:, None, :]
     rows = np.arange(mmats.shape[1])
     scaled[:, rows, rows] += _SCHUR_SHIFT
-    try:
-        ups = cholesky(scaled, upper=True)  # M = U'U
-    except np.linalg.LinAlgError:
-        ups = np.full(scaled.shape, np.nan)
-        for up, mat in zip(ups, scaled):
-            try:
-                up[...] = cholesky(mat, upper=True)
-            except np.linalg.LinAlgError:
-                pass
+    ups, bad = _each(lambda mat: cholesky(mat, upper=True), scaled, np.eye)  # M = U'U
     # a collapsed scaling can leave a factor that is not finite
     live = np.isfinite(np.diagonal(ups, axis1=1, axis2=2)).all(axis=1)
+    live[bad] = False
     # each factor in column-major order, as LAPACK's triangular solves read it
     return eqs, np.ascontiguousarray(ups.swapaxes(1, 2)).swapaxes(1, 2), live
 
@@ -495,41 +511,52 @@ def _msolve(
 _Scaling = namedtuple("_Scaling", "r rinv lam w g")
 
 
-def _nt_scaling(xs: list[np.ndarray], ss: list[np.ndarray]) -> list[_Scaling]:
+def _nt_scaling(xs: list, ss: list, programs: int = 1) -> tuple[list[_Scaling], np.ndarray]:
     """The NT scaling of each stack of X and S, from their stacked Cholesky
-    factors Lx, Ls and the SVD of Ls^H Lx."""
+    factors Lx, Ls and the SVD of Ls^H Lx, and which of ``programs``
+    programs, whose cones follow one another in each stack, it failed for:
+    by ``_each``, a factor that fails is the identity, and a failed SVD that
+    of the identity."""
     out = []
+    failed = np.zeros(programs, dtype=bool)
     for x, s in zip(xs, ss):
-        lx = np.linalg.cholesky(x)
-        ls = np.linalg.cholesky(s)
-        u, sig, vh = np.linalg.svd(_h(ls) @ lx)
+        # by its full name, so that patching ``cholesky`` fails the Schur factor alone
+        lx, bad_x = _each(np.linalg.cholesky, x, np.eye)
+        ls, bad_s = _each(np.linalg.cholesky, s, np.eye)
+        (u, sig, vh), bad_v = _each(svd, _h(ls) @ lx, lambda n: (np.eye(n), np.ones(n), np.eye(n)))
+        for i in bad_x + bad_s + bad_v:
+            failed[i * programs // len(x)] = True
         isq = 1.0 / np.sqrt(sig)
         r = (lx @ _h(vh)) * isq[..., None, :]
         rinv = _h(u * isq[..., None, :]) @ _h(ls)
         g = np.concatenate([rinv * isq[..., :, None], _h(r) * isq[..., :, None]])
         out.append(_Scaling(r, rinv, sig, r @ _h(r), g))
-    return out
+    return out, failed
 
 
 def _max_step(
     scal: list[_Scaling], dX: list[np.ndarray], dS: list[np.ndarray], programs: int = 1
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Largest t with X + t dX and S + t dS PSD in every stack, for each of
-    ``programs`` programs whose cones follow one another in each stack.
+    ``programs`` programs whose cones follow one another in each stack, and
+    which programs the test failed for.
 
     The step test runs in the scaled space, where X and S both read
     diag(lam): X + t dX is PSD while I + t lam^-1/2 R^-1 dX R^-H lam^-1/2 is,
     so t is -1/lambda_min of that matrix, and likewise of
     lam^-1/2 R^H dS R lam^-1/2 for S.  That is one stacked ``eigvalsh`` per
-    stack, and no triangular solve.
+    stack (through ``_each``), and no triangular solve.
     """
     lmin = np.full(programs, np.inf)
+    failed = np.zeros(programs, dtype=bool)
     for sc, dx, ds in zip(scal, dX, dS):
-        low = np.linalg.eigvalsh(_herm(sc.g @ np.concatenate([dx, ds]) @ _h(sc.g)))[:, 0]
+        vals, bad = _each(eigvalsh, _herm(sc.g @ np.concatenate([dx, ds]) @ _h(sc.g)), np.zeros)
         # each program's cones of X, then of S
-        low = low.reshape(2, programs, -1).swapaxes(0, 1).reshape(programs, -1).min(axis=1)
+        for i in bad:
+            failed[i % len(dx) * programs // len(dx)] = True
+        low = vals[:, 0].reshape(2, programs, -1).swapaxes(0, 1).reshape(programs, -1).min(axis=1)
         lmin = np.minimum(lmin, low)
-    return np.where(lmin >= -1e-300, np.inf, -1.0 / lmin)
+    return np.where(lmin >= -1e-300, np.inf, -1.0 / lmin), failed
 
 
 _Direction = namedtuple("_Direction", "dX dS dy dtau dkap ok")
@@ -839,30 +866,19 @@ class _Lockstep:
         return [x.reshape(self.bat.size, c, *x.shape[1:]) for x, c in zip(mats, self.bat.counts)]
 
 
-def _gather(parts: list[tuple[_Lockstep, np.ndarray]]) -> _Lockstep | None:
-    """The programs at the given positions of each run, as one run; None if
+def _gather(run: _Lockstep, keep: np.ndarray) -> _Lockstep | None:
+    """The programs at positions ``keep`` of the run, as one run; None if
     there are none."""
-    parts = [(run, keep) for run, keep in parts if len(keep)]
-    if not parts:
+    if not len(keep):
         return None
-    if len(parts) == 1 and len(parts[0][1]) == parts[0][0].bat.size:
-        return parts[0][0]
-
-    def joined(pick) -> list[np.ndarray]:
-        pieces = [[x[keep] for x in pick(run)] for run, keep in parts]
-        return [np.concatenate(stack).reshape(-1, *stack[0].shape[2:]) for stack in zip(*pieces)]
-
-    def cat(field: str) -> np.ndarray:
-        return np.concatenate([getattr(run, field)[keep] for run, keep in parts])
-
+    if len(keep) == run.bat.size:
+        return run
     return _Lockstep(
-        _Batch([run.bat.members[i] for run, keep in parts for i in keep]),
-        cat("ids"),
-        joined(lambda run: run.cones(run.X)),
-        joined(lambda run: run.cones(run.S)),
-        cat("y"),
-        cat("tau"),
-        cat("kap"),
+        _Batch([run.bat.members[i] for i in keep]),
+        run.ids[keep],
+        [x[keep].reshape(-1, *x.shape[2:]) for x in run.cones(run.X)],
+        [s[keep].reshape(-1, *s.shape[2:]) for s in run.cones(run.S)],
+        run.y[keep], run.tau[keep], run.kap[keep],
     )
 
 
@@ -971,44 +987,23 @@ def _iterate(members: list[_Assembled], feas_tol, gap_tol, max_iter) -> list[_Fi
                 end(run.ids[ray], UNBOUNDED, "converged", it)
                 go &= ~ray
 
-            run = _gather([(run, np.flatnonzero(go))])
+            run = _gather(run, np.flatnonzero(go))
             if run is None:
                 break
             rg, mu = rg[go], mu[go]
             if run.bat is not bat:
                 at_y, _, rp, rd = _residuals(run)
-            stepped = []
-            for one, (reasons, step, alphas) in _steps(run, (at_y, rp, rd), rg, mu, nu):
-                for k, why in zip(one.ids, reasons):
-                    if why is not None:
-                        end([k], MAX_ITER, why, it)  # breakdown: the best iterate returns
-                if step is not None:
-                    alive = np.array([why is None for why in reasons])
-                    stepped.append((_stepped(one, step, alphas, alive), np.flatnonzero(alive)))
-            run = _gather(stepped)
+            reasons, step, alphas = _newton(run, (at_y, rp, rd), rg, mu, nu)
+            for k, why in zip(run.ids, reasons):
+                if why is not None:
+                    end([k], MAX_ITER, why, it)  # breakdown: the best iterate returns
+            alive = np.array([why is None for why in reasons])
+            run = _gather(_stepped(run, step, alphas, alive), np.flatnonzero(alive))
             if run is None:
                 break
 
     end([k for k, fin in enumerate(finals) if fin is None], MAX_ITER, "iteration_limit", it)
     return finals
-
-
-def _steps(run: _Lockstep, res: tuple, rg: np.ndarray, mu: np.ndarray, nu: float) -> list:
-    """``_newton`` of the run, as (run, its result) pairs.  Should the
-    batch's step raise, each program takes its step alone, so that only the
-    program at fault breaks down."""
-    try:
-        return [(run, _newton(run, res, rg, mu, nu))]
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        if run.bat.size == 1:  # e.g. Cholesky of a block that lost definiteness
-            why = "factorization_failed" if isinstance(exc, np.linalg.LinAlgError) else "non_finite"
-            return [(run, ([why], None, None))]
-    out = []
-    for i in range(run.bat.size):
-        one = _gather([(run, [i])])
-        at_y, _, rp, rd = _residuals(one)
-        out += _steps(one, (at_y, rp, rd), rg[i : i + 1], mu[i : i + 1], nu)
-    return out
 
 
 def _stepped(run: _Lockstep, step: _Direction, alphas: np.ndarray, alive: np.ndarray) -> _Lockstep:
@@ -1042,7 +1037,8 @@ def _newton(run: _Lockstep, res: tuple, rg: np.ndarray, mu: np.ndarray, nu: floa
             if reasons[i] is None:
                 reasons[i] = why
 
-    scal = _nt_scaling(X, Sm)
+    scal, broken = _nt_scaling(X, Sm, bat.size)
+    fail(broken, "factorization_failed")  # its scaling is a finite stand-in
     ws = [sc.w for sc in scal]
 
     def wmw(mats):
@@ -1111,7 +1107,8 @@ def _newton(run: _Lockstep, res: tuple, rg: np.ndarray, mu: np.ndarray, nu: floa
         return _Direction(dX, dS, dy, dtau, dkap, ok)
 
     def max_step(d: _Direction) -> np.ndarray:
-        t = _max_step(scal, d.dX, d.dS, bat.size)
+        t, broken = _max_step(scal, d.dX, d.dS, bat.size)
+        fail(broken, "factorization_failed")
         t = np.where(d.dtau < 0, np.minimum(t, -tau / d.dtau), t)
         return np.where(d.dkap < 0, np.minimum(t, -kap / d.dkap), t)
 

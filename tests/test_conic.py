@@ -293,10 +293,11 @@ def _box_program():
     return prog
 
 
-# one NT scaling of all stacks and one Cholesky factorization of the Schur
-# complement per iteration; two step-length tests per iteration
+# per iteration, on the two stacks of the box: one SVD of each in the NT
+# scaling, one eigvalsh of each in each of the two step-length tests, and one
+# Cholesky factorization of the Schur complement
 @pytest.mark.parametrize(
-    "target, healthy_calls", [("_nt_scaling", 3), ("_max_step", 6), ("cholesky", 3)]
+    "target, healthy_calls", [("svd", 6), ("eigvalsh", 12), ("cholesky", 3)]
 )
 def test_breakdown_returns_status_instead_of_raising(monkeypatch, target, healthy_calls):
     clean = solve(_box_program())
@@ -365,7 +366,7 @@ def test_breakdown_restores_blas_threads(monkeypatch, blas_at_two):
     def failing(*args):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(solver_mod, "_nt_scaling", failing)
+    monkeypatch.setattr(solver_mod, "svd", failing)
     assert solve(_box_program()).status == MAX_ITER
     assert _thread_counts(blas_at_two) == outside
     # an exception escaping the body restores the counts as well
@@ -728,5 +729,6 @@ def test_scaled_step_matches_an_eigenvalue_reference(side):
         return np.inf if lmin >= 0 else -1.0 / lmin
 
     want = min(reference(x, dx), reference(s, ds))
-    got = solver_mod._max_step(solver_mod._nt_scaling([x], [s]), [dx], [ds])
+    scal, _ = solver_mod._nt_scaling([x], [s])
+    got, _ = solver_mod._max_step(scal, [dx], [ds])
     assert np.isfinite(want) and abs(got - want) <= 1e-10 * want

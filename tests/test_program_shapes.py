@@ -176,26 +176,28 @@ def test_four_uses_of_amplitude_damping_build_in_bounded_memory():
 
 
 @pytest.mark.parametrize(
-    "module, build",
+    "build",
     [
-        (oneshot, lambda: oneshot.f_program(RP2, 0.01)),
-        (oneshot, lambda: oneshot.g_program(RP2, 0.01)),
-        (oneshot, lambda: oneshot.g_tilde_program(RP2, 0.01)),
-        (oneshot, lambda: asymptotic.q_gamma_program(R32)),
-        (oneshot, lambda: asymptotic.q_gamma_program(R32, "dual")),
-        (oneshot, lambda: asymptotic.q_theta_program(R32)),
+        lambda: oneshot.f_program(RP2, 0.01),
+        lambda: oneshot.g_program(RP2, 0.01),
+        lambda: oneshot.g_tilde_program(RP2, 0.01),
+        lambda: asymptotic.q_gamma_program(R32),
+        lambda: asymptotic.q_gamma_program(R32, "dual"),
+        lambda: asymptotic.q_theta_program(R32),
     ],
+    ids=["f", "g", "g_tilde", "q_gamma_primal", "q_gamma_dual", "q_theta"],
 )
-def test_every_builder_clock_covers_choi_and_grading(monkeypatch, module, build):
-    # a result's wall time spans the same steps for every bound
+def test_every_builder_clock_covers_choi_and_grading(monkeypatch, build):
+    # a result's wall time spans the same steps for every bound: each
+    # builder takes the clock, the Choi matrix and the grading in ``oneshot``
     events = []
-    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: events.append("t0")))
+    monkeypatch.setattr(oneshot, "time", SimpleNamespace(perf_counter=lambda: events.append("t0")))
     for name in ("choi", "phase_sectors"):
-        real = getattr(module, name)
+        real = getattr(oneshot, name)
         def spy(ch, real=real, name=name):
             events.append(name)
             return real(ch)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(oneshot, name, spy)
     build()
     assert events[:3] == ["t0", "choi", "phase_sectors"]

@@ -8,6 +8,7 @@ inconsistent equality rows, a free ray, non-finite data, and a breakdown
 forced in one program of a batch.  The Fig. 3 column holds the 25 Q_Theta
 programs of the sweep with r > 0: one batch, whose programs leave it at
 different iterations."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qcap.channels import channel_nr
 from qcap.conic import ConicProgram, shared_frames, solve, solve_all
 
 _SCHUR = solver_mod._schur
+_NEWTON = solver_mod._newton
 
 
 def _box(seed: int, trace: float = 1.0) -> ConicProgram:
@@ -84,24 +86,36 @@ def _programs():
     ]
 
 
-def _break_at_third_schur(mode: str):
-    """``_schur`` that fails for the program whose rows read tr X = 2 from
-    its third Schur complement on: a NaN complement, whose factorization
-    fails in its own program, or an exception out of the batched step."""
+def _break_at_third_step(mode: str) -> tuple[str, object]:
+    """The solver function to patch, and its stand-in, that break the
+    program whose rows read tr X = 2 from its third step on: ``nan``, a NaN
+    Schur complement out of ``_schur``, whose factorization fails in its own
+    program; ``raise``, ``_newton`` handed that program's cones negated,
+    whose stacked Cholesky factor raises in the NT scaling."""
     seen = []
+
+    def broken(b) -> bool:
+        if b.size == 2 and b[0] == 2.0:
+            seen.append(None)
+            return len(seen) > 2
+        return False
 
     def schur(data, ws):
         mats = _SCHUR(data, ws)
         for i, b in enumerate(np.atleast_2d(data.b)):
-            if b.size == 2 and b[0] == 2.0:
-                seen.append(i)
-                if len(seen) > 2:
-                    if mode == "raise":
-                        raise np.linalg.LinAlgError("forced")
-                    mats[i] = np.nan
+            if broken(b):
+                mats[i] = np.nan
         return mats
 
-    return schur
+    def newton(run, *args):
+        X = [x.copy() for x in run.X]
+        for i, b in enumerate(run.bat.b):
+            if broken(b):
+                for x in run.cones(X):
+                    x[i] *= -1.0
+        return _NEWTON(dataclasses.replace(run, X=X), *args)
+
+    return ("_schur", schur) if mode == "nan" else ("_newton", newton)
 
 
 def _same(a, b) -> bool:
@@ -130,10 +144,10 @@ def test_mixed_batch_matches_solo_solves(monkeypatch, mode):
     monkeypatch.setattr(solver_mod, "_iterate", spy)
     solo = []
     for _, prog, *_ in cases:
-        monkeypatch.setattr(solver_mod, "_schur", _break_at_third_schur(mode))
+        monkeypatch.setattr(solver_mod, *_break_at_third_step(mode))
         solo.append(solve(prog))
     groups.clear()
-    monkeypatch.setattr(solver_mod, "_schur", _break_at_third_schur(mode))
+    monkeypatch.setattr(solver_mod, *_break_at_third_step(mode))
     batch = solve_all([prog for _, prog, *_ in cases])
 
     # the four boxes, two q_gamma in each form, q_theta, and the three LPs

@@ -21,7 +21,12 @@ comparison of two census runs.
   amplitude damping for r = 0.05, 0.055, ..., 0.1;
 - ``ad3``: f, g and g_tilde at eps 0.01 on three uses of amplitude damping
   for r = 0.05 and 0.09, so that a change that only shows above two uses
-  is seen.
+  is seen;
+- ``ad2``: on two uses of amplitude damping at the Fig. 1 points r = 0.05
+  and 0.09, the bounds the ``fig1`` group leaves out, each stated on the
+  phase sectors: the code-fidelity SDP for k = 2 in both code classes,
+  g_hat by one round of ``g_hat_iterate`` at eps 0.01 (its seed g, then
+  the round), q_gamma in both forms and q_theta.
 
 Each solve is recorded with its status, termination reason, the form it
 was solved in (``eq`` or ``lmi``), iteration count, objective value, gap and
@@ -43,9 +48,10 @@ solve optimal on both sides, no bound's median iteration count higher, and
 no value moved by more than 1e-7 relative.  It exits 1 if the gate fails.
 Both censuses of a ``compare`` are meant to be written by the same tool.
 
-The census is not part of the test suite: a run takes about 20 s (19.4 to
-20.0 s for 562 solves on a 2-core x86-64 host with Python 3.11.7, the
-``ad3`` group 1.3 s of it and the 16 fidelity solves at k = 3 0.4 s).
+The census is not part of the test suite: a run takes about 22 s (22.3 and
+23.2 s for 576 solves on a 2-core x86-64 host with Python 3.11.7, the
+``ad3`` group 1.3 s of it, the 16 fidelity solves at k = 3 0.4 s and the
+14 ``ad2`` solves 0.5 to 0.8 s).
 """
 from __future__ import annotations
 
@@ -118,6 +124,14 @@ def _cases():
         ch = tensor(tensor(ad, ad), ad)
         for bound, call in one_shot(ch, 0.01):
             yield "ad3", f"r={r:.2f}", bound, call
+    for r in (0.05, 0.09):
+        ad = amplitude_damping(r)
+        ch = tensor(ad, ad)
+        for cls in (oneshot.PPT, oneshot.NS_PPT):
+            yield "ad2", f"r={r:.2f}", f"fidelity_{cls}", lambda: oneshot.fidelity_sdp(ch, 2, cls)
+        yield "ad2", f"r={r:.2f}", "g_hat", lambda: oneshot.g_hat_iterate(ch, 0.01, 1)
+        for bound, call in rates(ch):
+            yield "ad2", f"r={r:.2f}", bound, call
 
 
 def _digest(prog) -> str:
