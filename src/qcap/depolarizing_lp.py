@@ -9,24 +9,106 @@ transpose becomes the exact rational matrix ``x_coeffs`` builds, and the
 bound programs become LPs of side n+1 that stay solvable at n=30 where the
 full SDPs would have side 4^n.
 
-The LPs are dispatched to a simplex engine; the returned vertices are exact
-to roundoff, which keeps the ordering and monotonicity relations between
-bound values intact even where they tie exactly.
+The LPs are solved by the dual simplex of the HiGHS that scipy bundles
+(Huangfu and Hall, Math. Prog. Comp. 10, 2018); the returned vertices are
+exact to roundoff, which keeps the ordering and monotonicity relations
+between bound values intact even where they tie exactly.  ``linprog`` calls
+scipy's HiGHS bindings directly, with the settings and the result checks of
+``scipy.optimize.linprog(method="highs")``, whose per-call input cleaning,
+option validation and sparse conversion cost more than the solves of these
+small LPs.  It keeps the name ``linprog`` because the benchmark's tracer
+wraps ``depolarizing_lp.linprog`` by that name and reads its ``status``.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _highs
 
 from .oneshot import check_eps, refine
 from .results import BoundResult
 
 _LP_STATUS = {0: "optimal", 1: "max_iter", 2: "infeasible", 3: "unbounded", 4: "max_iter"}
+
+_INF = _highs.kHighsInf
+
+# the settings scipy.optimize.linprog(method="highs") passes HiGHS
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.log_to_console = False
+_OPTIONS.output_flag = False
+_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+# scipy's status of each HiGHS model status (_highs_to_scipy_status_message);
+# every other model status reads 4
+_M = _highs.HighsModelStatus
+_SCIPY_STATUS = {
+    _M.kOptimal: 0,
+    _M.kTimeLimit: 1,
+    _M.kIterationLimit: 1,
+    _M.kInfeasible: 2,
+    _M.kModelError: 2,
+    _M.kUnbounded: 3,
+}
+
+# scipy's _check_result: sqrt of linprog's default tol of 1e-9, times 10
+_CHECK_TOL = 10.0 * math.sqrt(1e-9)
+
+LpResult = namedtuple("LpResult", "status fun x")
+
+
+def linprog(c, a_ub, b_ub, lb, ub) -> LpResult:
+    """min c'x subject to a_ub x <= b_ub and lb <= x <= ub, by HiGHS.
+
+    ``status``, ``fun`` and ``x`` are those of ``scipy.optimize.linprog(c,
+    A_ub=a_ub, b_ub=b_ub, bounds=list(zip(lb, ub)), method="highs")``, to the
+    bit: scipy's status codes, and ``fun`` and ``x`` only when HiGHS reports
+    an optimum.  As scipy does, an optimum whose x misses a bound or a row by
+    more than 10 sqrt(1e-9) reads status 4.  (scipy also demotes an
+    ``infeasible`` whose point is feasible; HiGHS hands over no point but an
+    optimum, so that case cannot arise.)  Infinite bounds are ``kHighsInf``.
+    Each call takes a fresh solver, so no state carries from one LP to the
+    next.
+    """
+    rows, cols = a_ub.shape
+    nonzero = a_ub.T != 0.0
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, rows
+    mat = lp.a_matrix_
+    mat.format_ = _highs.MatrixFormat.kColwise
+    mat.num_col_, mat.num_row_ = cols, rows
+    mat.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    mat.index_ = np.nonzero(nonzero)[1]
+    mat.value_ = a_ub.T[nonzero]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = np.full(rows, -_INF), b_ub
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return LpResult(_SCIPY_STATUS[_M.kModelError], None, None)
+    ran = highs.run() != _highs.HighsStatus.kError
+    status = _SCIPY_STATUS.get(highs.getModelStatus(), 4)
+    if status != 0 or not ran:
+        return LpResult(4 if status == 0 else status, None, None)
+    sol = highs.getSolution()
+    x = np.array(sol.col_value)
+    fun = highs.getInfo().objective_function_value
+    slack = b_ub - np.array(sol.row_value)
+    if (
+        np.isnan(fun)
+        or np.isnan(x).any()
+        or np.isnan(slack).any()
+        or not np.all((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL))
+        or (slack < -_CHECK_TOL).any()
+    ):
+        status = 4
+    return LpResult(status, fun, x)
 
 
 @lru_cache(maxsize=256)
@@ -72,6 +154,11 @@ class DepolLp:
     ``x`` is the transpose table, ``fw`` the channel-fidelity weight of each
     invariant component, ``gw`` the marginal weight entering the iterated
     constraint, and ``kw`` the multiplicity of each transpose eigenvalue.
+    ``box`` holds the rows x[:, k]' m - eta <= 0 and -x[:, k]' m - eta <= 0
+    of every transpose eigenvalue k over the variables [m_0..m_n, eta], and
+    ``box_lb``, ``box_ub`` the bounds m in [0, 1], eta >= 0: they depend on
+    ``x`` alone, and ``lp_g`` and every round of ``lp_g_hat_iterate`` share
+    them.
     """
 
     n: int
@@ -81,6 +168,9 @@ class DepolLp:
     fw: np.ndarray = field(repr=False)
     gw: np.ndarray = field(repr=False)
     kw: np.ndarray = field(repr=False)
+    box: np.ndarray = field(repr=False)
+    box_lb: np.ndarray = field(repr=False)
+    box_ub: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, n: int, p: float, d: int = 2) -> "DepolLp":
@@ -100,12 +190,17 @@ class DepolLp:
             ],
             dtype=float,
         )
-        return cls(n=n, p=p, d=d, x=x, fw=fw, gw=gw, kw=kw)
+        box = np.empty((2 * (n + 1), n + 2))
+        box[0::2, :-1] = x.T
+        box[1::2, :-1] = -x.T
+        box[:, -1] = -1.0
+        box_ub = np.append(np.ones(n + 1), _INF)
+        return cls(n, p, d, x, fw, gw, kw, box, np.zeros(n + 2), box_ub)
 
 
-def _run(name: str, c, a_ub, b_ub, bounds, certificate) -> BoundResult:
+def _run(name: str, c, a_ub, b_ub, lb, ub, certificate) -> BoundResult:
     t0 = time.perf_counter()
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, a_ub, b_ub, lb, ub)
     ok = res.status == 0
     return BoundResult.from_optimum(
         name,
@@ -119,26 +214,19 @@ def _run(name: str, c, a_ub, b_ub, bounds, certificate) -> BoundResult:
 
 
 def _g_rows(lp: DepolLp, eps: float, m_hat: float | None):
-    """Inequality rows shared by the transpose-box programs.
-
-    Variables are [m_0..m_n, eta]; rows are fidelity, the +-eta box on each
-    transpose eigenvalue, and optionally the marginal floor."""
+    """The transpose-box programs over [m_0..m_n, eta]: minimize eta subject
+    to the fidelity row, ``lp.box`` and optionally the marginal floor."""
     n = lp.n
-    rows = [np.concatenate([-lp.fw, [0.0]])]
-    rhs = [-(1.0 - eps)]
-    for k in range(n + 1):
-        rows.append(np.concatenate([lp.x[:, k], [-1.0]]))
-        rhs.append(0.0)
-        rows.append(np.concatenate([-lp.x[:, k], [-1.0]]))
-        rhs.append(0.0)
+    floor = [] if m_hat is None else [np.append(-lp.gw, 0.0)]
+    a_ub = np.vstack([np.append(-lp.fw, 0.0), lp.box, *floor])
+    b_ub = np.zeros(len(a_ub))
+    b_ub[0] = -(1.0 - eps)
     if m_hat is not None:
-        rows.append(np.concatenate([-lp.gw, [0.0]]))
-        rhs.append(-m_hat * m_hat)
+        b_ub[-1] = -m_hat * m_hat
     c = np.zeros(n + 2)
     c[-1] = 1.0
-    bounds = [(0.0, 1.0)] * (n + 1) + [(0.0, None)]
     cert = lambda z: {"m": z[: n + 1].copy(), "eta": float(z[n + 1])}
-    return c, np.array(rows), np.array(rhs), bounds, cert
+    return c, a_ub, b_ub, lp.box_lb, lp.box_ub, cert
 
 
 def lp_g(n: int, p: float, eps: float, d: int = 2) -> BoundResult:
@@ -162,28 +250,27 @@ def lp_f(n: int, p: float, eps: float, d: int = 2) -> BoundResult:
     eps = check_eps(eps)
     lp = DepolLp.build(n, p, d)
     w = n + 1
-    # variables [m, eta, s]
-    rows = [np.concatenate([-lp.fw, [0.0], np.zeros(w)])]
-    rhs = [-(1.0 - eps)]
-    for i in range(w):
-        row = np.zeros(2 * w + 1)
-        row[i] = 1.0
-        row[w] = -1.0
-        row[w + 1 + i] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for k in range(w):
-        rows.append(np.concatenate([np.zeros(w), [0.0], -lp.x[:, k]]))
-        rhs.append(0.0)
+    # variables [m, eta, s]; rows: fidelity, m_i + s_i <= eta, x' s >= 0
+    eye = np.eye(w)
+    a_ub = np.block(
+        [
+            [-lp.fw[None], np.zeros((1, 1 + w))],
+            [eye, -np.ones((w, 1)), eye],
+            [np.zeros((w, w + 1)), -lp.x.T],
+        ]
+    )
+    b_ub = np.zeros(2 * w + 1)
+    b_ub[0] = -(1.0 - eps)
     c = np.zeros(2 * w + 1)
     c[w] = 1.0
-    bounds = [(0.0, 1.0)] * w + [(0.0, None)] + [(None, None)] * w
+    lb = np.concatenate([np.zeros(w + 1), np.full(w, -_INF)])
+    ub = np.concatenate([np.ones(w), np.full(w + 1, _INF)])
     cert = lambda z: {
         "m": z[:w].copy(),
         "eta": float(z[w]),
         "s": z[w + 1 :].copy(),
     }
-    return _run("lp_f", c, np.array(rows), np.array(rhs), bounds, cert)
+    return _run("lp_f", c, a_ub, b_ub, lb, ub, cert)
 
 
 def lp_g_hat(n: int, p: float, eps: float, m_hat: float, d: int = 2) -> BoundResult:

@@ -732,3 +732,30 @@ def test_scaled_step_matches_an_eigenvalue_reference(side):
     scal, _ = solver_mod._nt_scaling([x], [s])
     got, _ = solver_mod._max_step(scal, [dx], [ds])
     assert np.isfinite(want) and abs(got - want) <= 1e-10 * want
+
+
+def test_a_failed_cone_takes_finite_stand_ins_and_flags_its_program_alone(monkeypatch):
+    # two programs of two cones each, one after the other in the stack; the
+    # second program's last X cone is not PD, so its Cholesky factor fails
+    rng = np.random.default_rng(7)
+    x, s = _pd_stack(4, 3, rng), _pd_stack(4, 3, rng)
+    x[3] = -x[3]
+    scal, failed = solver_mod._nt_scaling([x], [s], programs=2)
+    assert failed.tolist() == [False, True]
+    assert all(np.isfinite(part).all() for sc in scal for part in sc)
+    # the step test's eigvalsh then fails on that cone too: the stacked call,
+    # and the per-matrix call of the fourth matrix (X cones first, then S cones)
+    real, calls = solver_mod.eigvalsh, []
+
+    def failing(mats):
+        calls.append(mats.ndim)
+        if mats.ndim == 3 or len(calls) == 1 + 4:
+            raise np.linalg.LinAlgError("did not converge")
+        return real(mats)
+
+    monkeypatch.setattr(solver_mod, "eigvalsh", failing)
+    dx, ds = _herm_stack(4, 3, rng), _herm_stack(4, 3, rng)
+    step, failed = solver_mod._max_step(scal, [dx], [ds], programs=2)
+    assert calls == [3] + [2] * 8
+    assert failed.tolist() == [False, True]
+    assert np.isfinite(step).all()

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as highs_core
+from scipy.optimize import linprog as scipy_linprog
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
+import qcap.depolarizing_lp as dlp
+from qcap.cli import run_fig2
 from qcap.depolarizing_lp import (
     DepolLp,
     lp_f,
@@ -236,3 +241,96 @@ def test_crossing_point_of_the_sweep():
     gh = lp_g_hat_iterate(17, 0.2, 0.004, rounds=5)[-1]
     assert gh.log_value < 1.0 < f.log_value
     assert gh.log_value <= f.log_value
+
+
+# ``depolarizing_lp.linprog`` calls scipy's private HiGHS bindings; these tests
+# hold it to scipy.optimize.linprog(method="highs") bit for bit, so a scipy
+# release that moves the bindings or their behaviour fails here
+
+
+def _recorded(call):
+    """The (arguments, result) of every LP that ``call()`` solves."""
+    lps, real = [], dlp.linprog
+
+    def recording(*args):
+        res = real(*args)
+        lps.append((args, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dlp, "linprog", recording)
+        call()
+    return lps
+
+
+def _assert_matches_scipy(args, res):
+    c, a_ub, b_ub, lb, ub = args
+    want = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(lb, ub)), method="highs")
+    assert res.status == want.status
+    assert res.fun == want.fun
+    assert (res.x is None and want.x is None) or np.array_equal(res.x, want.x)
+
+
+@pytest.mark.parametrize(
+    "n_max, p, eps, rounds", [(30, 0.2, 0.004, 5), (12, 0.05, 0.01, 3)]
+)
+def test_every_sweep_lp_matches_scipy_linprog(n_max, p, eps, rounds):
+    # each row solves lp_f, the seed lp_g and one lp_g_hat per further round
+    lps = _recorded(lambda: run_fig2(n_max=n_max, p=p, eps=eps, rounds=rounds, jobs=1))
+    assert len(lps) == n_max * (1 + rounds + 1)
+    assert all(res.status == 0 for _, res in lps)
+    for args, res in lps:
+        _assert_matches_scipy(args, res)
+
+
+def test_infeasible_and_unbounded_statuses_match_scipy_linprog():
+    ((args, res),) = _recorded(lambda: lp_g_hat(1, 0.2, 0.004, m_hat=1.2))
+    assert res.status == 2
+    _assert_matches_scipy(args, res)
+    # min -x0 subject to x0 - x1 <= 1, x >= 0
+    toy = (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]),
+           np.zeros(2), np.full(2, np.inf))
+    res = dlp.linprog(*toy)
+    assert res.status == 3
+    _assert_matches_scipy(toy, res)
+
+
+def test_optimum_that_misses_its_rows_is_demoted_like_scipy(monkeypatch):
+    class Nudged(highs_core._Highs):
+        # reports every row 1e-3 above its value: beyond 10 sqrt(1e-9)
+        def getSolution(self):
+            sol = super().getSolution()
+            sol.row_value = [v + 1e-3 for v in sol.row_value]
+            return sol
+
+    ((args, clean),) = _recorded(lambda: lp_g(3, 0.2, 0.01))
+    assert clean.status == 0
+    # both paths construct HiGHS through this name at call time
+    monkeypatch.setattr(highs_core, "_Highs", Nudged)
+    res = dlp.linprog(*args)
+    assert res.status == 4
+    assert res.fun == clean.fun and np.array_equal(res.x, clean.x)
+    _assert_matches_scipy(args, res)
+    assert lp_g(3, 0.2, 0.01).status == "max_iter"
+
+
+def test_options_are_the_ones_scipy_linprog_passes(monkeypatch):
+    passed = []
+
+    class Recording(highs_core._Highs):
+        def passOptions(self, options):
+            passed.append(options)
+            return super().passOptions(options)
+
+    monkeypatch.setattr(highs_core, "_Highs", Recording)
+    toy = (np.array([1.0]), np.array([[-1.0]]), np.array([-0.5]), np.zeros(1), np.ones(1))
+    _assert_matches_scipy(toy, dlp.linprog(*toy))
+    ours, scipys = passed
+    names = [name for name in dir(ours) if not name.startswith("_")]
+    assert names and all(getattr(ours, n) == getattr(scipys, n) for n in names)
+
+
+def test_status_table_is_scipys():
+    for status in highs_core.HighsModelStatus.__members__.values():
+        want = _highs_to_scipy_status_message(status, "")[0]
+        assert dlp._SCIPY_STATUS.get(status, 4) == want, status

@@ -21,11 +21,12 @@ among them, compare two commits only when both sides' runs cover the same
 rows.  The checkouts are plain source trees (``git archive``), so their
 commits are given as arguments.
 
-``--layers N`` adds the in-process A/B mode: for each workload that runs
-conic programs, N runs per side of ``tools/layers.py`` in alternating order,
-each in a fresh process that imports its tree's ``qcap``.  A run times every
-bound column's build, assembly and ``solve_all`` by ``process_time``
-over ``layers.REPS`` warm repetitions and reports their medians; the output
+``--layers N`` adds the in-process A/B mode: for each workload, N runs per
+side of ``tools/layers.py`` in alternating order, each in a fresh process
+that imports its tree's ``qcap``.  A run times every bound column's build,
+assembly and ``solve_all`` (on ``depol_lp``: ``x_coeffs`` and ``linprog``)
+by ``process_time`` over ``layers.REPS`` warm repetitions and reports their
+medians; the output
 records, per layer, both sides' runs, medians and quartiles, the relative
 change of the medians and in how many runs the change was faster.  These
 layers stay readable where the traced metrics of a batched sweep do not.
