@@ -20,7 +20,8 @@ wrapped for the call, and each bound column is timed by
 
 For ``fig2_depol`` the layers are the names of ``qcap.depolarizing_lp``
 that the benchmark's tracer wraps: ``lp.x_coeffs``, the transpose table,
-and ``lp.linprog``, every LP's solve, model build included.
+and ``lp.linprog``, every LP's call: its HiGHS model, solve and result
+checks.
 
 Each experiment also gets ``call``, the whole runner call less the assembly
 timed alone: what the CLI spends outside process start-up and CSV writing.
